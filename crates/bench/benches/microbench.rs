@@ -38,39 +38,43 @@ fn scheme_throughput(c: &mut Bench) {
     group.finish();
 }
 
-/// The scheduler core loop in isolation: one fixed workload under one fixed
+/// The scheduler core loop in isolation: fixed kernels under one fixed
 /// scheme, reported as host wall-clock per simulated megacycle (the number
 /// the PR-level throughput trajectory in `results/BENCH_sim_throughput.json`
-/// tracks at sweep granularity).
+/// tracks at sweep granularity). `filter_scan` is branch- and load-heavy;
+/// `histogram` keeps the store queue full of read-modify-write stores, so
+/// every load's memory-ordering check has older stores to walk.
 fn sim_core_loop(c: &mut Bench) {
-    let workload =
-        suite(Scale::Smoke).into_iter().find(|w| w.name == "filter_scan").expect("kernel exists");
     let scheme = Scheme::Levioso;
-    let mut program = workload.program.clone();
-    scheme.prepare(&mut program);
-    // Calibrate: simulated cycles for one run of this fixed cell.
-    let sim_cycles = {
-        let mut sim = Simulator::new(&program, CoreConfig::default());
-        workload.apply_memory(&mut sim);
-        sim.run(scheme.policy().as_ref()).expect("runs").cycles
-    };
     let mut group = c.group("sim_core_loop");
     group.sample_size(10);
-    group.bench_function("wall_per_simulated_megacycle", |b| {
-        b.iter_batched(
-            || {
-                let mut sim = Simulator::new(&program, CoreConfig::default());
-                workload.apply_memory(&mut sim);
-                sim
-            },
-            |mut sim| {
-                black_box(sim.run(scheme.policy().as_ref()).expect("runs"));
-            },
-            BatchSize::LargeInput,
-        );
-    });
+    for workload in
+        suite(Scale::Smoke).into_iter().filter(|w| matches!(w.name, "filter_scan" | "histogram"))
+    {
+        let mut program = workload.program.clone();
+        scheme.prepare(&mut program);
+        // Calibrate: simulated cycles for one run of this fixed cell.
+        let sim_cycles = {
+            let mut sim = Simulator::new(&program, CoreConfig::default());
+            workload.apply_memory(&mut sim);
+            sim.run(scheme.policy().as_ref()).expect("runs").cycles
+        };
+        group.bench_function(workload.name, |b| {
+            b.iter_batched(
+                || {
+                    let mut sim = Simulator::new(&program, CoreConfig::default());
+                    workload.apply_memory(&mut sim);
+                    sim
+                },
+                |mut sim| {
+                    black_box(sim.run(scheme.policy().as_ref()).expect("runs"));
+                },
+                BatchSize::LargeInput,
+            );
+        });
+        eprintln!("sim_core_loop/{}: {sim_cycles} simulated cycles per iteration (divide the per-iteration wall time by {:.6} to get wall-clock per simulated megacycle)", workload.name, sim_cycles as f64 / 1.0e6);
+    }
     group.finish();
-    eprintln!("sim_core_loop: {sim_cycles} simulated cycles per iteration (divide the per-iteration wall time by {:.3} to get wall-clock per simulated megacycle)", sim_cycles as f64 / 1.0e6);
 }
 
 fn annotation_pass(c: &mut Bench) {

@@ -21,26 +21,31 @@
 //!
 //! * speculation sets are [`SpecMask`] bitmasks over in-flight slots
 //!   ([`crate::specmask`]) instead of sorted `Vec<Seq>` merges;
+//! * every stored reference to an in-flight instruction is a [`RobRef`]
+//!   (sequence number plus ROB position), which resolves with one index
+//!   and one sequence-number compare;
 //! * writeback pops a completion min-heap keyed by `(done_cycle, seq)`
 //!   instead of scanning the ROB (eligible completions always carry the
 //!   current cycle, so heap order equals the old seq-order scan);
 //! * completions wake their consumers through intrusive per-producer
 //!   chains built at rename, and issue walks a sorted ready-set of
 //!   operand-ready instructions in seq order (equal to the old ROB-order
-//!   scan priority). While a serializer (`fence`/`rdcycle`) is in flight
-//!   the core falls back to the full scan, which the serializer semantics
-//!   need anyway.
+//!   scan priority), stopping at the oldest incomplete serializer
+//!   (`fence`/`rdcycle`), which issues once every older instruction is
+//!   done;
+//! * loads check memory ordering against a store queue of the in-flight
+//!   stores' addresses and widths instead of walking older ROB entries.
 
 use crate::cache::Hierarchy;
 use crate::config::CoreConfig;
-use crate::dyninstr::{DynInstr, OpState, Operand, Seq, Stage};
+use crate::dyninstr::{DynInstr, OpState, Operand, RobRef, Seq, Stage};
 use crate::policy::{Gate, LoadMode, SpecView, SpeculationPolicy};
 use crate::predictor::Predictor;
-use crate::refsets::RefSets;
+use crate::refsets::{self, RefSets, ReferenceChecks};
 use crate::specmask::SlotTable;
 use crate::stats::SimStats;
 use crate::trace::{Blame, BlamedKind, BlamedSlot, DelayExplanation, TraceSink};
-use levioso_isa::{read_memory, write_memory, DepSet, Instr, Memory, Program, Reg};
+use levioso_isa::{read_memory, write_memory, DepSet, Instr, MemWidth, Memory, Program, Reg};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::fmt;
@@ -50,8 +55,8 @@ use std::fmt;
 enum RatEntry {
     /// Architectural (or already-committed) value.
     Value(i64),
-    /// Produced by the in-flight instruction with this sequence number.
-    Producer(Seq),
+    /// Produced by this in-flight instruction.
+    Producer(RobRef),
 }
 
 /// An instruction fetched but not yet renamed.
@@ -67,8 +72,8 @@ struct Fetched {
 
 /// What an issuing instruction will do (decided in a read-only pass,
 /// applied in a mutating pass).
-#[derive(Debug)]
-enum IssueAction {
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum IssueAction {
     /// ALU/branch/jump/serializer/nop/halt: result and (for control) the
     /// actual next PC were computed from ready operands.
     Simple { idx: usize, latency: u64, result: Option<i64>, actual_next: Option<u32> },
@@ -84,8 +89,8 @@ enum IssueAction {
 
 /// Which gate produced a `Delay` verdict in phase A, so the blame pass
 /// can ask the policy the matching `explain_*_delay` question.
-#[derive(Debug, Clone, Copy)]
-enum DelayCause {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DelayCause {
     /// `may_execute` returned `Delay`.
     Execute,
     /// `may_transmit` returned `Delay`.
@@ -94,15 +99,39 @@ enum DelayCause {
     LoadMiss,
 }
 
+/// One cycle's issue decisions: made by the read-only phase A, applied by
+/// phase B (the buffers are reused across cycles).
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct IssueDecisions {
+    /// What issues, in issue order.
+    pub(crate) actions: Vec<IssueAction>,
+    /// Instructions whose operands are ready for the first time, with
+    /// their F1 flags `(idx, shadowed, true-dep pending)`.
+    pub(crate) first_ready: Vec<(usize, bool, bool)>,
+    /// Instructions a policy gate held back this cycle.
+    pub(crate) delayed: Vec<(usize, DelayCause)>,
+}
+
 /// Per-cycle execution-unit budget consumed during the issue scan.
-struct IssueUnits {
+pub(crate) struct IssueUnits {
     alu: usize,
     mul: usize,
     div: usize,
     ld_ports: usize,
     st_ports: usize,
     mshrs_free: usize,
-    issued: usize,
+    pub(crate) issued: usize,
+}
+
+/// One in-flight store in the store queue.
+#[derive(Debug, Clone, Copy)]
+struct SqEntry {
+    /// The store.
+    at: RobRef,
+    /// Access width in bytes.
+    bytes: u64,
+    /// Effective address, once generated.
+    addr: Option<u64>,
 }
 
 /// Simulation failure.
@@ -170,6 +199,9 @@ pub struct Simulator<'p> {
     predictor: Predictor,
 
     rob: VecDeque<DynInstr>,
+    /// ROB position of the head entry: the number of instructions
+    /// committed so far (see [`RobRef`]).
+    head_pos: u64,
     fetch_queue: VecDeque<Fetched>,
     fetch_pc: u32,
     fetch_stalled: bool,
@@ -183,13 +215,14 @@ pub struct Simulator<'p> {
 
     /// Dispatched instructions whose operands are ready (stores: base
     /// ready), in seq order — the issue scan's candidate set.
-    ready: BTreeSet<Seq>,
-    /// Min-heap of pending completions `(done_cycle, seq)`; entries for
-    /// squashed instructions are skipped at pop.
-    completions: BinaryHeap<Reverse<(u64, Seq)>>,
-    /// Serializers currently in the ROB; while non-zero, issue uses the
-    /// full-scan path that serializer semantics require.
-    serializer_count: usize,
+    ready: BTreeSet<RobRef>,
+    /// Min-heap of pending completions `(done_cycle, instruction)`;
+    /// entries for squashed instructions are skipped at pop.
+    completions: BinaryHeap<Reverse<(u64, RobRef)>>,
+    /// In-flight stores, oldest first.
+    store_queue: VecDeque<SqEntry>,
+    /// In-flight serializers (`fence`, `rdcycle`), oldest first.
+    serializers: VecDeque<RobRef>,
 
     next_seq: Seq,
     cycle: u64,
@@ -197,17 +230,15 @@ pub struct Simulator<'p> {
     outstanding_misses: usize,
     iq_count: usize,
     lq_count: usize,
-    sq_count: usize,
     stats: SimStats,
     halted: bool,
 
-    // Reused per-cycle scratch buffers (no steady-state allocation).
-    scratch_actions: Vec<IssueAction>,
-    scratch_first_ready: Vec<(usize, bool, bool)>,
-    scratch_delayed: Vec<(usize, DelayCause)>,
+    /// Reused per-cycle issue buffers (no steady-state allocation).
+    scratch: IssueDecisions,
 
-    /// Differential-checking oracle (old Vec-based set semantics), enabled
-    /// by tests via [`Simulator::enable_reference_checking`].
+    /// Differential-checking oracle (the implementations the fast paths
+    /// replaced), enabled by tests via
+    /// [`Simulator::enable_reference_checking`].
     refsets: Option<Box<RefSets>>,
 
     /// Observability sink (see [`crate::trace`]); `None` in production
@@ -228,6 +259,7 @@ impl<'p> Simulator<'p> {
             hierarchy,
             predictor,
             rob: VecDeque::new(),
+            head_pos: 0,
             fetch_queue: VecDeque::new(),
             fetch_pc: 0,
             fetch_stalled: false,
@@ -237,18 +269,16 @@ impl<'p> Simulator<'p> {
             slots,
             ready: BTreeSet::new(),
             completions: BinaryHeap::new(),
-            serializer_count: 0,
+            store_queue: VecDeque::new(),
+            serializers: VecDeque::new(),
             next_seq: 0,
             cycle: 0,
             outstanding_misses: 0,
             iq_count: 0,
             lq_count: 0,
-            sq_count: 0,
             stats: SimStats::default(),
             halted: false,
-            scratch_actions: Vec::new(),
-            scratch_first_ready: Vec::new(),
-            scratch_delayed: Vec::new(),
+            scratch: IssueDecisions::default(),
             refsets: None,
             tracer: None,
         }
@@ -294,19 +324,22 @@ impl<'p> Simulator<'p> {
         &self.stats
     }
 
-    /// Runs the old Vec-based reference set implementation side-by-side
-    /// with the bitmask path, asserting equivalence at every dispatch,
-    /// forward, and commit (differential-testing hook; call before `run`).
+    /// Runs the implementations the fast paths replaced side-by-side with
+    /// them, asserting equivalence: the old Vec-based speculation sets at
+    /// every dispatch, forward, and commit; a binary search behind every
+    /// positioned ROB lookup; the full-ROB scan behind every store-queue
+    /// verdict and every issue cycle under a serializer
+    /// (differential-testing hook; call before `run`).
     #[doc(hidden)]
     pub fn enable_reference_checking(&mut self) {
         self.refsets = Some(Box::new(RefSets::new()));
     }
 
-    /// Number of equivalence events the reference oracle checked (0 when
+    /// How many comparisons the reference oracle made (all zero when
     /// checking is disabled).
     #[doc(hidden)]
-    pub fn reference_events_checked(&self) -> u64 {
-        self.refsets.as_ref().map_or(0, |r| r.events_checked)
+    pub fn reference_checks(&self) -> ReferenceChecks {
+        self.refsets.as_ref().map_or_else(ReferenceChecks::default, |r| r.checks())
     }
 
     /// `(high-water mark, capacity)` of the speculation slot table
@@ -331,7 +364,7 @@ impl<'p> Simulator<'p> {
             self.redirect,
             self.iq_count,
             self.lq_count,
-            self.sq_count,
+            self.store_queue.len(),
             self.fetch_queue.len()
         );
         let _ = writeln!(out, "unresolved={:?}", self.slots.mask_seqs(&self.slots.unresolved));
@@ -404,11 +437,20 @@ impl<'p> Simulator<'p> {
         Ok(self.stats)
     }
 
-    /// ROB index of the live instruction `seq`, if any. Sequence numbers
-    /// are unique and ascending in the ROB but not contiguous (squashes
-    /// leave gaps), so this is a binary search.
-    fn rob_index(&self, seq: Seq) -> Option<usize> {
-        self.rob.binary_search_by(|e| e.seq.cmp(&seq)).ok()
+    /// ROB index of the in-flight instruction `r`, or `None` once it has
+    /// left the ROB (a later dispatch may have reused its position).
+    fn live(&self, r: RobRef) -> Option<usize> {
+        let idx = usize::try_from(r.pos.checked_sub(self.head_pos)?).ok()?;
+        let found = self.rob.get(idx).filter(|e| e.seq == r.seq).map(|_| idx);
+        if let Some(refs) = &self.refsets {
+            refs.check_lookup(&self.rob, r.seq, found);
+        }
+        found
+    }
+
+    /// The reference to the instruction at ROB index `idx`.
+    fn rob_ref(&self, idx: usize) -> RobRef {
+        RobRef { seq: self.rob[idx].seq, pos: self.head_pos + idx as u64 }
     }
 
     // ------------------------------------------------------------------
@@ -426,14 +468,17 @@ impl<'p> Simulator<'p> {
                 break;
             }
             let e = self.rob.pop_front().expect("checked non-empty");
+            self.head_pos += 1;
             if e.instr.is_load() {
                 self.lq_count -= 1;
             }
             if e.instr.is_store() {
-                self.sq_count -= 1;
+                let s = self.store_queue.pop_front();
+                debug_assert_eq!(s.map(|s| s.at.seq), Some(e.seq), "the oldest store commits");
             }
             if e.is_serializer() {
-                self.serializer_count -= 1;
+                let s = self.serializers.pop_front();
+                debug_assert_eq!(s.map(|s| s.seq), Some(e.seq), "the oldest serializer commits");
             }
             self.account_commit(&e);
             // The slot outlives the owner until the ROB drains past
@@ -458,8 +503,8 @@ impl<'p> Simulator<'p> {
             if let Some(rd) = e.instr.dest() {
                 let v = e.result.expect("done instruction with dest has result");
                 self.arch_regs[rd.index()] = v;
-                if let RatEntry::Producer(s) = self.rat[rd.index()] {
-                    if s == e.seq {
+                if let RatEntry::Producer(p) = self.rat[rd.index()] {
+                    if p.seq == e.seq {
                         self.rat[rd.index()] = RatEntry::Value(v);
                     }
                 }
@@ -513,10 +558,8 @@ impl<'p> Simulator<'p> {
             }
             waits = Some((sw, tw));
         }
-        if self.refsets.is_some() {
-            let mut r = self.refsets.take().expect("checked");
-            r.on_commit(e, waits);
-            self.refsets = Some(r);
+        if let Some(refs) = self.refsets.as_deref_mut() {
+            refs.on_commit(e, waits);
         }
         if let Some(t) = self.tracer.as_deref_mut() {
             t.on_commit(self.cycle, e);
@@ -533,13 +576,13 @@ impl<'p> Simulator<'p> {
         // so every due entry carries the current cycle — making heap order
         // identical to the old seq-order ROB scan. Entries whose owner was
         // squashed (including by a resolution earlier this same cycle) no
-        // longer resolve through `rob_index` and are skipped.
-        while let Some(&Reverse((done_cycle, seq))) = self.completions.peek() {
+        // longer resolve and are skipped.
+        while let Some(&Reverse((done_cycle, r))) = self.completions.peek() {
             if done_cycle > self.cycle {
                 break;
             }
             self.completions.pop();
-            let Some(idx) = self.rob_index(seq) else { continue }; // squashed meanwhile
+            let Some(idx) = self.live(r) else { continue }; // squashed meanwhile
             debug_assert_eq!(self.rob[idx].stage, Stage::Executing);
             self.rob[idx].stage = Stage::Done;
             if self.rob[idx].holds_mshr {
@@ -549,10 +592,8 @@ impl<'p> Simulator<'p> {
             if self.rob[idx].instr.is_load() {
                 let slot = self.rob[idx].slot.expect("loads own a slot");
                 self.slots.mark_load_done(slot);
-                if self.refsets.is_some() {
-                    let mut r = self.refsets.take().expect("checked");
-                    r.on_load_done(seq);
-                    self.refsets = Some(r);
+                if let Some(refs) = self.refsets.as_deref_mut() {
+                    refs.on_load_done(r.seq);
                 }
             }
             if let Some(t) = self.tracer.as_deref_mut() {
@@ -562,9 +603,9 @@ impl<'p> Simulator<'p> {
             if self.rob[idx].instr.dest().is_some() {
                 let v = self.rob[idx].result.expect("dest implies result");
                 let mut cur = self.rob[idx].wake_head;
-                while let Some((cseq, oi)) = cur {
+                while let Some((consumer, oi)) = cur {
                     let cidx = self
-                        .rob_index(cseq)
+                        .live(consumer)
                         .expect("squash rebuilds wake chains, so links are live");
                     let c = &mut self.rob[cidx];
                     c.srcs[oi as usize].state = OpState::Ready(v);
@@ -575,19 +616,20 @@ impl<'p> Simulator<'p> {
                                 && c.srcs[0].state.value().is_some()
                                 && c.mem_addr.is_none());
                         if eligible {
-                            self.ready.insert(cseq);
+                            self.ready.insert(consumer);
                         }
                     }
                 }
             }
             if self.rob[idx].is_spec_source() {
-                self.resolve_control(seq);
+                self.resolve_control(idx);
             }
         }
     }
 
-    fn resolve_control(&mut self, seq: Seq) {
-        let idx = self.rob_index(seq).expect("resolving a live instruction");
+    /// Resolves the control instruction at ROB index `idx`.
+    fn resolve_control(&mut self, idx: usize) {
+        let seq = self.rob[idx].seq;
         let (pc, actual, predicted, was_stalling, history, checkpoint, instr, slot, taken) = {
             let e = &mut self.rob[idx];
             (
@@ -604,10 +646,8 @@ impl<'p> Simulator<'p> {
         };
 
         self.slots.resolve(slot, self.cycle);
-        if self.refsets.is_some() {
-            let mut r = self.refsets.take().expect("checked");
-            r.on_resolve(seq, self.cycle);
-            self.refsets = Some(r);
+        if let Some(refs) = self.refsets.as_deref_mut() {
+            refs.on_resolve(seq, self.cycle);
         }
         if let Some(t) = self.tracer.as_deref_mut() {
             // A stalling indirect never predicted, so it cannot mispredict.
@@ -676,29 +716,27 @@ impl<'p> Simulator<'p> {
                 // this slot's bit is younger and squashed in this event.
                 self.slots.free_squash(slot);
             }
-            if e.is_serializer() {
-                self.serializer_count -= 1;
-            }
             if e.stage == Stage::Dispatched {
                 self.iq_count -= 1;
             }
             if e.instr.is_load() {
                 self.lq_count -= 1;
             }
-            if e.instr.is_store() {
-                self.sq_count -= 1;
-            }
             if let Some(t) = self.tracer.as_deref_mut() {
                 t.on_squash(self.cycle, e.seq, e.pc);
             }
         }
-        // Drop squashed entries from the ready set (stale completion-heap
-        // entries are skipped at pop instead).
-        let _ = self.ready.split_off(&(seq + 1));
-        if self.refsets.is_some() {
-            let mut r = self.refsets.take().expect("checked");
-            r.on_squash_younger(seq);
-            self.refsets = Some(r);
+        // Drop squashed entries from the age-ordered queues and the ready
+        // set (stale completion-heap entries are skipped at pop instead).
+        while self.store_queue.back().is_some_and(|s| s.at.seq > seq) {
+            self.store_queue.pop_back();
+        }
+        while self.serializers.back().is_some_and(|s| s.seq > seq) {
+            self.serializers.pop_back();
+        }
+        let _ = self.ready.split_off(&RobRef { seq: seq + 1, pos: 0 });
+        if let Some(refs) = self.refsets.as_deref_mut() {
+            refs.on_squash_younger(seq);
         }
         self.stats.squashed += self.fetch_queue.len() as u64;
         self.fetch_queue.clear();
@@ -712,21 +750,21 @@ impl<'p> Simulator<'p> {
             self.rob[i].wake_head = None;
         }
         for i in 0..self.rob.len() {
+            let consumer = self.rob_ref(i);
             if let Some(rd) = self.rob[i].instr.dest() {
                 self.rat[rd.index()] = match (self.rob[i].stage, self.rob[i].result) {
                     (Stage::Done, Some(v)) => RatEntry::Value(v),
-                    _ => RatEntry::Producer(self.rob[i].seq),
+                    _ => RatEntry::Producer(consumer),
                 };
             }
-            let cseq = self.rob[i].seq;
             for oi in 0..self.rob[i].srcs.len() {
                 if let OpState::Waiting(p) = self.rob[i].srcs[oi].state {
                     let pidx = self
-                        .rob_index(p)
+                        .live(p)
                         .expect("a surviving consumer's producer is older and survives");
                     let head = self.rob[pidx].wake_head;
                     self.rob[i].wake_next[oi] = head;
-                    self.rob[pidx].wake_head = Some((cseq, oi as u8));
+                    self.rob[pidx].wake_head = Some((consumer, oi as u8));
                 }
             }
         }
@@ -739,53 +777,25 @@ impl<'p> Simulator<'p> {
     fn issue(&mut self, policy: &dyn SpeculationPolicy) {
         // Phase A: read-only pass deciding what issues this cycle, into
         // scratch buffers reused across cycles.
-        let mut actions = std::mem::take(&mut self.scratch_actions);
-        let mut first_ready = std::mem::take(&mut self.scratch_first_ready);
-        let mut delayed = std::mem::take(&mut self.scratch_delayed);
-        debug_assert!(actions.is_empty() && first_ready.is_empty() && delayed.is_empty());
+        let mut decided = std::mem::take(&mut self.scratch);
+        debug_assert_eq!(decided, IssueDecisions::default());
 
         {
-            let view = SpecView { slots: &self.slots, rob: &self.rob };
-            let mut units = IssueUnits {
-                alu: self.config.alu_count,
-                mul: self.config.mul_count,
-                div: self.config.div_count,
-                ld_ports: self.config.load_ports,
-                st_ports: self.config.store_ports,
-                mshrs_free: self.config.mshr_count.saturating_sub(self.outstanding_misses),
-                issued: 0,
-            };
-            if self.serializer_count > 0 {
-                self.issue_scan_serialized(
-                    policy,
-                    &view,
-                    &mut units,
-                    &mut actions,
-                    &mut first_ready,
-                    &mut delayed,
+            let view = SpecView { slots: &self.slots };
+            self.issue_scan(policy, &view, &mut decided);
+            if let (Some(refs), false) = (&self.refsets, self.serializers.is_empty()) {
+                // Under a serializer, the full-ROB scan the barrier replaced
+                // must make the same decisions.
+                let mut scanned = IssueDecisions::default();
+                refsets::serialized_scan(
+                    &self.rob,
+                    self.cycle,
+                    self.config.issue_width,
+                    &mut self.issue_units(),
+                    &mut scanned,
+                    &mut |idx, units, out| self.consider_issue(policy, &view, idx, units, out),
                 );
-            } else {
-                // Fast path: only operand-ready dispatched instructions can
-                // act, and the sorted ready-set walks them in seq order —
-                // the same priority order as the full ROB scan.
-                for &seq in &self.ready {
-                    if units.issued >= self.config.issue_width {
-                        // The full scan continues past this point only to
-                        // track serializers, which are absent here.
-                        break;
-                    }
-                    let idx = self.rob_index(seq).expect("ready entries are live");
-                    debug_assert_eq!(self.rob[idx].stage, Stage::Dispatched);
-                    self.consider_issue(
-                        policy,
-                        &view,
-                        idx,
-                        &mut units,
-                        &mut actions,
-                        &mut first_ready,
-                        &mut delayed,
-                    );
-                }
+                refs.check_serialized_issue(self.cycle, &decided, &scanned);
             }
         }
 
@@ -796,8 +806,8 @@ impl<'p> Simulator<'p> {
         if self.tracer.is_some() {
             let mut t = self.tracer.take().expect("checked");
             {
-                let view = SpecView { slots: &self.slots, rob: &self.rob };
-                for &(idx, cause) in &delayed {
+                let view = SpecView { slots: &self.slots };
+                for &(idx, cause) in &decided.delayed {
                     let e = &self.rob[idx];
                     let expl = match cause {
                         DelayCause::Execute => policy.explain_execute_delay(e, &view),
@@ -811,30 +821,22 @@ impl<'p> Simulator<'p> {
         }
 
         // Phase B: apply.
-        for &(idx, sh, td) in &first_ready {
+        for &(idx, sh, td) in &decided.first_ready {
             self.rob[idx].ready_while_shadowed = Some(sh);
             self.rob[idx].ready_while_true_dep = Some(td);
             self.rob[idx].first_ready_cycle = Some(self.cycle);
         }
-        for &(idx, _) in &delayed {
+        for &(idx, _) in &decided.delayed {
             self.rob[idx].policy_delay_cycles += 1;
         }
-        for action in actions.drain(..) {
-            match action {
+        for action in decided.actions.drain(..) {
+            let idx = match action {
                 IssueAction::Simple { idx, latency, result, actual_next } => {
                     let e = &mut self.rob[idx];
-                    e.stage = Stage::Executing;
-                    e.done_cycle = self.cycle + latency;
                     e.result = result;
                     e.actual_next = actual_next;
-                    let seq = e.seq;
-                    let done = e.done_cycle;
-                    self.iq_count -= 1;
-                    self.ready.remove(&seq);
-                    self.completions.push(Reverse((done, seq)));
-                    if let Some(t) = self.tracer.as_deref_mut() {
-                        t.on_issue(self.cycle, &self.rob[idx]);
-                    }
+                    self.begin_execution(idx, latency);
+                    idx
                 }
                 IssueAction::Forward { idx, store_idx, addr } => {
                     let store_seq = self.rob[store_idx].seq;
@@ -872,30 +874,22 @@ impl<'p> Simulator<'p> {
                     // width, so the raw store value re-extends the same way
                     // a memory round-trip would.
                     let v = extend_like_load(value, width_signed.0, width_signed.1);
-                    e.stage = Stage::Executing;
-                    e.done_cycle = self.cycle + 2;
                     e.result = Some(v);
                     e.forwarded_from = Some(store_seq);
                     e.lev_deps.union_with(&kept_lev);
                     e.taint_roots.union_with(&kept_taint);
                     e.fwd_true_wait = e.fwd_true_wait.max(stale_wait);
                     e.mem_addr = Some(addr);
-                    let seq = e.seq;
-                    let done = e.done_cycle;
-                    self.iq_count -= 1;
-                    self.ready.remove(&seq);
-                    self.completions.push(Reverse((done, seq)));
-                    if self.refsets.is_some() {
-                        let mut r = self.refsets.take().expect("checked");
-                        let view = SpecView { slots: &self.slots, rob: &self.rob };
-                        let lidx = self.rob_index(seq).expect("live");
-                        r.on_forward(seq, store_seq, &self.rob[lidx], &self.slots, &view);
-                        self.refsets = Some(r);
+                    self.begin_execution(idx, 2);
+                    if let Some(refs) = self.refsets.as_deref_mut() {
+                        let e = &self.rob[idx];
+                        let view = SpecView { slots: &self.slots };
+                        refs.on_forward(e.seq, store_seq, e, &self.slots, &view);
                     }
                     if let Some(t) = self.tracer.as_deref_mut() {
                         t.on_forward(self.cycle, &self.rob[idx], store_seq);
-                        t.on_issue(self.cycle, &self.rob[idx]);
                     }
+                    idx
                 }
                 IssueAction::Access { idx, addr, value, hit_only } => {
                     let latency = if hit_only {
@@ -926,132 +920,108 @@ impl<'p> Simulator<'p> {
                         self.outstanding_misses += 1;
                     }
                     let e = &mut self.rob[idx];
-                    e.stage = Stage::Executing;
-                    e.done_cycle = self.cycle + latency;
                     e.result = Some(value);
                     e.mem_addr = Some(addr);
                     e.holds_mshr = is_miss;
                     // Invisible (hit-only) accesses change no cache state.
                     e.touched_cache = !hit_only;
-                    let seq = e.seq;
-                    let done = e.done_cycle;
-                    self.iq_count -= 1;
-                    self.ready.remove(&seq);
-                    self.completions.push(Reverse((done, seq)));
-                    if let Some(t) = self.tracer.as_deref_mut() {
-                        t.on_issue(self.cycle, &self.rob[idx]);
-                    }
+                    self.begin_execution(idx, latency);
+                    idx
                 }
                 IssueAction::Flush { idx, addr } => {
                     self.hierarchy.flush_line(addr);
                     let e = &mut self.rob[idx];
-                    e.stage = Stage::Executing;
-                    e.done_cycle = self.cycle + 1;
                     e.mem_addr = Some(addr);
                     e.touched_cache = true;
-                    let seq = e.seq;
-                    let done = e.done_cycle;
-                    self.iq_count -= 1;
-                    self.ready.remove(&seq);
-                    self.completions.push(Reverse((done, seq)));
-                    if let Some(t) = self.tracer.as_deref_mut() {
-                        t.on_issue(self.cycle, &self.rob[idx]);
-                    }
+                    self.begin_execution(idx, 1);
+                    idx
                 }
                 IssueAction::StoreAddr { idx, addr } => {
-                    let e = &mut self.rob[idx];
-                    e.stage = Stage::Executing;
-                    e.done_cycle = self.cycle + 1;
-                    e.mem_addr = Some(addr);
-                    let seq = e.seq;
-                    let done = e.done_cycle;
-                    self.iq_count -= 1;
-                    self.ready.remove(&seq);
-                    self.completions.push(Reverse((done, seq)));
-                    if let Some(t) = self.tracer.as_deref_mut() {
-                        t.on_issue(self.cycle, &self.rob[idx]);
-                    }
+                    self.rob[idx].mem_addr = Some(addr);
+                    let seq = self.rob[idx].seq;
+                    let k = self
+                        .store_queue
+                        .binary_search_by_key(&seq, |s| s.at.seq)
+                        .expect("in-flight stores are queued");
+                    self.store_queue[k].addr = Some(addr);
+                    self.begin_execution(idx, 1);
+                    idx
                 }
+            };
+            if let Some(t) = self.tracer.as_deref_mut() {
+                t.on_issue(self.cycle, &self.rob[idx]);
             }
         }
 
-        self.scratch_actions = actions;
-        first_ready.clear();
-        self.scratch_first_ready = first_ready;
-        delayed.clear();
-        self.scratch_delayed = delayed;
+        decided.first_ready.clear();
+        decided.delayed.clear();
+        self.scratch = decided;
     }
 
-    /// The full-ROB issue scan, used while a serializer is in flight: a
-    /// serializer issues only once all older instructions are done and
-    /// blocks all younger ones, which requires walking every entry.
-    #[allow(clippy::too_many_arguments)]
-    fn issue_scan_serialized(
+    /// A full execution-unit budget for one cycle.
+    fn issue_units(&self) -> IssueUnits {
+        IssueUnits {
+            alu: self.config.alu_count,
+            mul: self.config.mul_count,
+            div: self.config.div_count,
+            ld_ports: self.config.load_ports,
+            st_ports: self.config.store_ports,
+            mshrs_free: self.config.mshr_count.saturating_sub(self.outstanding_misses),
+            issued: 0,
+        }
+    }
+
+    /// Phase A of issue: walks the ready set in age order up to the
+    /// serializer barrier — the oldest in-flight serializer that has not
+    /// completed — and then considers the barrier itself. A serializer
+    /// issues only once every older instruction is done, and blocks every
+    /// younger one until it completes.
+    fn issue_scan(
         &self,
         policy: &dyn SpeculationPolicy,
         view: &SpecView<'_>,
-        units: &mut IssueUnits,
-        actions: &mut Vec<IssueAction>,
-        first_ready: &mut Vec<(usize, bool, bool)>,
-        delayed: &mut Vec<(usize, DelayCause)>,
+        out: &mut IssueDecisions,
     ) {
-        let mut all_older_done = true;
-        let mut serializer_block = false;
-        for idx in 0..self.rob.len() {
-            let e = &self.rob[idx];
-            if e.stage != Stage::Dispatched {
-                if e.stage != Stage::Done {
-                    all_older_done = false;
-                    if e.is_serializer() {
-                        serializer_block = true;
-                    }
-                }
-                continue;
+        let mut units = self.issue_units();
+        // Serializers issue in age order (each waits for every older
+        // instruction), so the completed ones form a prefix of the queue.
+        let barrier = self.serializers.iter().find_map(|&s| {
+            let idx = self.live(s).expect("queued serializers are in flight");
+            (self.rob[idx].stage != Stage::Done).then_some((s.seq, idx))
+        });
+        let limit = barrier.map_or(Seq::MAX, |(seq, _)| seq);
+        for &r in &self.ready {
+            if r.seq >= limit || units.issued >= self.config.issue_width {
+                break;
             }
-            let older_done = all_older_done;
-            all_older_done = false;
-            if e.is_serializer() {
-                // Serializers wait for all older instructions and block
-                // all younger ones until they complete.
-                if older_done && !serializer_block && units.issued < self.config.issue_width {
-                    let result = match e.instr {
-                        Instr::RdCycle { .. } => Some(self.cycle as i64),
-                        _ => None,
-                    };
-                    actions.push(IssueAction::Simple {
-                        idx,
-                        latency: 1,
-                        result,
-                        actual_next: None,
-                    });
-                    units.issued += 1;
-                }
-                serializer_block = true;
-                continue;
-            }
-            if serializer_block {
-                continue;
-            }
-            if units.issued >= self.config.issue_width {
-                continue; // keep scanning only for serializer tracking
-            }
-            self.consider_issue(policy, view, idx, units, actions, first_ready, delayed);
+            let idx = self.live(r).expect("ready entries are live");
+            debug_assert_eq!(self.rob[idx].stage, Stage::Dispatched);
+            self.consider_issue(policy, view, idx, &mut units, out);
+        }
+        let Some((_, idx)) = barrier else { return };
+        let e = &self.rob[idx];
+        if e.stage == Stage::Dispatched
+            && units.issued < self.config.issue_width
+            && self.rob.iter().take(idx).all(|older| older.stage == Stage::Done)
+        {
+            let result = match e.instr {
+                Instr::RdCycle { .. } => Some(self.cycle as i64),
+                _ => None,
+            };
+            out.actions.push(IssueAction::Simple { idx, latency: 1, result, actual_next: None });
         }
     }
 
     /// Issue decision for the dispatched non-serializer instruction at
-    /// `idx` — shared verbatim between the fast ready-set path and the
-    /// serialized full scan so the two cannot diverge.
-    #[allow(clippy::too_many_arguments)]
+    /// `idx` (also driven by the reference oracle's full-ROB scan, so the
+    /// two cannot diverge).
     fn consider_issue(
         &self,
         policy: &dyn SpeculationPolicy,
         view: &SpecView<'_>,
         idx: usize,
         units: &mut IssueUnits,
-        actions: &mut Vec<IssueAction>,
-        first_ready: &mut Vec<(usize, bool, bool)>,
-        delayed: &mut Vec<(usize, DelayCause)>,
+        out: &mut IssueDecisions,
     ) {
         let e = &self.rob[idx];
         // Store address generation needs only the base operand.
@@ -1063,7 +1033,7 @@ impl<'p> Simulator<'p> {
 
         // Record first-readiness speculation flags (F1) once.
         if e.operands_ready() && e.ready_while_shadowed.is_none() {
-            first_ready.push((
+            out.first_ready.push((
                 idx,
                 view.any_unresolved(&e.shadow),
                 view.any_unresolved(&e.lev_deps),
@@ -1072,7 +1042,7 @@ impl<'p> Simulator<'p> {
 
         // Universal execute gate.
         if policy.may_execute(e, view) == Gate::Delay {
-            delayed.push((idx, DelayCause::Execute));
+            out.delayed.push((idx, DelayCause::Execute));
             return;
         }
 
@@ -1097,7 +1067,7 @@ impl<'p> Simulator<'p> {
                     Instr::AluImm { imm, .. } => imm,
                     _ => unreachable!(),
                 };
-                actions.push(IssueAction::Simple {
+                out.actions.push(IssueAction::Simple {
                     idx,
                     latency,
                     result: Some(op.eval(a, b)),
@@ -1112,7 +1082,7 @@ impl<'p> Simulator<'p> {
                 units.alu -= 1;
                 let taken = cond.eval(e.src_value(0), e.src_value(1));
                 let actual = if taken { target } else { e.pc + 1 };
-                actions.push(IssueAction::Simple {
+                out.actions.push(IssueAction::Simple {
                     idx,
                     latency: 1,
                     result: Some(i64::from(taken)),
@@ -1125,7 +1095,7 @@ impl<'p> Simulator<'p> {
                     return;
                 }
                 units.alu -= 1;
-                actions.push(IssueAction::Simple {
+                out.actions.push(IssueAction::Simple {
                     idx,
                     latency: 1,
                     result: Some((e.pc + 1) as i64),
@@ -1139,7 +1109,7 @@ impl<'p> Simulator<'p> {
                 }
                 units.alu -= 1;
                 let target = (e.src_value(0).wrapping_add(offset)) as u64 as u32;
-                actions.push(IssueAction::Simple {
+                out.actions.push(IssueAction::Simple {
                     idx,
                     latency: 1,
                     result: Some((e.pc + 1) as i64),
@@ -1148,7 +1118,7 @@ impl<'p> Simulator<'p> {
                 units.issued += 1;
             }
             Instr::Nop | Instr::Halt => {
-                actions.push(IssueAction::Simple {
+                out.actions.push(IssueAction::Simple {
                     idx,
                     latency: 1,
                     result: None,
@@ -1162,12 +1132,12 @@ impl<'p> Simulator<'p> {
                     return;
                 }
                 if policy.may_transmit(e, view) == Gate::Delay {
-                    delayed.push((idx, DelayCause::Transmit));
+                    out.delayed.push((idx, DelayCause::Transmit));
                     return;
                 }
                 units.ld_ports -= 1;
                 let addr = (e.src_value(0) as u64).wrapping_add(offset as u64);
-                actions.push(IssueAction::Flush { idx, addr });
+                out.actions.push(IssueAction::Flush { idx, addr });
                 units.issued += 1;
             }
             Instr::Load { width, signed, offset, .. } => {
@@ -1180,16 +1150,16 @@ impl<'p> Simulator<'p> {
                     LsqVerdict::Blocked => {}
                     LsqVerdict::Forward(store_idx) => {
                         if policy.may_transmit(e, view) == Gate::Delay {
-                            delayed.push((idx, DelayCause::Transmit));
+                            out.delayed.push((idx, DelayCause::Transmit));
                             return;
                         }
                         units.ld_ports -= 1;
-                        actions.push(IssueAction::Forward { idx, store_idx, addr });
+                        out.actions.push(IssueAction::Forward { idx, store_idx, addr });
                         units.issued += 1;
                     }
                     LsqVerdict::Memory => {
                         if policy.may_transmit(e, view) == Gate::Delay {
-                            delayed.push((idx, DelayCause::Transmit));
+                            out.delayed.push((idx, DelayCause::Transmit));
                             return;
                         }
                         let hit_only = policy.load_mode(e, view) == LoadMode::HitOnly;
@@ -1197,7 +1167,7 @@ impl<'p> Simulator<'p> {
                         if hit_only && !is_l1_hit {
                             // Delay-on-Miss: must wait instead of filling
                             // speculatively.
-                            delayed.push((idx, DelayCause::LoadMiss));
+                            out.delayed.push((idx, DelayCause::LoadMiss));
                             return;
                         }
                         if !is_l1_hit {
@@ -1209,7 +1179,7 @@ impl<'p> Simulator<'p> {
                         }
                         units.ld_ports -= 1;
                         let value = read_memory(&self.mem, addr, width, signed);
-                        actions.push(IssueAction::Access { idx, addr, value, hit_only });
+                        out.actions.push(IssueAction::Access { idx, addr, value, hit_only });
                         units.issued += 1;
                     }
                 }
@@ -1228,7 +1198,7 @@ impl<'p> Simulator<'p> {
                 };
                 let base = e.srcs[0].state.value().expect("base checked ready");
                 let addr = (base as u64).wrapping_add(offset as u64);
-                actions.push(IssueAction::StoreAddr { idx, addr });
+                out.actions.push(IssueAction::StoreAddr { idx, addr });
                 units.issued += 1;
             }
         }
@@ -1236,8 +1206,7 @@ impl<'p> Simulator<'p> {
 
     /// Converts a policy's [`DelayExplanation`] into a concrete [`Blame`]:
     /// the *oldest* slot in the blocking mask is the one whose resolution
-    /// the block is actually waiting on. Control slots carry their own pc;
-    /// a load slot's pc comes from its live ROB entry.
+    /// the block is actually waiting on; the slot table records its pc.
     fn blame_of(&self, expl: &DelayExplanation) -> Blame {
         let mut oldest: Option<(Seq, u16)> = None;
         for slot in expl.blocking.iter() {
@@ -1247,52 +1216,51 @@ impl<'p> Simulator<'p> {
             }
         }
         let blamed = oldest.map(|(seq, slot)| {
-            if self.slots.live_load.contains(slot) {
-                let pc = self.rob_index(seq).map_or(0, |i| self.rob[i].pc);
-                BlamedSlot { kind: BlamedKind::Load, seq, pc }
+            let kind = if self.slots.live_load.contains(slot) {
+                BlamedKind::Load
+            } else if self.slots.indirect.contains(slot) {
+                BlamedKind::Indirect
             } else {
-                let kind = if self.slots.indirect.contains(slot) {
-                    BlamedKind::Indirect
-                } else {
-                    BlamedKind::Branch
-                };
-                BlamedSlot { kind, seq, pc: self.slots.pc_of(slot) }
-            }
+                BlamedKind::Branch
+            };
+            BlamedSlot { kind, seq, pc: self.slots.pc_of(slot) }
         });
         Blame { rule: expl.rule, blamed }
     }
 
     /// Memory-ordering verdict for a load at ROB index `idx`.
-    fn lsq_check(&self, idx: usize, addr: u64, width: levioso_isa::MemWidth) -> LsqVerdict {
-        let lo = addr;
-        let hi = addr.wrapping_add(width.bytes());
-        let mut forward: Option<usize> = None;
-        for j in 0..idx {
-            let s = &self.rob[j];
-            if !s.instr.is_store() {
-                continue;
-            }
-            let Some(sa) = s.mem_addr else {
+    fn lsq_check(&self, idx: usize, addr: u64, width: MemWidth) -> LsqVerdict {
+        let verdict = self.store_queue_verdict(self.rob[idx].seq, addr, width);
+        if let Some(refs) = &self.refsets {
+            refs.check_lsq(&self.rob, idx, addr, width, verdict);
+        }
+        verdict
+    }
+
+    /// Memory-ordering verdict for the load `seq` from the stores older
+    /// than it, oldest first.
+    fn store_queue_verdict(&self, seq: Seq, addr: u64, width: MemWidth) -> LsqVerdict {
+        let bytes = width.bytes();
+        let hi = addr.wrapping_add(bytes);
+        let mut forward: Option<RobRef> = None;
+        for s in self.store_queue.iter().take_while(|s| s.at.seq < seq) {
+            let Some(sa) = s.addr else {
                 return LsqVerdict::Blocked; // unknown older store address
             };
-            let sw = match s.instr {
-                Instr::Store { width, .. } => width.bytes(),
-                _ => unreachable!(),
-            };
-            let s_hi = sa.wrapping_add(sw);
-            let overlap = sa < hi && lo < s_hi;
+            let overlap = sa < hi && addr < sa.wrapping_add(s.bytes);
             if !overlap {
                 continue;
             }
-            if sa == addr && sw == width.bytes() {
-                forward = Some(j); // youngest exact match wins
+            if sa == addr && s.bytes == bytes {
+                forward = Some(s.at); // youngest exact match wins
             } else {
                 // Partial overlap: wait for the store to drain at commit.
                 return LsqVerdict::Blocked;
             }
         }
         match forward {
-            Some(j) => {
+            Some(at) => {
+                let j = self.live(at).expect("queued stores are in flight");
                 if self.rob[j].srcs[1].state.value().is_some() {
                     LsqVerdict::Forward(j)
                 } else {
@@ -1301,6 +1269,18 @@ impl<'p> Simulator<'p> {
             }
             None => LsqVerdict::Memory,
         }
+    }
+
+    /// Moves the dispatched instruction at `idx` into execution, to
+    /// complete `latency` cycles from now.
+    fn begin_execution(&mut self, idx: usize, latency: u64) {
+        let r = self.rob_ref(idx);
+        let e = &mut self.rob[idx];
+        e.stage = Stage::Executing;
+        e.done_cycle = self.cycle + latency;
+        self.iq_count -= 1;
+        self.ready.remove(&r);
+        self.completions.push(Reverse((e.done_cycle, r)));
     }
 
     // ------------------------------------------------------------------
@@ -1316,12 +1296,13 @@ impl<'p> Simulator<'p> {
             if f.instr.is_load() && self.lq_count >= self.config.lq_size {
                 break;
             }
-            if f.instr.is_store() && self.sq_count >= self.config.sq_size {
+            if f.instr.is_store() && self.store_queue.len() >= self.config.sq_size {
                 break;
             }
             let f = self.fetch_queue.pop_front().expect("checked non-empty");
             let seq = self.next_seq;
             self.next_seq += 1;
+            let me = RobRef { seq, pos: self.head_pos + self.rob.len() as u64 };
             self.stats.dispatched += 1;
             let rob_front_seq = self.rob.front().map(|e| e.seq);
 
@@ -1366,9 +1347,9 @@ impl<'p> Simulator<'p> {
                     match self.rat[reg.index()] {
                         RatEntry::Value(v) => OpState::Ready(v),
                         RatEntry::Producer(p) => {
-                            if let Some(pidx) = self.rob_index(p) {
+                            if let Some(pidx) = self.live(p) {
                                 let prod = &self.rob[pidx];
-                                inherit[oi] = Some(p);
+                                inherit[oi] = Some(p.seq);
                                 e.lev_deps.union_masked(&prod.lev_deps, &self.slots.unresolved);
                                 e.taint_roots
                                     .union_masked(&prod.taint_roots, &self.slots.live_load);
@@ -1377,7 +1358,12 @@ impl<'p> Simulator<'p> {
                                 }
                                 match (prod.stage, prod.result) {
                                     (Stage::Done, Some(v)) => OpState::Ready(v),
-                                    _ => OpState::Waiting(p),
+                                    _ => {
+                                        // Link into the producer's wakeup chain.
+                                        e.wake_next[oi] = prod.wake_head;
+                                        self.rob[pidx].wake_head = Some((me, oi as u8));
+                                        OpState::Waiting(p)
+                                    }
                                 }
                             } else {
                                 // Producer left the ROB: its value is
@@ -1387,32 +1373,26 @@ impl<'p> Simulator<'p> {
                         }
                     }
                 };
-                if let OpState::Waiting(p) = state {
-                    // Link into the producer's wakeup chain.
-                    let pidx = self.rob_index(p).expect("waiting producer is live");
-                    e.wake_next[oi] = self.rob[pidx].wake_head;
-                    self.rob[pidx].wake_head = Some((seq, oi as u8));
-                }
                 e.srcs.push(Operand { reg, state });
             }
 
             if let Some(rd) = f.instr.dest() {
-                self.rat[rd.index()] = RatEntry::Producer(seq);
+                self.rat[rd.index()] = RatEntry::Producer(me);
             }
             if e.is_spec_source() {
                 e.slot =
                     Some(self.slots.alloc_ctrl(seq, f.pc, f.instr.is_indirect(), rob_front_seq));
             } else if f.instr.is_load() {
-                e.slot = Some(self.slots.alloc_load(seq, e.shadow, rob_front_seq));
+                e.slot = Some(self.slots.alloc_load(seq, f.pc, e.shadow, rob_front_seq));
             }
             if e.is_serializer() {
-                self.serializer_count += 1;
+                self.serializers.push_back(me);
             }
             if f.instr.is_load() {
                 self.lq_count += 1;
             }
-            if f.instr.is_store() {
-                self.sq_count += 1;
+            if let Instr::Store { width, .. } = f.instr {
+                self.store_queue.push_back(SqEntry { at: me, bytes: width.bytes(), addr: None });
             }
             self.iq_count += 1;
 
@@ -1420,14 +1400,12 @@ impl<'p> Simulator<'p> {
             let eligible =
                 e.operands_ready() || (e.instr.is_store() && e.srcs[0].state.value().is_some());
             if eligible {
-                self.ready.insert(seq);
+                self.ready.insert(me);
             }
 
-            if self.refsets.is_some() {
-                let mut r = self.refsets.take().expect("checked");
-                let view = SpecView { slots: &self.slots, rob: &self.rob };
-                r.on_dispatch(&e, ann, &inherit, &self.slots, &view);
-                self.refsets = Some(r);
+            if let Some(refs) = self.refsets.as_deref_mut() {
+                let view = SpecView { slots: &self.slots };
+                refs.on_dispatch(&e, ann, &inherit, &self.slots, &view);
             }
             if let Some(t) = self.tracer.as_deref_mut() {
                 t.on_dispatch(self.cycle, &e);
@@ -1515,7 +1493,8 @@ impl<'p> Simulator<'p> {
     }
 }
 
-enum LsqVerdict {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LsqVerdict {
     /// Must wait (unknown older store address, partial overlap, or
     /// forwarding data not ready).
     Blocked,

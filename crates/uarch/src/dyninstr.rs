@@ -8,6 +8,24 @@ use std::ops::{Index, IndexMut};
 /// simulation; orders age).
 pub type Seq = u64;
 
+/// A reference to an in-flight instruction: its sequence number plus the
+/// ROB *position* it was dispatched at.
+///
+/// Positions count ROB entries ever allocated past the committed ones: an
+/// instruction dispatched while `c` instructions have committed and `n`
+/// are in flight gets position `c + n`, and keeps it while it stays in
+/// the ROB (commits pop the front, squashes pop the back). Its ROB index
+/// is therefore `pos - committed`. A squash lets a later dispatch reuse a
+/// position, so a reference resolves only if the entry there still
+/// carries `seq`; otherwise the instruction has left the ROB.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct RobRef {
+    /// The instruction's sequence number (orders references by age).
+    pub seq: Seq,
+    /// The ROB position it was dispatched at.
+    pub pos: u64,
+}
+
 /// Pipeline stage of a dynamic instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
@@ -33,8 +51,8 @@ pub struct Operand {
 pub enum OpState {
     /// Value known.
     Ready(i64),
-    /// Waiting for the in-flight producer with this sequence number.
-    Waiting(Seq),
+    /// Waiting for this in-flight producer.
+    Waiting(RobRef),
 }
 
 impl OpState {
@@ -210,10 +228,10 @@ pub struct DynInstr {
 
     /// Head of this producer's wakeup chain: the youngest-registered
     /// consumer waiting on this instruction's result, as
-    /// `(consumer seq, operand index)`.
-    pub wake_head: Option<(Seq, u8)>,
+    /// `(consumer, operand index)`.
+    pub wake_head: Option<(RobRef, u8)>,
     /// Per-operand next link in the producer's wakeup chain.
-    pub wake_next: [Option<(Seq, u8)>; 2],
+    pub wake_next: [Option<(RobRef, u8)>; 2],
 
     /// Measured at first operand-readiness: was any `shadow` branch still
     /// unresolved? (F1 motivation counter, conservative view.)
@@ -307,7 +325,7 @@ mod tests {
     fn operand_readiness() {
         let mut d = DynInstr::new(1, 0, Instr::Alu { op: AluOp::Add, rd: A0, rs1: A1, rs2: A2 });
         d.srcs.push(Operand { reg: A1, state: OpState::Ready(5) });
-        d.srcs.push(Operand { reg: A2, state: OpState::Waiting(0) });
+        d.srcs.push(Operand { reg: A2, state: OpState::Waiting(RobRef { seq: 0, pos: 0 }) });
         assert!(!d.operands_ready());
         d.srcs[1].state = OpState::Ready(7);
         assert!(d.operands_ready());
@@ -336,10 +354,11 @@ mod tests {
         let mut ops = Operands::new();
         assert!(ops.is_empty());
         ops.push(Operand { reg: A1, state: OpState::Ready(1) });
-        ops.push(Operand { reg: A2, state: OpState::Waiting(9) });
+        let producer = RobRef { seq: 9, pos: 4 };
+        ops.push(Operand { reg: A2, state: OpState::Waiting(producer) });
         assert_eq!(ops.len(), 2);
         assert_eq!(ops.as_slice().len(), 2);
-        assert!(ops.iter().any(|o| matches!(o.state, OpState::Waiting(9))));
+        assert!(ops.iter().any(|o| matches!(o.state, OpState::Waiting(p) if p == producer)));
         ops[1].state = OpState::Ready(3);
         assert_eq!(ops[1].state.value(), Some(3));
     }

@@ -31,6 +31,8 @@ pub mod stats;
 pub mod trace;
 
 pub use crate::core::{SimError, Simulator};
+#[doc(hidden)]
+pub use crate::refsets::ReferenceChecks;
 
 /// Semantic revision of the simulator core and its policy surface.
 ///
@@ -57,7 +59,7 @@ pub fn core_fingerprint() -> String {
 }
 pub use cache::{CacheStats, Hierarchy, SetAssocCache};
 pub use config::{CacheConfig, CoreConfig, HierarchyConfig, PredictorConfig};
-pub use dyninstr::{DynInstr, OpState, Operand, Operands, Seq, Stage};
+pub use dyninstr::{DynInstr, OpState, Operand, Operands, RobRef, Seq, Stage};
 pub use policy::{Gate, LoadMode, SpecView, SpeculationPolicy, UnsafeBaseline};
 pub use predictor::Predictor;
 pub use specmask::SpecMask;

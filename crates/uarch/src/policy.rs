@@ -14,10 +14,9 @@
 //! `levioso-core`; this crate only defines the contract plus the trivial
 //! [`UnsafeBaseline`].
 
-use crate::dyninstr::{DynInstr, Seq};
+use crate::dyninstr::DynInstr;
 use crate::specmask::{SlotTable, SpecMask};
 use crate::trace::DelayExplanation;
-use std::collections::VecDeque;
 
 /// Verdict for an execution attempt this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +41,6 @@ pub enum LoadMode {
 #[derive(Debug)]
 pub struct SpecView<'a> {
     pub(crate) slots: &'a SlotTable,
-    pub(crate) rob: &'a VecDeque<DynInstr>,
 }
 
 impl<'a> SpecView<'a> {
@@ -102,13 +100,6 @@ impl<'a> SpecView<'a> {
             }
         }
         out
-    }
-
-    /// The ROB entry for `seq`, if still in flight. Sequence numbers are
-    /// ascending but not contiguous in the ROB (squashes leave gaps).
-    pub fn entry(&self, seq: Seq) -> Option<&DynInstr> {
-        let idx = self.rob.binary_search_by(|e| e.seq.cmp(&seq)).ok()?;
-        Some(&self.rob[idx])
     }
 }
 

@@ -1,11 +1,21 @@
-//! Differential-checking oracle: the original `Vec<Seq>`/`BTreeMap`
-//! implementation of the speculation-tracking sets, run side-by-side with
-//! the [`crate::specmask`] bitmask path.
+//! Differential-checking oracle: the implementations the core's fast
+//! paths replaced, run side-by-side with them.
 //!
 //! Enabled by [`crate::Simulator::enable_reference_checking`] (tests only;
-//! the hooks are no-ops when disabled). At every dispatch, store-to-load
-//! forward, and commit the oracle recomputes what the scan-based
-//! implementation would have produced and asserts the mask path agrees:
+//! the hooks are no-ops when disabled). Four comparisons:
+//!
+//! * every positioned ROB lookup ([`crate::RobRef`]) against a binary
+//!   search of the ROB by sequence number;
+//! * every store-queue memory-ordering verdict against the full walk of
+//!   the older ROB entries;
+//! * every issue cycle with a serializer in flight against the full-ROB
+//!   scan the serializer barrier replaced;
+//! * the speculation-tracking sets against the original
+//!   `Vec<Seq>`/`BTreeMap` implementation, below.
+//!
+//! At every dispatch, store-to-load forward, and commit the oracle
+//! recomputes what the scan-based set implementation would have produced
+//! and asserts the [`crate::specmask`] bitmask path agrees:
 //!
 //! * `shadow` and `ann_deps` must match the reference **exactly**;
 //! * `lev_deps` may drop dependencies that had already *resolved* at a
@@ -20,11 +30,28 @@
 //!   computed from per-slot resolve cycles must equal the reference values
 //!   computed from the unbounded seq-keyed map.
 
-use crate::dyninstr::{DynInstr, Seq};
+use crate::core::{IssueAction, IssueDecisions, IssueUnits, LsqVerdict};
+use crate::dyninstr::{DynInstr, Seq, Stage};
 use crate::policy::SpecView;
 use crate::specmask::SlotTable;
-use levioso_isa::DepSet;
-use std::collections::{BTreeMap, HashMap};
+use levioso_isa::{DepSet, Instr, MemWidth};
+use std::cell::Cell;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+
+/// How many comparisons the reference oracle made, by kind.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReferenceChecks {
+    /// Speculation-set equivalence events (dispatch, forward, commit).
+    pub sets: u64,
+    /// Positioned ROB lookups checked against a binary search.
+    pub lookups: u64,
+    /// Store-queue verdicts checked against the full walk of older ROB
+    /// entries.
+    pub lsq_verdicts: u64,
+    /// Issue cycles with a serializer in flight checked against the
+    /// full-ROB scan.
+    pub serialized_cycles: u64,
+}
 
 /// Reference (old-implementation) per-instruction sets.
 #[derive(Debug, Clone)]
@@ -46,8 +73,12 @@ pub(crate) struct RefSets {
     resolve_cycle: HashMap<Seq, u64>,
     /// Reference sets for every in-flight instruction.
     instrs: BTreeMap<Seq, RefInstr>,
-    /// Number of equivalence assertions evaluated.
-    pub(crate) events_checked: u64,
+    /// Number of set-equivalence assertions evaluated.
+    events_checked: u64,
+    /// Comparisons made from the core's read-only paths, hence `Cell`s.
+    lookups: Cell<u64>,
+    lsq_verdicts: Cell<u64>,
+    serialized_cycles: Cell<u64>,
 }
 
 /// Merges sorted `extra` into sorted `dst`, deduplicating (the old
@@ -64,6 +95,58 @@ fn merge_sorted(dst: &mut Vec<Seq>, extra: &[Seq]) {
 impl RefSets {
     pub(crate) fn new() -> Self {
         RefSets::default()
+    }
+
+    /// The comparison counts so far.
+    pub(crate) fn checks(&self) -> ReferenceChecks {
+        ReferenceChecks {
+            sets: self.events_checked,
+            lookups: self.lookups.get(),
+            lsq_verdicts: self.lsq_verdicts.get(),
+            serialized_cycles: self.serialized_cycles.get(),
+        }
+    }
+
+    /// Checks a positioned lookup of `seq`, which found ROB index `found`,
+    /// against a binary search (sequence numbers ascend in the ROB).
+    pub(crate) fn check_lookup(&self, rob: &VecDeque<DynInstr>, seq: Seq, found: Option<usize>) {
+        let searched = rob.binary_search_by(|e| e.seq.cmp(&seq)).ok();
+        assert_eq!(
+            found, searched,
+            "positioned lookup of seq={seq} diverged from the binary search"
+        );
+        self.lookups.set(self.lookups.get() + 1);
+    }
+
+    /// Checks the store queue's verdict for the load at ROB index `idx`
+    /// against the walk of every older ROB entry.
+    pub(crate) fn check_lsq(
+        &self,
+        rob: &VecDeque<DynInstr>,
+        idx: usize,
+        addr: u64,
+        width: MemWidth,
+        verdict: LsqVerdict,
+    ) {
+        let scanned = lsq_scan(rob, idx, addr, width);
+        assert_eq!(
+            verdict, scanned,
+            "store-queue verdict for load seq={} at {addr:#x} diverged from the ROB scan",
+            rob[idx].seq
+        );
+        self.lsq_verdicts.set(self.lsq_verdicts.get() + 1);
+    }
+
+    /// Checks one cycle's issue decisions — actions, first-readiness
+    /// records and policy delays, in order — against the full-ROB scan's.
+    pub(crate) fn check_serialized_issue(
+        &self,
+        cycle: u64,
+        barrier: &IssueDecisions,
+        scan: &IssueDecisions,
+    ) {
+        assert_eq!(barrier, scan, "cycle {cycle}: serializer-barrier issue diverged from the scan");
+        self.serialized_cycles.set(self.serialized_cycles.get() + 1);
     }
 
     /// Old STT root-activity predicate: a root is active while it is still
@@ -278,5 +361,87 @@ impl RefSets {
             self.events_checked += 1;
         }
         self.instrs.remove(&e.seq);
+    }
+}
+
+/// The memory-ordering check the store queue replaced: walks every ROB
+/// entry older than the load at `idx`, oldest first. The first older store
+/// with an unknown address or a partial overlap blocks the load; the
+/// youngest exact match forwards once its data is ready.
+fn lsq_scan(rob: &VecDeque<DynInstr>, idx: usize, addr: u64, width: MemWidth) -> LsqVerdict {
+    let lo = addr;
+    let hi = addr.wrapping_add(width.bytes());
+    let mut forward: Option<usize> = None;
+    for (j, s) in rob.iter().enumerate().take(idx) {
+        let Instr::Store { width: sw, .. } = s.instr else { continue };
+        let Some(sa) = s.mem_addr else {
+            return LsqVerdict::Blocked;
+        };
+        let s_hi = sa.wrapping_add(sw.bytes());
+        let overlap = sa < hi && lo < s_hi;
+        if !overlap {
+            continue;
+        }
+        if sa == addr && sw.bytes() == width.bytes() {
+            forward = Some(j);
+        } else {
+            return LsqVerdict::Blocked;
+        }
+    }
+    match forward {
+        Some(j) if rob[j].srcs[1].state.value().is_some() => LsqVerdict::Forward(j),
+        Some(_) => LsqVerdict::Blocked,
+        None => LsqVerdict::Memory,
+    }
+}
+
+/// The issue scan the serializer barrier replaced: walks every ROB entry
+/// in age order. A serializer issues only once all older instructions are
+/// done, and blocks all younger ones until it completes; every other
+/// dispatched instruction goes to `consider` (the core's issue decision)
+/// while issue width remains.
+pub(crate) fn serialized_scan(
+    rob: &VecDeque<DynInstr>,
+    cycle: u64,
+    issue_width: usize,
+    units: &mut IssueUnits,
+    out: &mut IssueDecisions,
+    consider: &mut dyn FnMut(usize, &mut IssueUnits, &mut IssueDecisions),
+) {
+    let mut all_older_done = true;
+    let mut serializer_block = false;
+    for (idx, e) in rob.iter().enumerate() {
+        if e.stage != Stage::Dispatched {
+            if e.stage != Stage::Done {
+                all_older_done = false;
+                if e.is_serializer() {
+                    serializer_block = true;
+                }
+            }
+            continue;
+        }
+        let older_done = all_older_done;
+        all_older_done = false;
+        if e.is_serializer() {
+            if older_done && !serializer_block && units.issued < issue_width {
+                let result = match e.instr {
+                    Instr::RdCycle { .. } => Some(cycle as i64),
+                    _ => None,
+                };
+                out.actions.push(IssueAction::Simple {
+                    idx,
+                    latency: 1,
+                    result,
+                    actual_next: None,
+                });
+                units.issued += 1;
+            }
+            serializer_block = true;
+            continue;
+        }
+        if serializer_block || units.issued >= issue_width {
+            continue;
+        }
+        consider(idx, units, out);
     }
 }

@@ -179,7 +179,7 @@ pub(crate) struct SlotTable {
     pending: VecDeque<(u16, Seq)>,
     /// Sequence number of each slot's owner.
     seq: Vec<Seq>,
-    /// Program counter of each control slot's owner.
+    /// Program counter of each slot's owner.
     pc: Vec<u32>,
     /// Cycle each control slot's owner resolved at (valid once resolved,
     /// until the slot is reused) — replaces the old unbounded
@@ -285,16 +285,18 @@ impl SlotTable {
         slot
     }
 
-    /// Allocates a slot for a load dispatched at `seq` whose speculation
-    /// shadow at rename is `shadow`.
+    /// Allocates a slot for a load dispatched at `seq`/`pc` whose
+    /// speculation shadow at rename is `shadow`.
     pub(crate) fn alloc_load(
         &mut self,
         seq: Seq,
+        pc: u32,
         shadow: SpecMask,
         rob_front_seq: Option<Seq>,
     ) -> u16 {
         let slot = self.take_slot(rob_front_seq);
         self.seq[slot as usize] = seq;
+        self.pc[slot as usize] = pc;
         self.shadow[slot as usize] = shadow;
         self.live_load.set(slot);
         slot
@@ -341,7 +343,7 @@ impl SlotTable {
         self.seq[slot as usize]
     }
 
-    /// Program counter of a control slot's owner.
+    /// Program counter of a slot's owner.
     pub(crate) fn pc_of(&self, slot: u16) -> u32 {
         self.pc[slot as usize]
     }
@@ -424,9 +426,10 @@ mod tests {
     fn slot_lifecycle_and_barriers() {
         let mut t = SlotTable::new(4); // capacity 8
         let c0 = t.alloc_ctrl(10, 5, false, None);
-        let l0 = t.alloc_load(11, SpecMask::EMPTY, Some(10));
+        let l0 = t.alloc_load(11, 6, SpecMask::EMPTY, Some(10));
         assert!(t.unresolved.contains(c0) && t.live_ctrl.contains(c0));
         assert!(t.live_load.contains(l0) && !t.live_ctrl.contains(l0));
+        assert_eq!((t.pc_of(c0), t.pc_of(l0)), (5, 6));
         t.resolve(c0, 42);
         assert!(!t.unresolved.contains(c0) && t.live_ctrl.contains(c0));
         let mut deps = SpecMask::EMPTY;

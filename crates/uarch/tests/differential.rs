@@ -1,15 +1,19 @@
-//! Differential test of the bitmask speculation-set fast path against the
-//! original `Vec<Seq>` reference semantics.
+//! Differential test of the core's fast paths against the implementations
+//! they replaced.
 //!
 //! [`Simulator::enable_reference_checking`] runs the pre-optimization
-//! implementation (per-instruction sorted `Vec<Seq>` shadow / Levioso /
-//! taint sets, `resolve_cycle` map) side-by-side with the production
-//! bitmask path, asserting set equivalence at every dispatch, forward,
-//! resolve, and commit. This file drives that oracle with randomized
-//! programs and policies that consult *every* dependency-set flavour, and
-//! additionally asserts that a checked run and an unchecked run produce
-//! identical statistics and architectural state — i.e. the oracle observes
-//! without perturbing.
+//! implementations side-by-side with the production paths: per-instruction
+//! sorted `Vec<Seq>` shadow / Levioso / taint sets and the `resolve_cycle`
+//! map against the bitmask sets (at every dispatch, forward, resolve, and
+//! commit), a binary search against every positioned ROB lookup, the
+//! older-ROB-entry walk against every store-queue verdict, and the
+//! full-ROB issue scan against every issue cycle with a serializer in
+//! flight. This file drives that oracle with randomized programs — loads
+//! and stores over a tiny address pool, forward branches, `rdcycle` and
+//! `fence` — under policies that consult *every* dependency-set flavour,
+//! and additionally asserts that a checked run and an unchecked run
+//! produce identical statistics and architectural state — i.e. the oracle
+//! observes without perturbing.
 //!
 //! A separate test pins the slot-table state bound: speculation bookkeeping
 //! is O(ROB), never O(dynamic instructions), which is the leak the old
@@ -17,9 +21,10 @@
 
 use levioso_isa::reg::*;
 use levioso_isa::{AluOp, Annotations, BranchCond, DepSet, Instr, Machine, MemWidth, Program, Reg};
-use levioso_support::{Gen, Rng};
+use levioso_support::{check, Gen, Rng};
 use levioso_uarch::policy::{Gate, LoadMode, SpecView, SpeculationPolicy, UnsafeBaseline};
-use levioso_uarch::{CoreConfig, DynInstr, SimStats, Simulator};
+use levioso_uarch::{CoreConfig, DynInstr, ReferenceChecks, SimStats, Simulator};
+use std::cell::Cell;
 
 /// Delays transmits on the conservative shadow (execute-delay shape).
 #[derive(Debug)]
@@ -119,6 +124,12 @@ fn small_reg(g: &mut Gen) -> Reg {
 
 const WIDTHS: [MemWidth; 4] = [MemWidth::B, MemWidth::H, MemWidth::W, MemWidth::D];
 
+/// The register `rdcycle` writes: outside the operand pool, read only as
+/// `TIMER - TIMER`, and zeroed before `halt`. The simulator reads real
+/// cycles and the interpreter retired instructions, so the value must not
+/// reach architectural state.
+const TIMER: Reg = T3;
+
 #[derive(Debug, Clone)]
 enum Op {
     Alu(AluOp, Reg, Reg, Reg),
@@ -126,34 +137,63 @@ enum Op {
     Load(MemWidth, bool, Reg, i64),
     Store(MemWidth, Reg, i64),
     FwdBranch(BranchCond, Reg, Reg, u8),
+    RdCycle,
+    Fence,
+    /// `rd = TIMER - TIMER`: always 0, but waits for the last `rdcycle`.
+    Elapsed(Reg),
+}
+
+/// A pool access `(width, offset)`: half the time one of three aligned
+/// doublewords, so stores often match each other and later loads exactly
+/// (several in-flight candidates for one forward), otherwise any width at
+/// any byte of the pool (partial overlaps).
+fn access(g: &mut Gen) -> (MemWidth, i64) {
+    if g.bool_any() {
+        (MemWidth::D, 8 * g.i64_in(0..3))
+    } else {
+        (*g.pick(&WIDTHS), g.i64_in(0..40))
+    }
 }
 
 fn arb_op(g: &mut Gen) -> Op {
-    const ALU: [AluOp; 8] = [
+    // `Div` (20 cycles) is often squashed mid-flight, so its completion
+    // pops after a later dispatch reused its ROB position.
+    const ALU: [AluOp; 9] = [
         AluOp::Add,
         AluOp::Sub,
         AluOp::Xor,
         AluOp::And,
         AluOp::Or,
         AluOp::Mul,
+        AluOp::Div,
         AluOp::Sltu,
         AluOp::Sra,
     ];
     const BRANCH: [BranchCond; 3] = [BranchCond::Eq, BranchCond::Ne, BranchCond::Lt];
     // Branch-heavier than the LSQ stress mix: speculation sets are the
-    // object under test, so keep many of them live at once.
-    match g.weighted(&[3, 2, 3, 3, 3]) {
+    // object under test, so keep many of them live at once. Serializers
+    // are rarer: each one drains the pipeline.
+    match g.weighted(&[3, 2, 3, 3, 3, 1, 1, 1]) {
         0 => Op::Alu(*g.pick(&ALU), small_reg(g), small_reg(g), small_reg(g)),
         1 => Op::Imm(*g.pick(&ALU), small_reg(g), small_reg(g), g.i64_in(-64..64)),
-        2 => Op::Load(*g.pick(&WIDTHS), g.bool_any(), small_reg(g), g.i64_in(0..40)),
-        3 => Op::Store(*g.pick(&WIDTHS), small_reg(g), g.i64_in(0..40)),
-        _ => Op::FwdBranch(*g.pick(&BRANCH), small_reg(g), small_reg(g), g.u8_in(1..6)),
+        2 => {
+            let (width, offset) = access(g);
+            Op::Load(width, g.bool_any(), small_reg(g), offset)
+        }
+        3 => {
+            let (width, offset) = access(g);
+            Op::Store(width, small_reg(g), offset)
+        }
+        4 => Op::FwdBranch(*g.pick(&BRANCH), small_reg(g), small_reg(g), g.u8_in(1..6)),
+        5 => Op::RdCycle,
+        6 => Op::Fence,
+        _ => Op::Elapsed(small_reg(g)),
     }
 }
 
 /// Lowers the op list into a halting program (same shape as the LSQ
 /// stress generator: `gp` holds the pool base, branches only skip
-/// forward).
+/// forward; [`TIMER`] is zeroed before `halt`).
 fn lower(ops: &[Op]) -> Program {
     let mut instrs: Vec<Instr> =
         vec![Instr::AluImm { op: AluOp::Add, rd: GP, rs1: ZERO, imm: POOL_BASE }];
@@ -171,8 +211,12 @@ fn lower(ops: &[Op]) -> Program {
             Op::FwdBranch(cond, rs1, rs2, skip) => {
                 Instr::Branch { cond, rs1, rs2, target: (at + 1 + skip as u32).min(base + n) }
             }
+            Op::RdCycle => Instr::RdCycle { rd: TIMER },
+            Op::Fence => Instr::Fence,
+            Op::Elapsed(rd) => Instr::Alu { op: AluOp::Sub, rd, rs1: TIMER, rs2: TIMER },
         });
     }
+    instrs.push(Instr::AluImm { op: AluOp::Add, rd: TIMER, rs1: ZERO, imm: 0 });
     instrs.push(Instr::Halt);
     Program::new("differential", instrs)
 }
@@ -217,7 +261,7 @@ fn run_once(
     policy: &dyn SpeculationPolicy,
     config: &CoreConfig,
     check: bool,
-) -> (SimStats, u64, u64) {
+) -> (SimStats, u64, ReferenceChecks) {
     let mut sim = Simulator::new(p, config.clone());
     if check {
         sim.enable_reference_checking();
@@ -225,17 +269,17 @@ fn run_once(
     seed_regs(&mut sim, seed);
     let stats =
         sim.run(policy).unwrap_or_else(|e| panic!("{}: {e}\n{}", policy.name(), p.to_asm_string()));
-    (stats, sim.arch_fingerprint(), sim.reference_events_checked())
+    (stats, sim.arch_fingerprint(), sim.reference_checks())
 }
 
-levioso_support::props! {
-    cases = 64;
-
-    /// The bitmask fast path is equivalent to the Vec-based reference
-    /// semantics: the in-simulator oracle asserts per-event set
-    /// equivalence, and the checked run's observable results are
-    /// bit-identical to the unchecked run's.
-    fn bitmask_sets_match_vec_reference(g) {
+/// The fast paths are equivalent to the implementations they replaced:
+/// the in-simulator oracle asserts per-event equivalence, and the checked
+/// run's observable results are bit-identical to the unchecked run's.
+/// Over all cases, every kind of comparison must have been made.
+#[test]
+fn bitmask_sets_match_vec_reference() {
+    let total = Cell::new(ReferenceChecks::default());
+    check::run("bitmask_sets_match_vec_reference", &check::Config::new(64), |g| {
         let count = g.usize_in(4..60);
         let ops: Vec<Op> = (0..count).map(|_| arb_op(g)).collect();
         let seed = g.i64_in(-1000..1000);
@@ -271,8 +315,9 @@ levioso_support::props! {
         for config in [&default, &tiny] {
             for policy in policies {
                 let (plain_stats, plain_fp, _) = run_once(&p, seed, policy, config, false);
-                let (ref_stats, ref_fp, events) = run_once(&p, seed, policy, config, true);
-                assert!(events > 0, "{}: oracle observed no events", policy.name());
+                let (ref_stats, ref_fp, checks) = run_once(&p, seed, policy, config, true);
+                assert!(checks.sets > 0, "{}: oracle observed no set events", policy.name());
+                assert!(checks.lookups > 0, "{}: oracle checked no lookups", policy.name());
                 assert_eq!(plain_fp, golden, "{}: wrong architectural state", policy.name());
                 assert_eq!(ref_fp, golden, "{}: oracle perturbed results", policy.name());
                 assert_eq!(
@@ -281,9 +326,19 @@ levioso_support::props! {
                     "{}: oracle perturbed statistics",
                     policy.name()
                 );
+                let t = total.get();
+                total.set(ReferenceChecks {
+                    sets: t.sets + checks.sets,
+                    lookups: t.lookups + checks.lookups,
+                    lsq_verdicts: t.lsq_verdicts + checks.lsq_verdicts,
+                    serialized_cycles: t.serialized_cycles + checks.serialized_cycles,
+                });
             }
         }
-    }
+    });
+    let t = total.get();
+    assert!(t.lsq_verdicts > 0, "no store-queue verdict was checked: {t:?}");
+    assert!(t.serialized_cycles > 0, "no issue cycle under a serializer was checked: {t:?}");
 }
 
 /// Speculation bookkeeping stays O(ROB): a branch-and-load-heavy loop

@@ -2,8 +2,11 @@
 //! with the reference interpreter, timing sanity, and — crucially — the
 //! transient-execution side-effect substrate the security study rests on.
 
-use levioso_isa::{assemble, reg::*, Machine, Program};
-use levioso_uarch::{CoreConfig, SimError, Simulator, UnsafeBaseline};
+use levioso_isa::{assemble, reg::*, Instr, Machine, Program};
+use levioso_uarch::{
+    CoreConfig, DynInstr, Seq, SimError, SimStats, Simulator, TraceSink, UnsafeBaseline,
+};
+use std::any::Any;
 
 /// Runs `program` on both the interpreter and the simulator (same initial
 /// memory image) and asserts identical final architectural state.
@@ -387,4 +390,286 @@ fn mshr_limit_bounds_memory_level_parallelism() {
     let serial = run(1);
     assert!(parallel < 2 * 138, "16 MSHRs: misses overlap ({parallel})");
     assert!(serial > 8 * 120, "1 MSHR: misses serialize ({serial})");
+}
+
+/// The per-instruction events the memory-ordering and squash tests assert
+/// on, each tagged with the instruction's sequence number.
+#[derive(Debug, Default)]
+struct Events {
+    /// `(cycle, seq, pc)` of every dispatch.
+    dispatched: Vec<(u64, Seq, u32)>,
+    /// `(cycle, seq)` of every issue.
+    issued: Vec<(u64, Seq)>,
+    /// `(cycle, seq)` of every writeback.
+    written_back: Vec<(u64, Seq)>,
+    /// `(cycle, load seq, store seq)` of every store-to-load forward.
+    forwarded: Vec<(u64, Seq, Seq)>,
+    /// `(cycle, seq)` of every commit.
+    committed: Vec<(u64, Seq)>,
+    /// Every squashed sequence number.
+    squashed: Vec<Seq>,
+}
+
+impl TraceSink for Events {
+    fn on_dispatch(&mut self, cycle: u64, instr: &DynInstr) {
+        self.dispatched.push((cycle, instr.seq, instr.pc));
+    }
+
+    fn on_issue(&mut self, cycle: u64, instr: &DynInstr) {
+        self.issued.push((cycle, instr.seq));
+    }
+
+    fn on_writeback(&mut self, cycle: u64, instr: &DynInstr) {
+        self.written_back.push((cycle, instr.seq));
+    }
+
+    fn on_forward(&mut self, cycle: u64, instr: &DynInstr, store_seq: Seq) {
+        self.forwarded.push((cycle, instr.seq, store_seq));
+    }
+
+    fn on_commit(&mut self, cycle: u64, instr: &DynInstr) {
+        self.committed.push((cycle, instr.seq));
+    }
+
+    fn on_squash(&mut self, _cycle: u64, seq: Seq, _pc: u32) {
+        self.squashed.push(seq);
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
+}
+
+impl Events {
+    fn pc(&self, seq: Seq) -> u32 {
+        self.dispatched.iter().find(|d| d.1 == seq).expect("dispatched").2
+    }
+
+    /// The committed instance of the instruction at `pc`: `(cycle, seq)`.
+    fn commit_of(&self, pc: u32) -> (u64, Seq) {
+        *self.committed.iter().find(|c| self.pc(c.1) == pc).expect("committed")
+    }
+
+    /// The cycle the instance `seq` issued.
+    fn issue_of(&self, seq: Seq) -> u64 {
+        self.issued.iter().find(|i| i.1 == seq).expect("issued").0
+    }
+
+    /// The cycle the instance `seq` wrote back.
+    fn writeback_of(&self, seq: Seq) -> u64 {
+        self.written_back.iter().find(|w| w.1 == seq).expect("written back").0
+    }
+}
+
+/// Program counters of the instructions matching `kind`, in program order.
+fn pcs(program: &Program, kind: impl Fn(&Instr) -> bool) -> Vec<u32> {
+    (0..program.instrs.len() as u32).filter(|&pc| kind(&program.instrs[pc as usize])).collect()
+}
+
+/// Runs `program` with the reference oracle on and an [`Events`] sink
+/// attached, asserts its architectural state matches the interpreter's,
+/// and returns the statistics, the events, and the oracle's lookup count.
+fn run_recorded(
+    program: &Program,
+    config: CoreConfig,
+    init_mem: &[(u64, i64)],
+) -> (SimStats, Events, u64) {
+    let mut machine = Machine::new();
+    for &(a, v) in init_mem {
+        machine.mem.write_i64(a, v);
+    }
+    machine.run(program, 50_000_000).expect("interpreter run");
+    let mut sim = Simulator::new(program, config);
+    for &(a, v) in init_mem {
+        sim.mem.write_i64(a, v);
+    }
+    sim.enable_reference_checking();
+    sim.attach_tracer(Box::<Events>::default());
+    let stats = sim.run(&UnsafeBaseline).expect("simulator run");
+    assert_eq!(sim.arch_fingerprint(), machine.arch_fingerprint(), "architectural state differs");
+    let lookups = sim.reference_checks().lookups;
+    let events =
+        sim.take_tracer().expect("attached").into_any().downcast::<Events>().expect("type");
+    (stats, *events, lookups)
+}
+
+#[test]
+fn squashed_in_flight_stores_leave_the_store_queue() {
+    // Two wrong-path stores are squashed: one with its address known, to
+    // the very address the correct path then loads, and one whose address
+    // is still unknown at the squash. A store queue that kept either
+    // would forward the squashed 77 or block the load forever.
+    let p = assemble(
+        "t",
+        r"
+        li   a1, 0x100000
+        li   a2, 0x2000
+        li   t1, 77
+        li   t4, 3
+        ld   t0, 0(a1)      # slow (cold) condition: 1
+        bnez t0, skip       # predicted not-taken (cold counters), actually taken
+        sd   t1, 0(a2)      # wrong path: address known at the squash
+        div  t2, t0, t4     # wrong path: 20 cycles
+        sd   t1, 0(t2)      # wrong path: address unknown at the squash
+    skip:
+        ld   a3, 0(a2)      # must read memory
+        halt
+    ",
+    )
+    .unwrap();
+    let (stats, events, _) =
+        run_recorded(&p, CoreConfig::default(), &[(0x10_0000, 1), (0x2000, 5)]);
+    assert!(stats.mispredicts >= 1);
+    let stores = pcs(&p, |i| i.is_store());
+    for &pc in &stores {
+        assert!(
+            events.squashed.iter().any(|&s| events.pc(s) == pc),
+            "the wrong-path store at pc {pc} must have been dispatched and squashed"
+        );
+    }
+    assert!(events.forwarded.is_empty(), "nothing may forward from a squashed store");
+}
+
+#[test]
+fn forwards_from_the_youngest_exact_match_once_its_data_arrives() {
+    // Two stores to the same doubleword, both held in flight by a
+    // two-miss pointer chase at the ROB head: the older one's data is
+    // ready at once, the younger one's waits on a DRAM miss. The load
+    // must wait for the younger store's data and forward it, not the
+    // older value.
+    let p = assemble(
+        "t",
+        r"
+        li   a0, 0x200000
+        li   a1, 0x100000
+        li   a2, 0x2000
+        li   t1, 7
+        ld   t5, 0(a0)      # pointer chase: holds the ROB head ...
+        ld   t6, 0(t5)      # ... for two DRAM latencies
+        sd   t1, 0(a2)      # older exact match: data ready
+        ld   t2, 0(a1)      # slow: 42, after one DRAM latency
+        sd   t2, 0(a2)      # younger exact match: data pending on the miss
+        ld   a3, 0(a2)      # forwards 42
+        halt
+    ",
+    )
+    .unwrap();
+    let (_, events, _) =
+        run_recorded(&p, CoreConfig::default(), &[(0x20_0000, 0x40_0000), (0x10_0000, 42)]);
+    let stores = pcs(&p, |i| i.is_store());
+    let loads = pcs(&p, |i| i.is_load());
+    let (_, slow) = events.commit_of(loads[2]);
+    let (_, probe) = events.commit_of(loads[3]);
+    let (older_commit, _) = events.commit_of(stores[0]);
+    let (_, younger) = events.commit_of(stores[1]);
+    assert_eq!(
+        events.forwarded.iter().map(|f| (f.1, f.2)).collect::<Vec<_>>(),
+        vec![(probe, younger)],
+        "the load forwards once, from the younger store"
+    );
+    let forward_cycle = events.forwarded[0].0;
+    assert!(
+        forward_cycle >= events.writeback_of(slow),
+        "the forward waited for the younger store's data"
+    );
+    assert!(forward_cycle < older_commit, "both stores were in flight at the forward");
+}
+
+#[test]
+fn partial_overlap_waits_for_the_store_to_commit() {
+    // A word store covers half of a doubleword load and all of a byte
+    // load, at other addresses and widths: neither may forward, and both
+    // read memory only once the store has written it at commit (commit
+    // runs before issue within a cycle).
+    let p = assemble(
+        "t",
+        r"
+        li   a2, 0x2000
+        li   t1, 0x1122334455667788
+        sw   t1, 4(a2)      # bytes 4..8
+        ld   a3, 0(a2)      # bytes 0..8: partial overlap
+        lb   a4, 5(a2)      # byte 5, inside the word: partial overlap
+        halt
+    ",
+    )
+    .unwrap();
+    let (_, events, _) = run_recorded(&p, CoreConfig::default(), &[(0x2000, -1)]);
+    assert!(events.forwarded.is_empty(), "a partial overlap never forwards");
+    let (store_commit, _) = events.commit_of(pcs(&p, |i| i.is_store())[0]);
+    for pc in pcs(&p, |i| i.is_load()) {
+        let (_, seq) = events.commit_of(pc);
+        assert!(
+            events.issue_of(seq) >= store_commit,
+            "the load at pc {pc} must not issue before the overlapping store commits"
+        );
+    }
+}
+
+#[test]
+fn repeated_mispredicts_behind_a_long_latency_head() {
+    // A DRAM miss holds the ROB head for 3000 cycles while a loop of
+    // unpredictable branches mispredicts over and over behind it: squashed
+    // dispatches push sequence numbers far past the head's by more than a
+    // ROB's worth, and ROB positions are reused many times, while the head
+    // and its early consumer stay in flight and later consumers rename
+    // against it. Cold loads on the branches' fall-through paths are
+    // squashed mid-miss, so their completions pop long after later
+    // dispatches reused their positions. Every positioned lookup is
+    // checked against a binary search by the reference oracle.
+    let p = assemble(
+        "t",
+        r"
+        li   a1, 0x300000
+        li   a4, 0x400000    # cold lines, one per iteration
+        li   t0, 12345       # LCG state
+        li   t3, 60          # iterations
+        li   s5, 0
+        ld   s2, 0(a1)       # the long-latency head
+        add  s3, s2, s2      # early consumer, waiting across every squash
+    loop:
+        li   t4, 1103515245
+        mul  t0, t0, t4
+        addi t0, t0, 12345
+        srli t1, t0, 16
+        andi t1, t1, 1
+        beqz t1, skip        # pseudo-random direction: mispredicts often
+        ld   s7, 0(a4)       # a miss, squashed whenever the path was wrong
+        add  s5, s5, s7
+    skip:
+        xor  s6, s2, t0      # late consumer of the head
+        addi a4, a4, 4096
+        addi t3, t3, -1
+        bnez t3, loop
+        halt
+    ",
+    )
+    .unwrap();
+    let config = CoreConfig::default().with_dram_latency(3000);
+    let rob = config.rob_size as u64;
+    let (stats, events, lookups) = run_recorded(&p, config, &[(0x30_0000, 9)]);
+    assert!(lookups > 0, "the oracle must have checked positioned lookups");
+    let loads = pcs(&p, |i| i.is_load());
+    let (head_commit, head) = events.commit_of(loads[0]);
+    assert!(head_commit > 3000, "the head load waited on DRAM");
+    let squashed_behind_head = events.squashed.iter().filter(|&&s| s > head).count() as u64;
+    let furthest = events
+        .dispatched
+        .iter()
+        .filter(|d| d.0 < head_commit)
+        .map(|d| d.1)
+        .max()
+        .expect("dispatches");
+    assert!(
+        squashed_behind_head > rob && furthest - head > rob,
+        "sequence numbers must run more than a ROB ({rob}) past the live head: \
+         {squashed_behind_head} squashed, furthest dispatch {} past it",
+        furthest - head
+    );
+    assert!(stats.mispredicts > 10, "the loop must mispredict repeatedly ({})", stats.mispredicts);
+    let squashed_misses = events
+        .squashed
+        .iter()
+        .filter(|&&s| events.pc(s) == loads[1] && events.issued.iter().any(|i| i.1 == s))
+        .count();
+    assert!(squashed_misses > 0, "some cold loads must be squashed after issuing");
 }

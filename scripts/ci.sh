@@ -15,6 +15,12 @@
 #     tier-1 verify:      cargo build --release && cargo test -q — first
 #                         and fast, so the basic contract fails early
 #     workspace tests:    unit, property, integration, and doc tests
+#     benchmark tests:    perfbench's self-tests (its own workspace, so
+#                         the workspace tests above do not build it):
+#                         every workload at reduced sizes prints every
+#                         metric with no failed cell, tampered goldens and
+#                         cache cells fail cells, and traced runs pass the
+#                         self-time conservation check
 #     golden gate:        the smoke-tier bench sweep checked against
 #                         results/golden/smoke/ — exits nonzero with a
 #                         per-cell diff on any drift; the run reuses the
@@ -118,6 +124,7 @@ step_fmt()       { cargo fmt --all --check; }
 step_clippy()    { cargo clippy --offline --workspace --all-targets -- -D warnings; }
 step_ws_tests()  { cargo test -q --offline --workspace; }
 step_doc_tests() { cargo test -q --offline --workspace --doc; }
+step_perfbench() { cargo test -q --offline --manifest-path perfbench/Cargo.toml; }
 
 step_golden_gate() {
   # Tee'd so the cache-split step below can assert on what was reported.
@@ -318,6 +325,7 @@ if [[ "$mode" == "test" || "$mode" == "all" ]]; then
   run_step "tier-1: cargo test -q" step_test
   run_step "full-workspace tests" step_ws_tests
   run_step "doc tests" step_doc_tests
+  run_step "benchmark self-tests: perfbench at reduced sizes" step_perfbench
   run_step "golden gate: smoke-tier sweep vs results/golden/smoke/" step_golden_gate
   run_step "simulator throughput snapshot" step_perfcheck
   run_step "trace smoke: levitrace conservation + round-trip on one cell" step_trace_smoke
