@@ -41,15 +41,19 @@ fn scheme_throughput(c: &mut Bench) {
 /// The scheduler core loop in isolation: fixed kernels under one fixed
 /// scheme, reported as host wall-clock per simulated megacycle (the number
 /// the PR-level throughput trajectory in `results/BENCH_sim_throughput.json`
-/// tracks at sweep granularity). `filter_scan` is branch- and load-heavy;
-/// `histogram` keeps the store queue full of read-modify-write stores, so
-/// every load's memory-ordering check has older stores to walk.
+/// tracks at sweep granularity). Each kernel leans on one mechanism:
+/// `filter_scan` is branch- and load-heavy; `histogram` keeps the store
+/// queue full of read-modify-write stores whose addresses wait on loads,
+/// so its loads wait parked on an older store instead of being re-decided
+/// every cycle; `pointer_chase` waits on one dependent miss at a time, so
+/// most of its cycles (78 %) are quiet and jumped over.
 fn sim_core_loop(c: &mut Bench) {
     let scheme = Scheme::Levioso;
     let mut group = c.group("sim_core_loop");
     group.sample_size(10);
-    for workload in
-        suite(Scale::Smoke).into_iter().filter(|w| matches!(w.name, "filter_scan" | "histogram"))
+    for workload in suite(Scale::Smoke)
+        .into_iter()
+        .filter(|w| matches!(w.name, "filter_scan" | "histogram" | "pointer_chase"))
     {
         let mut program = workload.program.clone();
         scheme.prepare(&mut program);

@@ -28,7 +28,7 @@ fn smoke_figures_match_their_golden_snapshots() {
 }
 
 #[test]
-#[ignore = "full paper-tier sweep (~8 min on one core); run with --ignored or `all --paper --check`"]
+#[ignore = "full paper-tier sweep (~75 s on one thread from an empty cell cache); run with --ignored or `all --paper --check`"]
 fn paper_figures_match_their_golden_snapshots_at_full_settings() {
     assert_tier_clean(Tier::Paper);
 }

@@ -34,7 +34,19 @@
 //!   (`fence`/`rdcycle`), which issues once every older instruction is
 //!   done;
 //! * loads check memory ordering against a store queue of the in-flight
-//!   stores' addresses and widths instead of walking older ROB entries.
+//!   stores' addresses and widths instead of walking older ROB entries;
+//! * a load the store queue blocks leaves the ready set and is parked on
+//!   the store it waits for until that store's address, data, or commit
+//!   arrives, instead of being re-decided every cycle;
+//! * after a quiet cycle — nothing committed, completed, issued, first
+//!   ready, dispatched, fetched, or redirected — time jumps to the next
+//!   completion, redirect, or the cycle limit: every cycle in between
+//!   would repeat the quiet one, whose only effect is one more policy
+//!   delay cycle on each instruction it delayed.
+//!
+//! Both rest on the [`SpeculationPolicy`] contract: verdicts are pure, and
+//! `may_execute` never turns from `Allow` back to `Delay` for an in-flight
+//! instruction.
 
 use crate::cache::Hierarchy;
 use crate::config::CoreConfig;
@@ -108,8 +120,31 @@ pub(crate) struct IssueDecisions {
     /// Instructions whose operands are ready for the first time, with
     /// their F1 flags `(idx, shadowed, true-dep pending)`.
     pub(crate) first_ready: Vec<(usize, bool, bool)>,
-    /// Instructions a policy gate held back this cycle.
+    /// Instructions a policy gate held back this cycle (kept until the
+    /// next cycle's issue, for the quiet-cycle jump).
     pub(crate) delayed: Vec<(usize, DelayCause)>,
+    /// Loads the store queue blocked, with the store they wait for and
+    /// the event that wakes them.
+    pub(crate) parked: Vec<(usize, Seq, WakeOn)>,
+}
+
+/// The store event a blocked load waits for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WakeOn {
+    /// The store's address is generated.
+    Addr,
+    /// The store's data operand is written back.
+    Data,
+    /// The store commits.
+    Commit,
+}
+
+/// A load out of the ready set until `store` reaches `wake`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Parked {
+    pub(crate) load: RobRef,
+    pub(crate) store: Seq,
+    pub(crate) wake: WakeOn,
 }
 
 /// Per-cycle execution-unit budget consumed during the issue scan.
@@ -223,6 +258,9 @@ pub struct Simulator<'p> {
     store_queue: VecDeque<SqEntry>,
     /// In-flight serializers (`fence`, `rdcycle`), oldest first.
     serializers: VecDeque<RobRef>,
+    /// Loads the store queue blocked, out of the ready set until their
+    /// store's event.
+    parked: Vec<Parked>,
 
     next_seq: Seq,
     cycle: u64,
@@ -271,6 +309,7 @@ impl<'p> Simulator<'p> {
             completions: BinaryHeap::new(),
             store_queue: VecDeque::new(),
             serializers: VecDeque::new(),
+            parked: Vec::new(),
             next_seq: 0,
             cycle: 0,
             outstanding_misses: 0,
@@ -328,8 +367,12 @@ impl<'p> Simulator<'p> {
     /// them, asserting equivalence: the old Vec-based speculation sets at
     /// every dispatch, forward, and commit; a binary search behind every
     /// positioned ROB lookup; the full-ROB scan behind every store-queue
-    /// verdict and every issue cycle under a serializer
-    /// (differential-testing hook; call before `run`).
+    /// verdict and every issue cycle under a serializer. It also steps
+    /// every cycle the quiet-cycle jump would skip, asserting each is
+    /// quiet and delays what the quiet cycle before it delayed, and
+    /// re-decides every parked load every cycle, asserting it stays
+    /// blocked on the same store (differential-testing hook; call before
+    /// `run`).
     #[doc(hidden)]
     pub fn enable_reference_checking(&mut self) {
         self.refsets = Some(Box::new(RefSets::new()));
@@ -357,7 +400,7 @@ impl<'p> Simulator<'p> {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "cycle={} fetch_pc={} stalled={} redirect={:?} iq={} lq={} sq={} fq={}",
+            "cycle={} fetch_pc={} stalled={} redirect={:?} iq={} lq={} sq={} fq={} parked={}",
             self.cycle,
             self.fetch_pc,
             self.fetch_stalled,
@@ -365,7 +408,8 @@ impl<'p> Simulator<'p> {
             self.iq_count,
             self.lq_count,
             self.store_queue.len(),
-            self.fetch_queue.len()
+            self.fetch_queue.len(),
+            self.parked.len()
         );
         let _ = writeln!(out, "unresolved={:?}", self.slots.mask_seqs(&self.slots.unresolved));
         for e in &self.rob {
@@ -411,14 +455,14 @@ impl<'p> Simulator<'p> {
             if self.cycle >= self.config.max_cycles {
                 return Err(SimError::CycleLimit { max_cycles: self.config.max_cycles });
             }
-            self.commit();
+            let mut active = self.commit();
             if self.halted {
                 break;
             }
-            self.writeback();
-            self.issue(policy);
-            self.dispatch();
-            self.fetch();
+            active |= self.writeback();
+            active |= self.issue(policy);
+            active |= self.dispatch();
+            active |= self.fetch();
             // Starvation: nothing in flight and the front end can never
             // make progress again.
             if self.rob.is_empty()
@@ -429,12 +473,66 @@ impl<'p> Simulator<'p> {
             {
                 return Err(SimError::PcOutOfRange { pc: self.fetch_pc });
             }
+            if let Some(refs) = self.refsets.as_deref_mut() {
+                refs.check_skippable_cycle(self.cycle, active, &self.scratch.delayed);
+            }
             self.cycle += 1;
+            if !active {
+                self.skip_quiet_cycles(policy);
+            }
         }
         self.stats.cycles = self.cycle;
         self.stats.l1d = self.hierarchy.l1d.stats();
         self.stats.l2 = self.hierarchy.l2.stats();
         Ok(self.stats)
+    }
+
+    /// Called after a quiet cycle: nothing committed, completed, issued,
+    /// became ready for the first time, dispatched, fetched, or
+    /// redirected. Every later cycle repeats it until the next timed event
+    /// — the next completion, the pending redirect, or the cycle limit —
+    /// because policies are pure, cache state changes only on accesses,
+    /// and MSHRs free only at completion. A quiet cycle's only effect is
+    /// one more policy delay cycle (and, with a sink, one block event) on
+    /// each instruction it delayed, so jump there and apply those effects
+    /// for every skipped cycle. With the reference oracle on, step instead
+    /// and let it check each skipped cycle.
+    fn skip_quiet_cycles(&mut self, policy: &dyn SpeculationPolicy) {
+        let mut next = self.config.max_cycles;
+        if let Some(&Reverse((done_cycle, _))) = self.completions.peek() {
+            next = next.min(done_cycle);
+        }
+        if let Some((ready_at, _)) = self.redirect {
+            next = next.min(ready_at);
+        }
+        if let Some(refs) = self.refsets.as_deref_mut() {
+            refs.expect_quiet_until(next, &self.scratch.delayed);
+            return;
+        }
+        if next <= self.cycle {
+            return;
+        }
+        let delayed = std::mem::take(&mut self.scratch.delayed);
+        if let Some(mut t) = self.tracer.take() {
+            // Nothing a blame reads changes while the cycles repeat.
+            let blames: Vec<Blame> =
+                delayed.iter().map(|&(idx, cause)| self.blame_for(policy, idx, cause)).collect();
+            for cycle in self.cycle..next {
+                for (&(idx, _), blame) in delayed.iter().zip(&blames) {
+                    t.on_policy_block(cycle, &self.rob[idx], blame);
+                }
+                for &(idx, _) in &delayed {
+                    self.rob[idx].policy_delay_cycles += 1;
+                }
+            }
+            self.tracer = Some(t);
+        } else {
+            for &(idx, _) in &delayed {
+                self.rob[idx].policy_delay_cycles += next - self.cycle;
+            }
+        }
+        self.scratch.delayed = delayed;
+        self.cycle = next;
     }
 
     /// ROB index of the in-flight instruction `r`, or `None` once it has
@@ -457,7 +555,10 @@ impl<'p> Simulator<'p> {
     // Commit
     // ------------------------------------------------------------------
 
-    fn commit(&mut self) {
+    /// Retires up to `commit_width` done instructions from the ROB head;
+    /// returns whether any retired.
+    fn commit(&mut self) -> bool {
+        let mut committed = false;
         for _ in 0..self.config.commit_width {
             let Some(front) = self.rob.front() else { break };
             if front.stage != Stage::Done {
@@ -468,6 +569,7 @@ impl<'p> Simulator<'p> {
                 break;
             }
             let e = self.rob.pop_front().expect("checked non-empty");
+            committed = true;
             self.head_pos += 1;
             if e.instr.is_load() {
                 self.lq_count -= 1;
@@ -475,6 +577,7 @@ impl<'p> Simulator<'p> {
             if e.instr.is_store() {
                 let s = self.store_queue.pop_front();
                 debug_assert_eq!(s.map(|s| s.at.seq), Some(e.seq), "the oldest store commits");
+                self.wake_parked(e.seq, WakeOn::Commit);
             }
             if e.is_serializer() {
                 let s = self.serializers.pop_front();
@@ -496,7 +599,7 @@ impl<'p> Simulator<'p> {
                 }
                 Instr::Halt => {
                     self.halted = true;
-                    return;
+                    return true;
                 }
                 _ => {}
             }
@@ -510,6 +613,20 @@ impl<'p> Simulator<'p> {
                 }
             }
         }
+        committed
+    }
+
+    /// Returns the loads parked on `store` for `wake` to the ready set,
+    /// to be decided afresh.
+    fn wake_parked(&mut self, store: Seq, wake: WakeOn) {
+        let ready = &mut self.ready;
+        self.parked.retain(|p| {
+            let woken = p.store == store && p.wake == wake;
+            if woken {
+                ready.insert(p.load);
+            }
+            !woken
+        });
     }
 
     fn account_commit(&mut self, e: &DynInstr) {
@@ -570,18 +687,23 @@ impl<'p> Simulator<'p> {
     // Writeback & control resolution
     // ------------------------------------------------------------------
 
-    fn writeback(&mut self) {
+    /// Completes every instruction due this cycle; returns whether any
+    /// completion (live or squashed) was popped.
+    fn writeback(&mut self) -> bool {
         // Pop due completions in (cycle, seq) order. Issue always schedules
-        // completion strictly in the future and writeback runs every cycle,
-        // so every due entry carries the current cycle — making heap order
-        // identical to the old seq-order ROB scan. Entries whose owner was
-        // squashed (including by a resolution earlier this same cycle) no
-        // longer resolve and are skipped.
+        // completion strictly in the future and writeback runs every cycle
+        // it can pop (quiet cycles are skipped only up to the next
+        // completion), so every due entry carries the current cycle —
+        // making heap order identical to the old seq-order ROB scan.
+        // Entries whose owner was squashed (including by a resolution
+        // earlier this same cycle) no longer resolve and are skipped.
+        let mut popped = false;
         while let Some(&Reverse((done_cycle, r))) = self.completions.peek() {
             if done_cycle > self.cycle {
                 break;
             }
             self.completions.pop();
+            popped = true;
             let Some(idx) = self.live(r) else { continue }; // squashed meanwhile
             debug_assert_eq!(self.rob[idx].stage, Stage::Executing);
             self.rob[idx].stage = Stage::Done;
@@ -610,6 +732,7 @@ impl<'p> Simulator<'p> {
                     let c = &mut self.rob[cidx];
                     c.srcs[oi as usize].state = OpState::Ready(v);
                     cur = c.wake_next[oi as usize];
+                    let store_data = c.instr.is_store() && oi == 1;
                     if c.stage == Stage::Dispatched {
                         let eligible = c.operands_ready()
                             || (c.instr.is_store()
@@ -619,12 +742,16 @@ impl<'p> Simulator<'p> {
                             self.ready.insert(consumer);
                         }
                     }
+                    if store_data {
+                        self.wake_parked(consumer.seq, WakeOn::Data);
+                    }
                 }
             }
             if self.rob[idx].is_spec_source() {
                 self.resolve_control(idx);
             }
         }
+        popped
     }
 
     /// Resolves the control instruction at ROB index `idx`.
@@ -726,8 +853,9 @@ impl<'p> Simulator<'p> {
                 t.on_squash(self.cycle, e.seq, e.pc);
             }
         }
-        // Drop squashed entries from the age-ordered queues and the ready
-        // set (stale completion-heap entries are skipped at pop instead).
+        // Drop squashed entries from the age-ordered queues, the ready set
+        // and the parked loads (stale completion-heap entries are skipped
+        // at pop instead).
         while self.store_queue.back().is_some_and(|s| s.at.seq > seq) {
             self.store_queue.pop_back();
         }
@@ -735,6 +863,7 @@ impl<'p> Simulator<'p> {
             self.serializers.pop_back();
         }
         let _ = self.ready.split_off(&RobRef { seq: seq + 1, pos: 0 });
+        self.parked.retain(|p| p.load.seq <= seq);
         if let Some(refs) = self.refsets.as_deref_mut() {
             refs.on_squash_younger(seq);
         }
@@ -774,53 +903,77 @@ impl<'p> Simulator<'p> {
     // Issue
     // ------------------------------------------------------------------
 
-    fn issue(&mut self, policy: &dyn SpeculationPolicy) {
+    /// Decides and applies this cycle's issue; returns whether anything
+    /// issued or became operand-ready for the first time.
+    fn issue(&mut self, policy: &dyn SpeculationPolicy) -> bool {
         // Phase A: read-only pass deciding what issues this cycle, into
         // scratch buffers reused across cycles.
         let mut decided = std::mem::take(&mut self.scratch);
-        debug_assert_eq!(decided, IssueDecisions::default());
+        debug_assert!(decided.actions.is_empty());
+        decided.first_ready.clear();
+        decided.delayed.clear();
+        decided.parked.clear();
 
         {
             let view = SpecView { slots: &self.slots };
             self.issue_scan(policy, &view, &mut decided);
-            if let (Some(refs), false) = (&self.refsets, self.serializers.is_empty()) {
-                // Under a serializer, the full-ROB scan the barrier replaced
-                // must make the same decisions.
-                let mut scanned = IssueDecisions::default();
-                refsets::serialized_scan(
-                    &self.rob,
-                    self.cycle,
-                    self.config.issue_width,
-                    &mut self.issue_units(),
-                    &mut scanned,
-                    &mut |idx, units, out| self.consider_issue(policy, &view, idx, units, out),
-                );
-                refs.check_serialized_issue(self.cycle, &decided, &scanned);
+            if let Some(refs) = &self.refsets {
+                if !self.serializers.is_empty() {
+                    // Under a serializer, the full-ROB scan the barrier
+                    // replaced must make the same decisions (parked loads
+                    // are checked below instead).
+                    let mut scanned = IssueDecisions::default();
+                    refsets::serialized_scan(
+                        &self.rob,
+                        self.cycle,
+                        self.config.issue_width,
+                        &mut self.issue_units(),
+                        &mut scanned,
+                        &mut |idx, units, out| {
+                            if !self.parked.iter().any(|p| p.load.seq == self.rob[idx].seq) {
+                                self.consider_issue(policy, &view, idx, units, out);
+                            }
+                        },
+                    );
+                    refs.check_serialized_issue(self.cycle, &decided, &scanned);
+                }
+                // Every parked load, re-decided now, is still blocked on
+                // the same store: nothing it reads changed before the
+                // event it waits for.
+                for p in &self.parked {
+                    let idx = self.live(p.load).expect("parked loads are in flight");
+                    let mut redecided = IssueDecisions::default();
+                    self.consider_issue(
+                        policy,
+                        &view,
+                        idx,
+                        &mut self.issue_units(),
+                        &mut redecided,
+                    );
+                    refs.check_parked(self.cycle, idx, p, &redecided);
+                }
             }
         }
+        let active = !decided.actions.is_empty() || !decided.first_ready.is_empty();
 
         // Blame pass: with a sink attached, explain this cycle's policy
         // blocks *before* phase B mutates the state the verdicts were
         // computed from (so the blocking masks the policy reports match
         // the masks its gates actually saw).
-        if self.tracer.is_some() {
-            let mut t = self.tracer.take().expect("checked");
-            {
-                let view = SpecView { slots: &self.slots };
-                for &(idx, cause) in &decided.delayed {
-                    let e = &self.rob[idx];
-                    let expl = match cause {
-                        DelayCause::Execute => policy.explain_execute_delay(e, &view),
-                        DelayCause::Transmit => policy.explain_transmit_delay(e, &view),
-                        DelayCause::LoadMiss => policy.explain_load_mode_delay(e, &view),
-                    };
-                    t.on_policy_block(self.cycle, e, &self.blame_of(&expl));
-                }
+        if let Some(mut t) = self.tracer.take() {
+            for &(idx, cause) in &decided.delayed {
+                t.on_policy_block(self.cycle, &self.rob[idx], &self.blame_for(policy, idx, cause));
             }
             self.tracer = Some(t);
         }
 
-        // Phase B: apply.
+        // Phase B: apply. Blocked loads park first, so a store address
+        // generated below finds its waiters parked.
+        for &(idx, store, wake) in &decided.parked {
+            let load = self.rob_ref(idx);
+            self.ready.remove(&load);
+            self.parked.push(Parked { load, store, wake });
+        }
         for &(idx, sh, td) in &decided.first_ready {
             self.rob[idx].ready_while_shadowed = Some(sh);
             self.rob[idx].ready_while_true_dep = Some(td);
@@ -875,7 +1028,6 @@ impl<'p> Simulator<'p> {
                     // a memory round-trip would.
                     let v = extend_like_load(value, width_signed.0, width_signed.1);
                     e.result = Some(v);
-                    e.forwarded_from = Some(store_seq);
                     e.lev_deps.union_with(&kept_lev);
                     e.taint_roots.union_with(&kept_taint);
                     e.fwd_true_wait = e.fwd_true_wait.max(stale_wait);
@@ -945,6 +1097,7 @@ impl<'p> Simulator<'p> {
                         .expect("in-flight stores are queued");
                     self.store_queue[k].addr = Some(addr);
                     self.begin_execution(idx, 1);
+                    self.wake_parked(seq, WakeOn::Addr);
                     idx
                 }
             };
@@ -953,9 +1106,21 @@ impl<'p> Simulator<'p> {
             }
         }
 
-        decided.first_ready.clear();
-        decided.delayed.clear();
         self.scratch = decided;
+        active
+    }
+
+    /// The blame for the instruction at `idx`, which a policy gate delayed
+    /// with `cause` in the current state.
+    fn blame_for(&self, policy: &dyn SpeculationPolicy, idx: usize, cause: DelayCause) -> Blame {
+        let view = SpecView { slots: &self.slots };
+        let e = &self.rob[idx];
+        let expl = match cause {
+            DelayCause::Execute => policy.explain_execute_delay(e, &view),
+            DelayCause::Transmit => policy.explain_transmit_delay(e, &view),
+            DelayCause::LoadMiss => policy.explain_load_mode_delay(e, &view),
+        };
+        self.blame_of(&expl)
     }
 
     /// A full execution-unit budget for one cycle.
@@ -1147,7 +1312,7 @@ impl<'p> Simulator<'p> {
                 let addr = (e.src_value(0) as u64).wrapping_add(offset as u64);
                 // Memory ordering against older stores.
                 match self.lsq_check(idx, addr, width) {
-                    LsqVerdict::Blocked => {}
+                    LsqVerdict::Blocked { store, wake } => out.parked.push((idx, store, wake)),
                     LsqVerdict::Forward(store_idx) => {
                         if policy.may_transmit(e, view) == Gate::Delay {
                             out.delayed.push((idx, DelayCause::Transmit));
@@ -1245,7 +1410,8 @@ impl<'p> Simulator<'p> {
         let mut forward: Option<RobRef> = None;
         for s in self.store_queue.iter().take_while(|s| s.at.seq < seq) {
             let Some(sa) = s.addr else {
-                return LsqVerdict::Blocked; // unknown older store address
+                // Unknown older store address.
+                return LsqVerdict::Blocked { store: s.at.seq, wake: WakeOn::Addr };
             };
             let overlap = sa < hi && addr < sa.wrapping_add(s.bytes);
             if !overlap {
@@ -1255,7 +1421,7 @@ impl<'p> Simulator<'p> {
                 forward = Some(s.at); // youngest exact match wins
             } else {
                 // Partial overlap: wait for the store to drain at commit.
-                return LsqVerdict::Blocked;
+                return LsqVerdict::Blocked { store: s.at.seq, wake: WakeOn::Commit };
             }
         }
         match forward {
@@ -1264,7 +1430,8 @@ impl<'p> Simulator<'p> {
                 if self.rob[j].srcs[1].state.value().is_some() {
                     LsqVerdict::Forward(j)
                 } else {
-                    LsqVerdict::Blocked // data not yet available
+                    // Data not yet available.
+                    LsqVerdict::Blocked { store: at.seq, wake: WakeOn::Data }
                 }
             }
             None => LsqVerdict::Memory,
@@ -1287,7 +1454,10 @@ impl<'p> Simulator<'p> {
     // Dispatch (rename)
     // ------------------------------------------------------------------
 
-    fn dispatch(&mut self) {
+    /// Renames up to `dispatch_width` fetched instructions into the ROB;
+    /// returns whether any was dispatched.
+    fn dispatch(&mut self) -> bool {
+        let before = self.stats.dispatched;
         for _ in 0..self.config.dispatch_width {
             let Some(f) = self.fetch_queue.front() else { break };
             if self.rob.len() >= self.config.rob_size || self.iq_count >= self.config.iq_size {
@@ -1412,24 +1582,30 @@ impl<'p> Simulator<'p> {
             }
             self.rob.push_back(e);
         }
+        self.stats.dispatched != before
     }
 
     // ------------------------------------------------------------------
     // Fetch
     // ------------------------------------------------------------------
 
-    fn fetch(&mut self) {
+    /// Applies a due redirect and fetches up to `fetch_width`
+    /// instructions; returns whether either happened.
+    fn fetch(&mut self) -> bool {
+        let mut redirected = false;
         if let Some((ready_at, pc)) = self.redirect {
             if self.cycle >= ready_at {
                 self.fetch_pc = pc;
                 self.redirect = None;
+                redirected = true;
             } else {
-                return;
+                return false;
             }
         }
         if self.fetch_stalled {
-            return;
+            return redirected;
         }
+        let before = self.stats.fetched;
         let cap = self.config.fetch_width * 2;
         for _ in 0..self.config.fetch_width {
             if self.fetch_queue.len() >= cap {
@@ -1490,14 +1666,17 @@ impl<'p> Simulator<'p> {
             }
             self.fetch_pc = next;
         }
+        redirected || self.stats.fetched != before
     }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LsqVerdict {
-    /// Must wait (unknown older store address, partial overlap, or
-    /// forwarding data not ready).
-    Blocked,
+    /// Must wait for `store` to reach `wake`: the first older store with
+    /// an unknown address (until it is generated), the first older store
+    /// that partially overlaps (until it commits), or the youngest exact
+    /// match whose data is pending (until its data is written back).
+    Blocked { store: Seq, wake: WakeOn },
     /// Forward from the store at this ROB index.
     Forward(usize),
     /// Safe to read from the memory system.

@@ -200,10 +200,6 @@ pub struct DynInstr {
 
     /// Effective address (valid once a load/store/flush computes it).
     pub mem_addr: Option<u64>,
-    /// Store data value (captured when the data operand becomes ready).
-    pub store_data: Option<i64>,
-    /// For forwarded loads: the store that supplied the data.
-    pub forwarded_from: Option<Seq>,
 
     /// This instruction's own speculation slot (control instructions and
     /// loads only).
@@ -267,8 +263,6 @@ impl DynInstr {
             checkpoint: None,
             actual_next: None,
             mem_addr: None,
-            store_data: None,
-            forwarded_from: None,
             slot: None,
             shadow: SpecMask::EMPTY,
             ann_deps: SpecMask::EMPTY,

@@ -3,7 +3,8 @@
 //! The simulator computes identical speculation-tracking state for every
 //! scheme (see [`DynInstr`]); a policy is a set of pure predicates over
 //! that state deciding, each cycle, whether an instruction may begin
-//! execution and how a load may touch the cache. Policies therefore differ
+//! execution and how a load may touch the cache (see the contract on
+//! [`SpeculationPolicy`]). Policies therefore differ
 //! *only* in what they restrict — exactly the comparison the paper makes.
 //!
 //! Dependency sets are [`SpecMask`] bitmasks over in-flight slots (see
@@ -105,6 +106,28 @@ impl<'a> SpecView<'a> {
 
 /// A secure-speculation scheme: pure gating predicates over per-instruction
 /// speculation state.
+///
+/// # Contract
+///
+/// The core skips work on the strength of two promises, and every policy
+/// must keep them:
+///
+/// * **Policies are pure.** Every verdict is a function of the
+///   instruction's speculation sets ([`DynInstr::shadow`],
+///   [`DynInstr::ann_deps`], [`DynInstr::lev_deps`],
+///   [`DynInstr::taint_roots`], its opcode) and the [`SpecView`] — never
+///   of the cycle, of per-cycle counters such as
+///   [`DynInstr::policy_delay_cycles`], or of state the policy keeps
+///   itself. So a cycle in which nothing happens repeats until something
+///   does, and the core jumps over the repeats.
+/// * **`may_execute` never turns from `Allow` back to `Delay`** for an
+///   in-flight instruction. What a [`SpecView`] reports about an in-flight
+///   instruction's dependencies only moves one way (branches resolve and
+///   commit, loads complete and commit; none of its slots is reused while
+///   it is in flight), so a predicate that delays while some dependency is
+///   still pending keeps this for free. So a load the memory-ordering
+///   check blocks after `may_execute` allowed it can wait, undecided, for
+///   the store it is blocked on.
 pub trait SpeculationPolicy: std::fmt::Debug {
     /// Short scheme name used in reports (e.g. `"levioso"`).
     fn name(&self) -> &'static str;

@@ -2,7 +2,7 @@
 //! paths replaced, run side-by-side with them.
 //!
 //! Enabled by [`crate::Simulator::enable_reference_checking`] (tests only;
-//! the hooks are no-ops when disabled). Four comparisons:
+//! the hooks are no-ops when disabled). Six comparisons:
 //!
 //! * every positioned ROB lookup ([`crate::RobRef`]) against a binary
 //!   search of the ROB by sequence number;
@@ -10,6 +10,10 @@
 //!   the older ROB entries;
 //! * every issue cycle with a serializer in flight against the full-ROB
 //!   scan the serializer barrier replaced;
+//! * every cycle the quiet-cycle jump would skip, stepped instead: it must
+//!   be quiet and delay the instructions the quiet cycle before it did;
+//! * every parked load, re-decided every cycle as the per-cycle scan did:
+//!   it must stay blocked on the same store, with no policy delay;
 //! * the speculation-tracking sets against the original
 //!   `Vec<Seq>`/`BTreeMap` implementation, below.
 //!
@@ -30,7 +34,9 @@
 //!   computed from per-slot resolve cycles must equal the reference values
 //!   computed from the unbounded seq-keyed map.
 
-use crate::core::{IssueAction, IssueDecisions, IssueUnits, LsqVerdict};
+use crate::core::{
+    DelayCause, IssueAction, IssueDecisions, IssueUnits, LsqVerdict, Parked, WakeOn,
+};
 use crate::dyninstr::{DynInstr, Seq, Stage};
 use crate::policy::SpecView;
 use crate::specmask::SlotTable;
@@ -51,6 +57,22 @@ pub struct ReferenceChecks {
     /// Issue cycles with a serializer in flight checked against the
     /// full-ROB scan.
     pub serialized_cycles: u64,
+    /// Cycles the quiet-cycle jump would have skipped, stepped and
+    /// checked quiet.
+    pub quiet_cycles: u64,
+    /// Per-cycle re-decisions of parked loads checked still blocked.
+    pub parked_loads: u64,
+}
+
+impl std::ops::AddAssign for ReferenceChecks {
+    fn add_assign(&mut self, o: ReferenceChecks) {
+        self.sets += o.sets;
+        self.lookups += o.lookups;
+        self.lsq_verdicts += o.lsq_verdicts;
+        self.serialized_cycles += o.serialized_cycles;
+        self.quiet_cycles += o.quiet_cycles;
+        self.parked_loads += o.parked_loads;
+    }
 }
 
 /// Reference (old-implementation) per-instruction sets.
@@ -79,6 +101,12 @@ pub(crate) struct RefSets {
     lookups: Cell<u64>,
     lsq_verdicts: Cell<u64>,
     serialized_cycles: Cell<u64>,
+    parked_loads: Cell<u64>,
+    /// The cycles the jump would skip next, `[.., until)`, and the delays
+    /// the quiet cycle before them made.
+    quiet_until: u64,
+    quiet_delayed: Vec<(usize, DelayCause)>,
+    quiet_cycles: u64,
 }
 
 /// Merges sorted `extra` into sorted `dst`, deduplicating (the old
@@ -104,6 +132,8 @@ impl RefSets {
             lookups: self.lookups.get(),
             lsq_verdicts: self.lsq_verdicts.get(),
             serialized_cycles: self.serialized_cycles.get(),
+            quiet_cycles: self.quiet_cycles,
+            parked_loads: self.parked_loads.get(),
         }
     }
 
@@ -147,6 +177,59 @@ impl RefSets {
     ) {
         assert_eq!(barrier, scan, "cycle {cycle}: serializer-barrier issue diverged from the scan");
         self.serialized_cycles.set(self.serialized_cycles.get() + 1);
+    }
+
+    /// Checks a parked load's re-decision, made with a full issue budget:
+    /// still blocked on the same store for the same event, with no action,
+    /// first-readiness record or policy delay.
+    pub(crate) fn check_parked(
+        &self,
+        cycle: u64,
+        idx: usize,
+        parked: &Parked,
+        redecided: &IssueDecisions,
+    ) {
+        let expected = IssueDecisions {
+            parked: vec![(idx, parked.store, parked.wake)],
+            ..IssueDecisions::default()
+        };
+        assert_eq!(
+            redecided, &expected,
+            "cycle {cycle}: load seq={} parked on store seq={} ({:?}) is no longer blocked on it",
+            parked.load.seq, parked.store, parked.wake
+        );
+        self.parked_loads.set(self.parked_loads.get() + 1);
+    }
+
+    /// Called at the end of every cycle with whether anything happened in
+    /// it and the delays it made: a cycle the jump would have skipped must
+    /// repeat the quiet cycle before it.
+    pub(crate) fn check_skippable_cycle(
+        &mut self,
+        cycle: u64,
+        active: bool,
+        delayed: &[(usize, DelayCause)],
+    ) {
+        if cycle >= self.quiet_until {
+            return;
+        }
+        assert!(
+            !active,
+            "cycle {cycle}: the quiet-cycle jump would skip a cycle in which something happens"
+        );
+        assert_eq!(
+            delayed, self.quiet_delayed,
+            "cycle {cycle}: a skipped cycle would delay other instructions than the quiet one"
+        );
+        self.quiet_cycles += 1;
+    }
+
+    /// Called after a quiet cycle instead of the jump to `until`, with the
+    /// delays the quiet cycle made.
+    pub(crate) fn expect_quiet_until(&mut self, until: u64, delayed: &[(usize, DelayCause)]) {
+        self.quiet_until = until;
+        self.quiet_delayed.clear();
+        self.quiet_delayed.extend_from_slice(delayed);
     }
 
     /// Old STT root-activity predicate: a root is active while it is still
@@ -366,8 +449,9 @@ impl RefSets {
 
 /// The memory-ordering check the store queue replaced: walks every ROB
 /// entry older than the load at `idx`, oldest first. The first older store
-/// with an unknown address or a partial overlap blocks the load; the
-/// youngest exact match forwards once its data is ready.
+/// with an unknown address blocks the load until its address is generated,
+/// the first partial overlap until it commits; the youngest exact match
+/// forwards once its data is ready.
 fn lsq_scan(rob: &VecDeque<DynInstr>, idx: usize, addr: u64, width: MemWidth) -> LsqVerdict {
     let lo = addr;
     let hi = addr.wrapping_add(width.bytes());
@@ -375,7 +459,7 @@ fn lsq_scan(rob: &VecDeque<DynInstr>, idx: usize, addr: u64, width: MemWidth) ->
     for (j, s) in rob.iter().enumerate().take(idx) {
         let Instr::Store { width: sw, .. } = s.instr else { continue };
         let Some(sa) = s.mem_addr else {
-            return LsqVerdict::Blocked;
+            return LsqVerdict::Blocked { store: s.seq, wake: WakeOn::Addr };
         };
         let s_hi = sa.wrapping_add(sw.bytes());
         let overlap = sa < hi && lo < s_hi;
@@ -385,12 +469,12 @@ fn lsq_scan(rob: &VecDeque<DynInstr>, idx: usize, addr: u64, width: MemWidth) ->
         if sa == addr && sw.bytes() == width.bytes() {
             forward = Some(j);
         } else {
-            return LsqVerdict::Blocked;
+            return LsqVerdict::Blocked { store: s.seq, wake: WakeOn::Commit };
         }
     }
     match forward {
         Some(j) if rob[j].srcs[1].state.value().is_some() => LsqVerdict::Forward(j),
-        Some(_) => LsqVerdict::Blocked,
+        Some(j) => LsqVerdict::Blocked { store: rob[j].seq, wake: WakeOn::Data },
         None => LsqVerdict::Memory,
     }
 }

@@ -8,12 +8,15 @@
 //! commit), a binary search against every positioned ROB lookup, the
 //! older-ROB-entry walk against every store-queue verdict, and the
 //! full-ROB issue scan against every issue cycle with a serializer in
-//! flight. This file drives that oracle with randomized programs — loads
-//! and stores over a tiny address pool, forward branches, `rdcycle` and
-//! `fence` — under policies that consult *every* dependency-set flavour,
-//! and additionally asserts that a checked run and an unchecked run
-//! produce identical statistics and architectural state — i.e. the oracle
-//! observes without perturbing.
+//! flight; it also steps every cycle the quiet-cycle jump would skip and
+//! re-decides every parked load every cycle. This file drives that oracle
+//! with randomized programs — loads and stores over a tiny address pool,
+//! some stores addressed by computed values, forward branches, `rdcycle`
+//! and `fence` — under policies that consult *every* dependency-set
+//! flavour, and additionally asserts that a checked run and an unchecked
+//! run produce identical statistics and architectural state — i.e. the
+//! oracle observes without perturbing, and jumping over quiet cycles
+//! matches stepping through them.
 //!
 //! A separate test pins the slot-table state bound: speculation bookkeeping
 //! is O(ROB), never O(dynamic instructions), which is the leak the old
@@ -136,6 +139,10 @@ enum Op {
     Imm(AluOp, Reg, Reg, i64),
     Load(MemWidth, bool, Reg, i64),
     Store(MemWidth, Reg, i64),
+    /// A store to `gp + (index & 24) + offset`: its address waits on
+    /// `index`, often a loaded or divided value (histogram's
+    /// `h[a[i] & 63]`), so younger loads park on an unknown address.
+    IndexedStore(MemWidth, Reg, Reg, i64),
     FwdBranch(BranchCond, Reg, Reg, u8),
     RdCycle,
     Fence,
@@ -173,7 +180,7 @@ fn arb_op(g: &mut Gen) -> Op {
     // Branch-heavier than the LSQ stress mix: speculation sets are the
     // object under test, so keep many of them live at once. Serializers
     // are rarer: each one drains the pipeline.
-    match g.weighted(&[3, 2, 3, 3, 3, 1, 1, 1]) {
+    match g.weighted(&[3, 2, 3, 3, 3, 1, 1, 1, 2]) {
         0 => Op::Alu(*g.pick(&ALU), small_reg(g), small_reg(g), small_reg(g)),
         1 => Op::Imm(*g.pick(&ALU), small_reg(g), small_reg(g), g.i64_in(-64..64)),
         2 => {
@@ -187,34 +194,62 @@ fn arb_op(g: &mut Gen) -> Op {
         4 => Op::FwdBranch(*g.pick(&BRANCH), small_reg(g), small_reg(g), g.u8_in(1..6)),
         5 => Op::RdCycle,
         6 => Op::Fence,
-        _ => Op::Elapsed(small_reg(g)),
+        7 => Op::Elapsed(small_reg(g)),
+        _ => {
+            let (width, offset) = access(g);
+            Op::IndexedStore(width, small_reg(g), small_reg(g), offset)
+        }
     }
 }
 
+/// The register an [`Op::IndexedStore`] computes its address in (outside
+/// the operand pool).
+const STORE_ADDR: Reg = T5;
+
 /// Lowers the op list into a halting program (same shape as the LSQ
 /// stress generator: `gp` holds the pool base, branches only skip
-/// forward; [`TIMER`] is zeroed before `halt`).
+/// forward over ops; [`TIMER`] is zeroed before `halt`).
 fn lower(ops: &[Op]) -> Program {
     let mut instrs: Vec<Instr> =
         vec![Instr::AluImm { op: AluOp::Add, rd: GP, rs1: ZERO, imm: POOL_BASE }];
-    let base = instrs.len() as u32;
-    let n = ops.len() as u32;
+    // The instruction each op starts at, and the end: an indexed store
+    // lowers to three instructions, every other op to one.
+    let mut starts = Vec::with_capacity(ops.len() + 1);
+    let mut at = instrs.len() as u32;
+    for op in ops {
+        starts.push(at);
+        at += if matches!(op, Op::IndexedStore(..)) { 3 } else { 1 };
+    }
+    starts.push(at);
     for (k, op) in ops.iter().enumerate() {
-        let at = base + k as u32;
-        instrs.push(match *op {
+        let instr = match *op {
             Op::Alu(op, rd, rs1, rs2) => Instr::Alu { op, rd, rs1, rs2 },
             Op::Imm(op, rd, rs1, imm) => Instr::AluImm { op, rd, rs1, imm },
             Op::Load(width, signed, rd, offset) => {
                 Instr::Load { width, signed, rd, base: GP, offset }
             }
             Op::Store(width, src, offset) => Instr::Store { width, src, base: GP, offset },
-            Op::FwdBranch(cond, rs1, rs2, skip) => {
-                Instr::Branch { cond, rs1, rs2, target: (at + 1 + skip as u32).min(base + n) }
+            Op::IndexedStore(width, src, index, offset) => {
+                instrs.push(Instr::AluImm { op: AluOp::And, rd: STORE_ADDR, rs1: index, imm: 24 });
+                instrs.push(Instr::Alu {
+                    op: AluOp::Add,
+                    rd: STORE_ADDR,
+                    rs1: STORE_ADDR,
+                    rs2: GP,
+                });
+                Instr::Store { width, src, base: STORE_ADDR, offset }
             }
+            Op::FwdBranch(cond, rs1, rs2, skip) => Instr::Branch {
+                cond,
+                rs1,
+                rs2,
+                target: starts[(k + 1 + skip as usize).min(ops.len())],
+            },
             Op::RdCycle => Instr::RdCycle { rd: TIMER },
             Op::Fence => Instr::Fence,
             Op::Elapsed(rd) => Instr::Alu { op: AluOp::Sub, rd, rs1: TIMER, rs2: TIMER },
-        });
+        };
+        instrs.push(instr);
     }
     instrs.push(Instr::AluImm { op: AluOp::Add, rd: TIMER, rs1: ZERO, imm: 0 });
     instrs.push(Instr::Halt);
@@ -326,19 +361,17 @@ fn bitmask_sets_match_vec_reference() {
                     "{}: oracle perturbed statistics",
                     policy.name()
                 );
-                let t = total.get();
-                total.set(ReferenceChecks {
-                    sets: t.sets + checks.sets,
-                    lookups: t.lookups + checks.lookups,
-                    lsq_verdicts: t.lsq_verdicts + checks.lsq_verdicts,
-                    serialized_cycles: t.serialized_cycles + checks.serialized_cycles,
-                });
+                let mut t = total.get();
+                t += checks;
+                total.set(t);
             }
         }
     });
     let t = total.get();
     assert!(t.lsq_verdicts > 0, "no store-queue verdict was checked: {t:?}");
     assert!(t.serialized_cycles > 0, "no issue cycle under a serializer was checked: {t:?}");
+    assert!(t.quiet_cycles > 0, "no cycle the quiet-cycle jump skips was checked: {t:?}");
+    assert!(t.parked_loads > 0, "no parked load was re-decided: {t:?}");
 }
 
 /// Speculation bookkeeping stays O(ROB): a branch-and-load-heavy loop

@@ -4,7 +4,8 @@
 
 use levioso_isa::{assemble, reg::*, Instr, Machine, Program};
 use levioso_uarch::{
-    CoreConfig, DynInstr, Seq, SimError, SimStats, Simulator, TraceSink, UnsafeBaseline,
+    Blame, CoreConfig, DynInstr, Gate, ReferenceChecks, Seq, SimError, SimStats, Simulator,
+    SpecView, SpeculationPolicy, TraceSink, UnsafeBaseline,
 };
 use std::any::Any;
 
@@ -392,9 +393,28 @@ fn mshr_limit_bounds_memory_level_parallelism() {
     assert!(serial > 8 * 120, "1 MSHR: misses serialize ({serial})");
 }
 
-/// The per-instruction events the memory-ordering and squash tests assert
-/// on, each tagged with the instruction's sequence number.
-#[derive(Debug, Default)]
+/// Fence-style policy: nothing executes while an older branch is
+/// unresolved.
+#[derive(Debug)]
+struct FenceStyle;
+
+impl SpeculationPolicy for FenceStyle {
+    fn name(&self) -> &'static str {
+        "fence-style"
+    }
+
+    fn may_execute(&self, instr: &DynInstr, view: &SpecView<'_>) -> Gate {
+        if view.any_unresolved(&instr.shadow) {
+            Gate::Delay
+        } else {
+            Gate::Allow
+        }
+    }
+}
+
+/// The per-instruction events the memory-ordering, squash and timing
+/// tests assert on, each tagged with the instruction's sequence number.
+#[derive(Debug, Default, PartialEq, Eq)]
 struct Events {
     /// `(cycle, seq, pc)` of every dispatch.
     dispatched: Vec<(u64, Seq, u32)>,
@@ -406,6 +426,11 @@ struct Events {
     forwarded: Vec<(u64, Seq, Seq)>,
     /// `(cycle, seq)` of every commit.
     committed: Vec<(u64, Seq)>,
+    /// `(seq, policy delay cycles)` of every commit.
+    delays: Vec<(Seq, u64)>,
+    /// `(cycle, seq, policy delay cycles so far, blame)` of every policy
+    /// block.
+    blocked: Vec<(u64, Seq, u64, Blame)>,
     /// Every squashed sequence number.
     squashed: Vec<Seq>,
 }
@@ -429,6 +454,11 @@ impl TraceSink for Events {
 
     fn on_commit(&mut self, cycle: u64, instr: &DynInstr) {
         self.committed.push((cycle, instr.seq));
+        self.delays.push((instr.seq, instr.policy_delay_cycles));
+    }
+
+    fn on_policy_block(&mut self, cycle: u64, instr: &DynInstr, blame: &Blame) {
+        self.blocked.push((cycle, instr.seq, instr.policy_delay_cycles, *blame));
     }
 
     fn on_squash(&mut self, _cycle: u64, seq: Seq, _pc: u32) {
@@ -466,31 +496,67 @@ fn pcs(program: &Program, kind: impl Fn(&Instr) -> bool) -> Vec<u32> {
     (0..program.instrs.len() as u32).filter(|&pc| kind(&program.instrs[pc as usize])).collect()
 }
 
-/// Runs `program` with the reference oracle on and an [`Events`] sink
-/// attached, asserts its architectural state matches the interpreter's,
-/// and returns the statistics, the events, and the oracle's lookup count.
-fn run_recorded(
+/// One run of `program` under `policy` with an [`Events`] sink attached,
+/// stepping every cycle under the reference oracle if `check`: the
+/// outcome, the events, the oracle's counts, and the architectural
+/// fingerprint.
+fn simulate(
+    program: &Program,
+    config: &CoreConfig,
+    init_mem: &[(u64, i64)],
+    policy: &dyn SpeculationPolicy,
+    check: bool,
+) -> (Result<SimStats, SimError>, Events, ReferenceChecks, u64) {
+    let mut sim = Simulator::new(program, config.clone());
+    for &(a, v) in init_mem {
+        sim.mem.write_i64(a, v);
+    }
+    if check {
+        sim.enable_reference_checking();
+    }
+    sim.attach_tracer(Box::<Events>::default());
+    let outcome = sim.run(policy);
+    let events =
+        sim.take_tracer().expect("attached").into_any().downcast::<Events>().expect("type");
+    (outcome, *events, sim.reference_checks(), sim.arch_fingerprint())
+}
+
+/// Runs `program` twice under `policy` — jumping over quiet cycles, and
+/// stepping every cycle under the reference oracle — asserts both runs
+/// record the same events and statistics and that the architectural state
+/// matches the interpreter's, and returns the statistics, the events, and
+/// the oracle's counts.
+fn run_recorded_under(
     program: &Program,
     config: CoreConfig,
     init_mem: &[(u64, i64)],
-) -> (SimStats, Events, u64) {
+    policy: &dyn SpeculationPolicy,
+) -> (SimStats, Events, ReferenceChecks) {
     let mut machine = Machine::new();
     for &(a, v) in init_mem {
         machine.mem.write_i64(a, v);
     }
     machine.run(program, 50_000_000).expect("interpreter run");
-    let mut sim = Simulator::new(program, config);
-    for &(a, v) in init_mem {
-        sim.mem.write_i64(a, v);
-    }
-    sim.enable_reference_checking();
-    sim.attach_tracer(Box::<Events>::default());
-    let stats = sim.run(&UnsafeBaseline).expect("simulator run");
-    assert_eq!(sim.arch_fingerprint(), machine.arch_fingerprint(), "architectural state differs");
-    let lookups = sim.reference_checks().lookups;
-    let events =
-        sim.take_tracer().expect("attached").into_any().downcast::<Events>().expect("type");
-    (stats, *events, lookups)
+    let (stepped, stepped_events, checks, stepped_fp) =
+        simulate(program, &config, init_mem, policy, true);
+    let (jumped, events, _, fp) = simulate(program, &config, init_mem, policy, false);
+    let stats = jumped.expect("simulator run");
+    assert_eq!(stepped.expect("stepped run"), stats, "jumping changed the statistics");
+    assert_eq!(stepped_events, events, "jumping changed the recorded events");
+    assert_eq!(fp, machine.arch_fingerprint(), "architectural state differs");
+    assert_eq!(stepped_fp, fp);
+    (stats, events, checks)
+}
+
+/// [`run_recorded_under`] the unsafe baseline, returning the oracle's
+/// lookup count.
+fn run_recorded(
+    program: &Program,
+    config: CoreConfig,
+    init_mem: &[(u64, i64)],
+) -> (SimStats, Events, u64) {
+    let (stats, events, checks) = run_recorded_under(program, config, init_mem, &UnsafeBaseline);
+    (stats, events, checks.lookups)
 }
 
 #[test]
@@ -672,4 +738,156 @@ fn repeated_mispredicts_behind_a_long_latency_head() {
         .filter(|&&s| events.pc(s) == loads[1] && events.issued.iter().any(|i| i.1 == s))
         .count();
     assert!(squashed_misses > 0, "some cold loads must be squashed after issuing");
+}
+
+/// A DRAM-bound pointer chase feeding a branch: four dependent misses,
+/// each a long run of quiet cycles, while the `addi` behind the branch is
+/// delayed every cycle by a fence-style policy.
+fn chase_program() -> (Program, Vec<(u64, i64)>) {
+    let p = assemble(
+        "t",
+        r"
+        li   a1, 0x300000
+        ld   a1, 0(a1)
+        ld   a1, 0(a1)
+        ld   a1, 0(a1)
+        ld   a1, 0(a1)
+        beqz a1, done       # unresolved until the chase ends
+        addi a2, a2, 1      # delayed by FenceStyle every cycle until then
+    done:
+        halt
+    ",
+    )
+    .unwrap();
+    let mem = (0..4u64).map(|i| (0x30_0000 + i * 0x10_0000, (0x40_0000 + i * 0x10_0000) as i64));
+    (p, mem.collect())
+}
+
+#[test]
+fn cycle_limit_is_exact_across_a_jump() {
+    let (p, mem) = chase_program();
+    let (stats, events, checks) = run_recorded_under(&p, CoreConfig::default(), &mem, &FenceStyle);
+    assert!(checks.quiet_cycles > 3 * 100, "the chase must be mostly quiet cycles: {checks:?}");
+    let c = stats.cycles;
+    let limited = |max_cycles: u64, check: bool| {
+        let config = CoreConfig { max_cycles, ..CoreConfig::default() };
+        let (outcome, events, _, _) = simulate(&p, &config, &mem, &FenceStyle, check);
+        (outcome, events)
+    };
+    assert_eq!(limited(c, false).0, Err(SimError::CycleLimit { max_cycles: c }));
+    assert_eq!(limited(c + 1, false).0.expect("runs").cycles, c);
+
+    // A limit inside a quiet stretch ends the jump on it: the last block
+    // falls on the cycle before the limit, as when stepping every cycle.
+    let first_miss = events.writeback_of(events.committed[1].1);
+    let mid = first_miss - 50;
+    let (jumped, jumped_events) = limited(mid, false);
+    let (stepped, stepped_events) = limited(mid, true);
+    assert_eq!(jumped, Err(SimError::CycleLimit { max_cycles: mid }));
+    assert_eq!(stepped, jumped);
+    assert_eq!(jumped_events, stepped_events);
+    assert_eq!(jumped_events.blocked.last().map(|b| b.0), Some(mid - 1));
+}
+
+#[test]
+fn policy_blocks_stay_per_cycle_across_a_jump() {
+    let (p, mem) = chase_program();
+    let (_, events, _) = run_recorded_under(&p, CoreConfig::default(), &mem, &FenceStyle);
+    let addi = events.commit_of(pcs(&p, |i| matches!(i, Instr::AluImm { .. }))[1]).1;
+    let blocks: Vec<_> = events.blocked.iter().filter(|b| b.1 == addi).collect();
+    let delay = events.delays.iter().find(|d| d.0 == addi).expect("committed").1;
+    assert!(delay > 4 * 120, "the addi waits out four DRAM misses ({delay} cycles)");
+    assert_eq!(blocks.len() as u64, delay, "one block per policy delay cycle");
+    for (k, b) in blocks.iter().enumerate() {
+        assert_eq!(b.0, blocks[0].0 + k as u64, "blocked on consecutive cycles");
+        assert_eq!(b.2, k as u64, "each cycle's block comes before its increment");
+        assert_eq!(b.3, blocks[0].3, "the blame stays put while the branch is unresolved");
+    }
+}
+
+#[test]
+fn a_late_store_address_wakes_the_load_the_next_cycle() {
+    // The store's address waits on a DRAM miss; the younger load, to an
+    // unrelated address, is parked on it meanwhile, and issues the cycle
+    // after the store's address is generated (address generation is
+    // applied after that cycle's issue decisions).
+    let p = assemble(
+        "t",
+        r"
+        li   a1, 0x100000
+        li   a2, 0x2000
+        li   t1, 5
+        ld   t0, 0(a1)      # DRAM miss: the index
+        add  t2, a2, t0
+        sd   t1, 0(t2)      # address known only after the miss
+        ld   a3, 64(a2)     # parked on the unknown store address
+        halt
+    ",
+    )
+    .unwrap();
+    let (_, events, checks) =
+        run_recorded_under(&p, CoreConfig::default(), &[(0x10_0000, 8)], &UnsafeBaseline);
+    assert!(checks.parked_loads > 100, "the load stayed parked: {checks:?}");
+    let store = events.commit_of(pcs(&p, |i| i.is_store())[0]).1;
+    let load = events.commit_of(pcs(&p, |i| i.is_load())[1]).1;
+    assert!(events.issue_of(store) > 120, "the store address waited on DRAM");
+    assert_eq!(events.issue_of(load), events.issue_of(store) + 1);
+}
+
+#[test]
+fn late_store_data_wakes_the_forward_in_its_writeback_cycle() {
+    // The store's address is known at once but its data comes from a
+    // DRAM miss: the exact-match load is parked on the data and forwards
+    // in the cycle the data is written back (writeback precedes issue).
+    let p = assemble(
+        "t",
+        r"
+        li   a1, 0x100000
+        li   a2, 0x2000
+        ld   t0, 0(a1)      # DRAM miss: the data
+        sd   t0, 0(a2)
+        ld   a3, 0(a2)      # parked on the store's data, then forwards 42
+        halt
+    ",
+    )
+    .unwrap();
+    let (_, events, checks) =
+        run_recorded_under(&p, CoreConfig::default(), &[(0x10_0000, 42)], &UnsafeBaseline);
+    assert!(checks.parked_loads > 100, "the load stayed parked: {checks:?}");
+    let loads = pcs(&p, |i| i.is_load());
+    let data = events.commit_of(loads[0]).1;
+    let probe = events.commit_of(loads[1]).1;
+    let store = events.commit_of(pcs(&p, |i| i.is_store())[0]).1;
+    assert_eq!(events.forwarded.iter().map(|f| (f.1, f.2)).collect::<Vec<_>>(), [(probe, store)]);
+    assert!(events.writeback_of(data) > 120, "the data waited on DRAM");
+    assert_eq!(events.forwarded[0].0, events.writeback_of(data));
+    assert_eq!(events.issue_of(probe), events.writeback_of(data));
+}
+
+#[test]
+fn a_partial_overlap_wakes_the_load_in_the_store_commit_cycle() {
+    // A DRAM miss at the ROB head holds the overlapping store in flight;
+    // the load is parked until the store commits, and issues in that
+    // same cycle (commit precedes issue).
+    let p = assemble(
+        "t",
+        r"
+        li   a1, 0x100000
+        li   a2, 0x2000
+        li   t1, 0x11223344
+        ld   t0, 0(a1)      # DRAM miss holding the ROB head
+        sw   t1, 4(a2)      # bytes 4..8
+        ld   a3, 0(a2)      # bytes 0..8: partial overlap, parked to commit
+        halt
+    ",
+    )
+    .unwrap();
+    let (_, events, checks) =
+        run_recorded_under(&p, CoreConfig::default(), &[(0x2000, -1)], &UnsafeBaseline);
+    assert!(checks.parked_loads > 100, "the load stayed parked: {checks:?}");
+    assert!(events.forwarded.is_empty(), "a partial overlap never forwards");
+    let (store_commit, _) = events.commit_of(pcs(&p, |i| i.is_store())[0]);
+    let load = events.commit_of(pcs(&p, |i| i.is_load())[1]).1;
+    assert!(store_commit > 120, "the store drained after the miss");
+    assert_eq!(events.issue_of(load), store_commit);
 }

@@ -23,22 +23,24 @@
 #                         self-time conservation check
 #     golden gate:        the smoke-tier bench sweep checked against
 #                         results/golden/smoke/ — exits nonzero with a
-#                         per-cell diff on any drift; the run reuses the
-#                         persisted sweep-cell cache under
-#                         target/sweep-cache/ so unchanged cells replay
-#                         instead of recomputing (results are identical
-#                         either way — pinned by crates/bench/tests)
+#                         per-cell diff on any drift; run with --no-cache
+#                         so every cell is simulated by the core under
+#                         test (a speed-up with bit-identical results
+#                         keeps CORE_REV, so cells cached by the previous
+#                         core would otherwise replay unchecked; cold, the
+#                         316 cells take ~2 s)
 #     throughput check:   perfcheck validates the snapshot the golden gate
 #                         just wrote, including that busy-time samples came
 #                         only from freshly computed cells
 #     trace smoke:        levitrace traces one smoke cell, proving blame
 #                         conservation + JSON round-trip
 #     noninterference:    table4_noninterference fuzzes every scheme with
-#                         two-run secret pairs at the smoke tier (cells
-#                         replay from the same sweep-cell cache)
+#                         two-run secret pairs at the smoke tier, with
+#                         --no-cache for the same reason as the golden gate
 #     cache split:        asserts the golden gate printed its sweep-cache
-#                         hit/miss line — a run that silently stopped
-#                         reporting the split would hide cache rot
+#                         hit/miss line (all misses under --no-cache) — a
+#                         run that silently stopped reporting the split
+#                         would hide cache rot
 #     serve smoke:        starts `all --smoke --serve` once, submits the
 #                         smoke golden check twice via levq, and asserts
 #                         the second response is answered entirely from
@@ -128,7 +130,7 @@ step_perfbench() { cargo test -q --offline --manifest-path perfbench/Cargo.toml;
 
 step_golden_gate() {
   # Tee'd so the cache-split step below can assert on what was reported.
-  cargo run -q --release --offline -p levioso-bench --bin all -- --smoke --check \
+  cargo run -q --release --offline -p levioso-bench --bin all -- --smoke --check --no-cache \
     | tee target/ci_golden_gate.log
 }
 
@@ -140,7 +142,8 @@ step_trace_smoke() {
 }
 
 step_noninterference() {
-  cargo run -q --release --offline -p levioso-bench --bin table4_noninterference -- --smoke --quiet
+  cargo run -q --release --offline -p levioso-bench --bin table4_noninterference -- \
+    --smoke --quiet --no-cache
 }
 
 step_serve_smoke() {
