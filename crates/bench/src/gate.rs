@@ -575,6 +575,19 @@ mod tests {
     }
 
     #[test]
+    fn every_swept_rob_fits_the_simulator() {
+        for tier in [Tier::Smoke, Tier::Paper] {
+            for &rob in tier.rob_sizes() {
+                assert!(
+                    rob <= levioso_uarch::MAX_ROB_SIZE,
+                    "{tier:?} sweeps ROB {rob}, above MAX_ROB_SIZE {}",
+                    levioso_uarch::MAX_ROB_SIZE
+                );
+            }
+        }
+    }
+
+    #[test]
     fn shape_violations_flag_inverted_ordering() {
         // Minimal fig2 with levioso *slower* than commit-delay.
         let mut f2 = Figure::new("F2", "x");

@@ -7,13 +7,13 @@
 //! ```
 
 use levioso_core::Scheme;
-use levioso_uarch::{CoreConfig, Simulator};
+use levioso_uarch::{CoreConfig, Simulator, MAX_ROB_SIZE};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: levrun <file.levi|file.s> [--scheme NAME] [--compare] \
-         [--mem ADDR=VALUE]... [--dump ADDR:COUNT] [--rob N]"
+         [--mem ADDR=VALUE]... [--dump ADDR:COUNT] [--rob N (1..={MAX_ROB_SIZE})]"
     );
     ExitCode::from(2)
 }
@@ -71,7 +71,11 @@ fn main() -> ExitCode {
                 }
             }
             "--rob" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => config = config.with_rob_size(n),
+                Some(n @ 1..=MAX_ROB_SIZE) => config = config.with_rob_size(n),
+                Some(n) => {
+                    eprintln!("levrun: --rob {n} is out of range 1..={MAX_ROB_SIZE}");
+                    return usage();
+                }
                 None => return usage(),
             },
             "--help" | "-h" => return usage(),

@@ -1,5 +1,11 @@
 //! Core and memory-hierarchy configuration (the paper's Table 1).
 
+/// The largest [`CoreConfig::rob_size`] a [`crate::Simulator`] accepts:
+/// the largest ROB the F4 sensitivity sweep simulates. Speculation masks
+/// are sized from it (see [`crate::specmask`]), so every in-flight
+/// instruction carries masks no wider than this ROB needs.
+pub const MAX_ROB_SIZE: usize = 352;
+
 /// Out-of-order core configuration.
 ///
 /// The default mirrors the class of gem5 configuration the paper evaluates
@@ -15,7 +21,7 @@ pub struct CoreConfig {
     pub issue_width: usize,
     /// Instructions committed per cycle.
     pub commit_width: usize,
-    /// Reorder-buffer entries.
+    /// Reorder-buffer entries (at most [`MAX_ROB_SIZE`]).
     pub rob_size: usize,
     /// Issue-queue entries (instructions dispatched but not yet issued).
     pub iq_size: usize,

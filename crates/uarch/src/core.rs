@@ -54,7 +54,7 @@ use crate::dyninstr::{DynInstr, OpState, Operand, RobRef, Seq, Stage};
 use crate::policy::{Gate, LoadMode, SpecView, SpeculationPolicy};
 use crate::predictor::Predictor;
 use crate::refsets::{self, RefSets, ReferenceChecks};
-use crate::specmask::SlotTable;
+use crate::specmask::{SlotTable, SpecMask};
 use crate::stats::SimStats;
 use crate::trace::{Blame, BlamedKind, BlamedSlot, DelayExplanation, TraceSink};
 use levioso_isa::{read_memory, write_memory, DepSet, Instr, MemWidth, Memory, Program, Reg};
@@ -286,6 +286,10 @@ pub struct Simulator<'p> {
 
 impl<'p> Simulator<'p> {
     /// Creates a simulator for `program` with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.rob_size` exceeds [`crate::MAX_ROB_SIZE`].
     pub fn new(program: &'p Program, config: CoreConfig) -> Self {
         let hierarchy = Hierarchy::new(&config.hierarchy);
         let predictor = Predictor::new(&config.predictor);
@@ -556,40 +560,41 @@ impl<'p> Simulator<'p> {
     // ------------------------------------------------------------------
 
     /// Retires up to `commit_width` done instructions from the ROB head;
-    /// returns whether any retired.
+    /// returns whether any retired. Each is read where it sits and dropped
+    /// as it leaves, which is when `head_pos` advances.
     fn commit(&mut self) -> bool {
         let mut committed = false;
         for _ in 0..self.config.commit_width {
-            let Some(front) = self.rob.front() else { break };
-            if front.stage != Stage::Done {
+            let Some(e) = self.rob.front() else { break };
+            if e.stage != Stage::Done {
                 break;
             }
             // Stores also need their data before retiring.
-            if front.instr.is_store() && front.srcs[1].state.value().is_none() {
+            if e.instr.is_store() && e.srcs[1].state.value().is_none() {
                 break;
             }
-            let e = self.rob.pop_front().expect("checked non-empty");
             committed = true;
-            self.head_pos += 1;
-            if e.instr.is_load() {
+            let (seq, instr, slot, serializer) = (e.seq, e.instr, e.slot, e.is_serializer());
+            if instr.is_load() {
                 self.lq_count -= 1;
             }
-            if e.instr.is_store() {
+            if instr.is_store() {
                 let s = self.store_queue.pop_front();
-                debug_assert_eq!(s.map(|s| s.at.seq), Some(e.seq), "the oldest store commits");
-                self.wake_parked(e.seq, WakeOn::Commit);
+                debug_assert_eq!(s.map(|s| s.at.seq), Some(seq), "the oldest store commits");
+                self.wake_parked(seq, WakeOn::Commit);
             }
-            if e.is_serializer() {
+            if serializer {
                 let s = self.serializers.pop_front();
-                debug_assert_eq!(s.map(|s| s.seq), Some(e.seq), "the oldest serializer commits");
+                debug_assert_eq!(s.map(|s| s.seq), Some(seq), "the oldest serializer commits");
             }
-            self.account_commit(&e);
+            self.account_commit();
             // The slot outlives the owner until the ROB drains past
             // `next_seq`, so younger in-flight masks never alias it.
-            if let Some(slot) = e.slot {
+            if let Some(slot) = slot {
                 self.slots.free_commit(slot, self.next_seq);
             }
-            match e.instr {
+            let e = &self.rob[0];
+            match instr {
                 Instr::Store { width, .. } => {
                     let addr = e.mem_addr.expect("committed store has an address");
                     let data = e.srcs[1].state.value().expect("checked data ready");
@@ -598,22 +603,31 @@ impl<'p> Simulator<'p> {
                     self.hierarchy.access(addr, self.cycle);
                 }
                 Instr::Halt => {
+                    self.retire_head();
                     self.halted = true;
                     return true;
                 }
                 _ => {}
             }
-            if let Some(rd) = e.instr.dest() {
+            if let Some(rd) = instr.dest() {
                 let v = e.result.expect("done instruction with dest has result");
                 self.arch_regs[rd.index()] = v;
                 if let RatEntry::Producer(p) = self.rat[rd.index()] {
-                    if p.seq == e.seq {
+                    if p.seq == seq {
                         self.rat[rd.index()] = RatEntry::Value(v);
                     }
                 }
             }
+            self.retire_head();
         }
         committed
+    }
+
+    /// Drops the committed ROB head in place (`pop_front` would move the
+    /// whole entry out only to drop it).
+    fn retire_head(&mut self) {
+        self.rob.drain(..1);
+        self.head_pos += 1;
     }
 
     /// Returns the loads parked on `store` for `wake` to the ready set,
@@ -629,7 +643,9 @@ impl<'p> Simulator<'p> {
         });
     }
 
-    fn account_commit(&mut self, e: &DynInstr) {
+    /// Counts the committing ROB head into the statistics.
+    fn account_commit(&mut self) {
+        let e = self.rob.front().expect("a committing instruction heads the ROB");
         self.stats.committed += 1;
         if e.instr.is_load() {
             self.stats.committed_loads += 1;
@@ -1472,11 +1488,14 @@ impl<'p> Simulator<'p> {
             let f = self.fetch_queue.pop_front().expect("checked non-empty");
             let seq = self.next_seq;
             self.next_seq += 1;
-            let me = RobRef { seq, pos: self.head_pos + self.rob.len() as u64 };
+            let idx = self.rob.len();
+            let me = RobRef { seq, pos: self.head_pos + idx as u64 };
             self.stats.dispatched += 1;
             let rob_front_seq = self.rob.front().map(|e| e.seq);
 
-            let mut e = DynInstr::new(seq, f.pc, f.instr);
+            // The entry is renamed where it lives: producers are older, so
+            // they stay readable at their own indices.
+            let e = self.rob.push_back_mut(DynInstr::new(seq, f.pc, f.instr));
             e.predicted_next = f.predicted_next;
             e.history_at_predict = f.history;
             e.checkpoint = f.checkpoint;
@@ -1484,33 +1503,36 @@ impl<'p> Simulator<'p> {
 
             // Conservative shadow: every unresolved older control instr.
             e.shadow = self.slots.unresolved;
+            let unresolved = &self.slots.unresolved;
+            let any_unresolved = !unresolved.is_empty();
 
             // Annotation instances: unresolved dynamic instances of the
             // statically annotated branches, plus every unresolved indirect
             // jump (hardware barrier rule).
             let ann = self.program.annotations.as_ref().map(|a| a.deps_of(f.pc as usize));
-            e.ann_deps = match ann {
+            let ann_deps = match ann {
+                Some(DepSet::Exact(_)) if !any_unresolved => SpecMask::EMPTY,
                 Some(DepSet::Exact(static_deps)) => {
-                    let mut m = self.slots.unresolved.and(&self.slots.indirect);
-                    for b in self.slots.unresolved.and_not(&self.slots.indirect).iter() {
+                    let mut m = unresolved.and(&self.slots.indirect);
+                    for b in unresolved.and_not(&self.slots.indirect).iter() {
                         if static_deps.binary_search(&self.slots.pc_of(b)).is_ok() {
                             m.set(b);
                         }
                     }
                     m
                 }
-                Some(DepSet::AllOlder) | None => e.shadow,
+                Some(DepSet::AllOlder) | None => *unresolved,
             };
-            e.lev_deps = e.ann_deps;
 
             // Rename sources; inherit Levioso deps + STT taint through the
             // register dataflow. (Taint inheritance keeps only live-load
             // roots: a dead root can never become active again, so the
             // policy verdicts are unchanged and slot bits never outlive
             // their reclamation barrier.)
+            let mut lev_deps = ann_deps;
+            let mut taint_roots = SpecMask::EMPTY;
             let mut inherit: [Option<Seq>; 2] = [None, None];
-            for reg in f.instr.sources() {
-                let oi = e.srcs.len();
+            for (oi, reg) in f.instr.sources().enumerate() {
                 let state = if reg.is_zero() {
                     OpState::Ready(0)
                 } else {
@@ -1520,17 +1542,18 @@ impl<'p> Simulator<'p> {
                             if let Some(pidx) = self.live(p) {
                                 let prod = &self.rob[pidx];
                                 inherit[oi] = Some(p.seq);
-                                e.lev_deps.union_masked(&prod.lev_deps, &self.slots.unresolved);
-                                e.taint_roots
-                                    .union_masked(&prod.taint_roots, &self.slots.live_load);
+                                if any_unresolved {
+                                    lev_deps.union_masked(&prod.lev_deps, &self.slots.unresolved);
+                                }
+                                taint_roots.union_masked(&prod.taint_roots, &self.slots.live_load);
                                 if prod.instr.is_load() {
-                                    e.taint_roots.set(prod.slot.expect("loads own a slot"));
+                                    taint_roots.set(prod.slot.expect("loads own a slot"));
                                 }
                                 match (prod.stage, prod.result) {
                                     (Stage::Done, Some(v)) => OpState::Ready(v),
                                     _ => {
                                         // Link into the producer's wakeup chain.
-                                        e.wake_next[oi] = prod.wake_head;
+                                        self.rob[idx].wake_next[oi] = prod.wake_head;
                                         self.rob[pidx].wake_head = Some((me, oi as u8));
                                         OpState::Waiting(p)
                                     }
@@ -1543,12 +1566,16 @@ impl<'p> Simulator<'p> {
                         }
                     }
                 };
-                e.srcs.push(Operand { reg, state });
+                self.rob[idx].srcs.push(Operand { reg, state });
             }
 
             if let Some(rd) = f.instr.dest() {
                 self.rat[rd.index()] = RatEntry::Producer(me);
             }
+            let e = &mut self.rob[idx];
+            e.ann_deps = ann_deps;
+            e.lev_deps = lev_deps;
+            e.taint_roots = taint_roots;
             if e.is_spec_source() {
                 e.slot =
                     Some(self.slots.alloc_ctrl(seq, f.pc, f.instr.is_indirect(), rob_front_seq));
@@ -1573,14 +1600,14 @@ impl<'p> Simulator<'p> {
                 self.ready.insert(me);
             }
 
+            let e = &self.rob[idx];
             if let Some(refs) = self.refsets.as_deref_mut() {
                 let view = SpecView { slots: &self.slots };
-                refs.on_dispatch(&e, ann, &inherit, &self.slots, &view);
+                refs.on_dispatch(e, ann, &inherit, &self.slots, &view);
             }
             if let Some(t) = self.tracer.as_deref_mut() {
-                t.on_dispatch(self.cycle, &e);
+                t.on_dispatch(self.cycle, e);
             }
-            self.rob.push_back(e);
         }
         self.stats.dispatched != before
     }

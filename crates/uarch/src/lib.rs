@@ -58,7 +58,7 @@ pub fn core_fingerprint() -> String {
     format!("core-v{CORE_REV}")
 }
 pub use cache::{CacheStats, Hierarchy, SetAssocCache};
-pub use config::{CacheConfig, CoreConfig, HierarchyConfig, PredictorConfig};
+pub use config::{CacheConfig, CoreConfig, HierarchyConfig, PredictorConfig, MAX_ROB_SIZE};
 pub use dyninstr::{DynInstr, OpState, Operand, Operands, RobRef, Seq, Stage};
 pub use policy::{Gate, LoadMode, SpecView, SpeculationPolicy, UnsafeBaseline};
 pub use predictor::Predictor;

@@ -34,15 +34,18 @@
 //! occupancy (each instruction owns at most one slot), and every
 //! barrier-parked slot was freed at the commit of an instruction older than
 //! the current ROB head — all such owners were in flight together with the
-//! head at its dispatch, so there are at most ROB-size − 1 of them.
+//! head at its dispatch, so there are at most ROB-size − 1 of them. Masks
+//! are therefore exactly as wide as 2 × [`MAX_ROB_SIZE`] slots need.
 
+use crate::config::MAX_ROB_SIZE;
 use crate::dyninstr::Seq;
 use std::collections::VecDeque;
 use std::fmt;
 
-/// Number of `u64` words in a [`SpecMask`].
-pub const SPEC_MASK_WORDS: usize = 16;
-/// Number of slot bits a [`SpecMask`] can represent (1024).
+/// Number of `u64` words in a [`SpecMask`]: enough for the 2 ×
+/// [`MAX_ROB_SIZE`] slots of the largest ROB a simulator accepts.
+pub const SPEC_MASK_WORDS: usize = (2 * MAX_ROB_SIZE).div_ceil(64);
+/// Number of slot bits a [`SpecMask`] can represent (704).
 pub const SPEC_MASK_BITS: usize = SPEC_MASK_WORDS * 64;
 
 /// A fixed-width set of in-flight instruction slots.
@@ -128,20 +131,20 @@ impl SpecMask {
     }
 
     /// Iterates the set bits in ascending order.
-    pub fn iter(&self) -> SpecMaskIter {
-        SpecMaskIter { words: self.words, word_idx: 0, current: self.words[0] }
+    pub fn iter(&self) -> SpecMaskIter<'_> {
+        SpecMaskIter { words: &self.words, word_idx: 0, current: self.words[0] }
     }
 }
 
 /// Iterator over the set bits of a [`SpecMask`], ascending.
 #[derive(Debug, Clone)]
-pub struct SpecMaskIter {
-    words: [u64; SPEC_MASK_WORDS],
+pub struct SpecMaskIter<'a> {
+    words: &'a [u64; SPEC_MASK_WORDS],
     word_idx: usize,
     current: u64,
 }
 
-impl Iterator for SpecMaskIter {
+impl Iterator for SpecMaskIter<'_> {
     type Item = u16;
 
     fn next(&mut self) -> Option<u16> {
@@ -201,8 +204,8 @@ pub(crate) struct SlotTable {
     /// Load slots whose owner has finished executing (stage `Done`).
     pub(crate) load_done: SpecMask,
 
-    /// High-water mark of simultaneously allocated slots (bounded-state
-    /// test hook).
+    /// High-water mark of slots not free to reuse — live ones plus those
+    /// parked behind a barrier (bounded-state test hook).
     max_in_use: usize,
 }
 
@@ -211,12 +214,13 @@ impl SlotTable {
     ///
     /// # Panics
     ///
-    /// Panics if `2 * rob_size` exceeds [`SPEC_MASK_BITS`].
+    /// Panics if `rob_size` exceeds [`MAX_ROB_SIZE`].
     pub(crate) fn new(rob_size: usize) -> Self {
         let capacity = 2 * rob_size;
         assert!(
-            capacity <= SPEC_MASK_BITS,
-            "ROB size {rob_size} needs {capacity} speculation slots; SpecMask holds {SPEC_MASK_BITS}"
+            rob_size <= MAX_ROB_SIZE,
+            "ROB size {rob_size} needs {capacity} speculation slots; SpecMask holds \
+             {SPEC_MASK_BITS} (MAX_ROB_SIZE = {MAX_ROB_SIZE})"
         );
         SlotTable {
             free: (0..capacity as u16).rev().collect(),
@@ -239,7 +243,8 @@ impl SlotTable {
         self.seq.len()
     }
 
-    /// High-water mark of simultaneously allocated slots.
+    /// High-water mark of slots live or parked at once (the quantity the
+    /// module docs bound by 2 × ROB size).
     pub(crate) fn max_in_use(&self) -> usize {
         self.max_in_use
     }
@@ -261,8 +266,8 @@ impl SlotTable {
         }
         let slot =
             self.free.pop().expect("slot table overflow: capacity 2x ROB size is a proven bound");
-        let in_use = self.capacity() - self.free.len() - self.pending.len();
-        self.max_in_use = self.max_in_use.max(in_use);
+        // Every slot still parked here is unreusable, so it counts.
+        self.max_in_use = self.max_in_use.max(self.capacity() - self.free.len());
         slot
     }
 
@@ -368,9 +373,17 @@ impl SlotTable {
     /// the instruction is in flight, so the per-slot cycles are valid.
     pub(crate) fn wait_cycles(&self, deps: &SpecMask, ready: u64) -> u64 {
         let mut max = 0;
-        for slot in deps.iter() {
-            debug_assert!(!self.unresolved.contains(slot), "dep of a committing instr resolved");
-            max = max.max(self.resolve_cycle[slot as usize].saturating_sub(ready));
+        for (w, &word) in deps.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                debug_assert!(
+                    !self.unresolved.contains(slot as u16),
+                    "dep of a committing instr resolved"
+                );
+                max = max.max(self.resolve_cycle[slot].saturating_sub(ready));
+            }
         }
         max
     }
@@ -392,10 +405,11 @@ mod tests {
     fn set_clear_contains_iter() {
         let mut m = SpecMask::EMPTY;
         assert!(m.is_empty());
-        for b in [0u16, 1, 63, 64, 65, 511, 1023] {
+        let last = (SPEC_MASK_BITS - 1) as u16;
+        for b in [0u16, 1, 63, 64, 65, 511, last] {
             m.set(b);
         }
-        assert_eq!(m.iter().collect::<Vec<_>>(), vec![0, 1, 63, 64, 65, 511, 1023]);
+        assert_eq!(m.iter().collect::<Vec<_>>(), vec![0, 1, 63, 64, 65, 511, last]);
         assert_eq!(m.count(), 7);
         assert!(m.contains(63) && m.contains(64));
         m.clear(63);
@@ -464,6 +478,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "speculation slots")]
     fn oversized_rob_is_rejected() {
-        let _ = SlotTable::new(SPEC_MASK_BITS / 2 + 1);
+        let _ = SlotTable::new(MAX_ROB_SIZE + 1);
     }
 }

@@ -26,7 +26,8 @@ use levioso_isa::reg::*;
 use levioso_isa::{AluOp, Annotations, BranchCond, DepSet, Instr, Machine, MemWidth, Program, Reg};
 use levioso_support::{check, Gen, Rng};
 use levioso_uarch::policy::{Gate, LoadMode, SpecView, SpeculationPolicy, UnsafeBaseline};
-use levioso_uarch::{CoreConfig, DynInstr, ReferenceChecks, SimStats, Simulator};
+use levioso_uarch::specmask::SPEC_MASK_BITS;
+use levioso_uarch::{CoreConfig, DynInstr, ReferenceChecks, SimStats, Simulator, MAX_ROB_SIZE};
 use std::cell::Cell;
 
 /// Delays transmits on the conservative shadow (execute-delay shape).
@@ -376,9 +377,10 @@ fn bitmask_sets_match_vec_reference() {
 
 /// Speculation bookkeeping stays O(ROB): a branch-and-load-heavy loop
 /// retires orders of magnitude more instructions than the ROB holds, yet
-/// the slot table's high-water mark never exceeds its fixed 2×ROB
-/// capacity (the old `resolve_cycle: HashMap<Seq, u64>` grew with every
-/// control instruction ever dispatched).
+/// the slot table's high-water mark of live plus parked slots never
+/// exceeds its fixed 2×ROB capacity (the old `resolve_cycle:
+/// HashMap<Seq, u64>` grew with every control instruction ever
+/// dispatched).
 #[test]
 fn speculation_state_is_bounded_by_rob_size() {
     let p = levioso_isa::assemble(
@@ -415,4 +417,37 @@ fn speculation_state_is_bounded_by_rob_size() {
     assert_eq!(capacity, 2 * rob);
     assert!(watermark <= capacity, "slot watermark {watermark} exceeded capacity {capacity}");
     assert!(watermark > 0, "the loop speculates, so slots must have been used");
+}
+
+/// At the largest ROB a simulator accepts, slots really fill the
+/// speculation masks: a serial pointer chase that misses to DRAM keeps the
+/// ROB full of never-taken branches, and each miss's commit burst parks
+/// their slots for a whole ROB's worth of commits. The high-water mark of
+/// live plus parked slots reaches the masks' last word and stays within
+/// the 2×ROB capacity, with the reference oracle checking every set.
+#[test]
+fn speculation_slots_reach_the_last_mask_word_at_the_largest_rob() {
+    let mut src = String::from("li t0, 24\nli a1, 0x100000\nloop:\nld t1, 0(a1)\n");
+    // Each node's next pointer is 4 KiB on (memory reads zero), so every
+    // load misses and waits for the one before it.
+    src.push_str("addi a1, a1, 4096\nadd a1, a1, t1\n");
+    for _ in 0..48 {
+        src.push_str("bne zero, zero, loop\n");
+    }
+    src.push_str("addi t0, t0, -1\nbnez t0, loop\nhalt\n");
+    let p = levioso_isa::assemble("chase", &src).expect("assembles");
+    let config = CoreConfig::default().with_rob_size(MAX_ROB_SIZE);
+    let mut sim = Simulator::new(&p, config);
+    sim.enable_reference_checking();
+    sim.run(&LevDelay).expect("runs");
+    let (watermark, capacity) = sim.spec_slot_watermark();
+    assert_eq!(capacity, 2 * MAX_ROB_SIZE);
+    assert!(capacity <= SPEC_MASK_BITS, "capacity {capacity} exceeds the mask's {SPEC_MASK_BITS}");
+    assert!(
+        watermark > SPEC_MASK_BITS - 64,
+        "slot watermark {watermark} never reached the last mask word (bits {}..{SPEC_MASK_BITS})",
+        SPEC_MASK_BITS - 64
+    );
+    assert!(watermark <= capacity, "slot watermark {watermark} exceeded capacity {capacity}");
+    assert!(sim.reference_checks().sets > 0, "the oracle checked no speculation set");
 }

@@ -21,14 +21,18 @@
 #                         metric with no failed cell, tampered goldens and
 #                         cache cells fail cells, and traced runs pass the
 #                         self-time conservation check
-#     golden gate:        the smoke-tier bench sweep checked against
+#     golden gate:        the paper-tier and then the smoke-tier bench
+#                         sweep checked against results/golden/paper/ and
 #                         results/golden/smoke/ — exits nonzero with a
 #                         per-cell diff on any drift; run with --no-cache
 #                         so every cell is simulated by the core under
 #                         test (a speed-up with bit-identical results
 #                         keeps CORE_REV, so cells cached by the previous
 #                         core would otherwise replay unchecked; cold, the
-#                         316 cells take ~2 s)
+#                         316 smoke cells take ~2 s). Only the paper tier's
+#                         F4 sweep simulates the largest ROB the core
+#                         accepts (MAX_ROB_SIZE), which sizes its
+#                         speculation masks
 #     throughput check:   perfcheck validates the snapshot the golden gate
 #                         just wrote, including that busy-time samples came
 #                         only from freshly computed cells
@@ -38,7 +42,7 @@
 #                         two-run secret pairs at the smoke tier, with
 #                         --no-cache for the same reason as the golden gate
 #     cache split:        asserts the golden gate printed its sweep-cache
-#                         hit/miss line (all misses under --no-cache) — a
+#                         hit/miss lines (all misses under --no-cache) — a
 #                         run that silently stopped reporting the split
 #                         would hide cache rot
 #     serve smoke:        starts `all --smoke --serve` once, submits the
@@ -130,8 +134,12 @@ step_perfbench() { cargo test -q --offline --manifest-path perfbench/Cargo.toml;
 
 step_golden_gate() {
   # Tee'd so the cache-split step below can assert on what was reported.
-  cargo run -q --release --offline -p levioso-bench --bin all -- --smoke --check --no-cache \
+  # Smoke runs last, so the throughput snapshot perfcheck reads is still
+  # the smoke tier's.
+  cargo run -q --release --offline -p levioso-bench --bin all -- --paper --check --no-cache \
     | tee target/ci_golden_gate.log
+  cargo run -q --release --offline -p levioso-bench --bin all -- --smoke --check --no-cache \
+    | tee -a target/ci_golden_gate.log
 }
 
 step_perfcheck() { cargo run -q --release --offline -p levioso-bench --bin perfcheck; }
@@ -309,13 +317,14 @@ step_ledger_sentinel() {
 }
 
 step_cache_split() {
-  local line
-  if ! line=$(grep -E '^sweep-cache: [0-9]+ hits, [0-9]+ misses' target/ci_golden_gate.log); then
-    echo "ERROR: golden gate did not report its sweep-cache hit/miss split" >&2
-    echo "       (expected a 'sweep-cache: N hits, M misses, ...' line in its output)" >&2
+  local lines
+  lines=$(grep -E '^sweep-cache: [0-9]+ hits, [0-9]+ misses' target/ci_golden_gate.log || true)
+  if [[ $(grep -c . <<< "$lines") -ne 2 ]]; then
+    echo "ERROR: golden gate did not report its sweep-cache hit/miss split for both tiers" >&2
+    echo "       (expected one 'sweep-cache: N hits, M misses, ...' line per tier)" >&2
     exit 1
   fi
-  echo "    golden gate reported: $line"
+  sed 's/^/    golden gate reported: /' <<< "$lines"
 }
 
 if [[ "$mode" == "lint" || "$mode" == "all" ]]; then
@@ -329,7 +338,7 @@ if [[ "$mode" == "test" || "$mode" == "all" ]]; then
   run_step "full-workspace tests" step_ws_tests
   run_step "doc tests" step_doc_tests
   run_step "benchmark self-tests: perfbench at reduced sizes" step_perfbench
-  run_step "golden gate: smoke-tier sweep vs results/golden/smoke/" step_golden_gate
+  run_step "golden gate: paper- and smoke-tier sweeps vs results/golden/" step_golden_gate
   run_step "simulator throughput snapshot" step_perfcheck
   run_step "trace smoke: levitrace conservation + round-trip on one cell" step_trace_smoke
   run_step "noninterference gate: two-run fuzz of every scheme, smoke tier" step_noninterference
