@@ -93,23 +93,17 @@ pub fn reset_counters() {
 
 /// The cache key of one perf sweep cell. `extra` tags variant cells that
 /// share workload/scheme/config but differ in preparation (e.g. `cap=2`
-/// for F7's annotation-budget cells); empty for plain cells.
+/// for F7's annotation-budget cells); empty for plain cells. The program
+/// and memory digests are memoized on `w`, so keying is cheap after a
+/// workload's first cell.
 pub fn workload_key(w: &Workload, scheme_name: &str, config: &CoreConfig, extra: &str) -> String {
     use std::fmt::Write;
     let mut key = String::with_capacity(256);
     let _ = writeln!(key, "levioso-sweep-cell-key/{CELL_FORMAT}");
     let _ = writeln!(key, "kind: perf");
     let _ = writeln!(key, "workload: {}", w.name);
-    let _ = writeln!(
-        key,
-        "program: {}",
-        levioso_support::cache::stable_hash_hex(w.program.to_asm_string().as_bytes())
-    );
-    let mut mem = String::new();
-    for (addr, val) in &w.memory {
-        let _ = writeln!(mem, "{addr:#x}={val}");
-    }
-    let _ = writeln!(key, "memory: {}", levioso_support::cache::stable_hash_hex(mem.as_bytes()));
+    let _ = writeln!(key, "program: {}", w.program_digest());
+    let _ = writeln!(key, "memory: {}", w.memory_digest());
     let _ = writeln!(key, "checksum_addr: {:#x}", w.checksum_addr);
     let _ = writeln!(key, "scheme: {scheme_name}");
     let _ = writeln!(key, "config: {config:?}");
@@ -245,6 +239,40 @@ mod tests {
         assert_ne!(key, workload_key(a, "fence", &base, ""), "scheme");
         assert_ne!(key, workload_key(a, "levioso", &base.clone().with_rob_size(64), ""), "config");
         assert_ne!(key, workload_key(a, "levioso", &base, "cap=2"), "extra tag");
+    }
+
+    /// The key of smoke `filter_scan` × `levioso` × the default core, as
+    /// rendered before the workload digests were memoized. Changing a byte
+    /// of it turns every cached cell into a miss, so it must come with a
+    /// `CELL_FORMAT` bump.
+    const FILTER_SCAN_LEVIOSO_KEY: &str = concat!(
+        "levioso-sweep-cell-key/1\n",
+        "kind: perf\n",
+        "workload: filter_scan\n",
+        "program: d535d9a94625949485e454028cff3cbd\n",
+        "memory: 02f745a66670bd0bfcb261911beec6b4\n",
+        "checksum_addr: 0x500000\n",
+        "scheme: levioso\n",
+        "config: CoreConfig { fetch_width: 8, dispatch_width: 8, issue_width: 8, ",
+        "commit_width: 8, rob_size: 224, iq_size: 96, lq_size: 72, sq_size: 56, ",
+        "alu_count: 6, mul_count: 2, div_count: 1, mshr_count: 16, load_ports: 2, ",
+        "store_ports: 1, mul_latency: 3, div_latency: 20, redirect_penalty: 15, ",
+        "predictor: PredictorConfig { gshare_history_bits: 14, btb_entries: 4096, ",
+        "ras_entries: 32 }, hierarchy: HierarchyConfig { l1d: CacheConfig { ",
+        "size_bytes: 32768, assoc: 8, line_bytes: 64, hit_latency: 4 }, l2: ",
+        "CacheConfig { size_bytes: 1048576, assoc: 16, line_bytes: 64, hit_latency: 14 }, ",
+        "dram_latency: 120 }, max_cycles: 500000000 }\n",
+        "extra: \n",
+    );
+
+    #[test]
+    fn key_text_is_pinned() {
+        let w = suite(Scale::Smoke).into_iter().find(|w| w.name == "filter_scan").unwrap();
+        let config = CoreConfig::default();
+        assert_eq!(workload_key(&w, "levioso", &config, ""), FILTER_SCAN_LEVIOSO_KEY, "cold");
+        assert_eq!(workload_key(&w, "levioso", &config, ""), FILTER_SCAN_LEVIOSO_KEY, "memoized");
+        let clone = w.clone();
+        assert_eq!(workload_key(&clone, "levioso", &config, ""), FILTER_SCAN_LEVIOSO_KEY, "clone");
     }
 
     #[test]

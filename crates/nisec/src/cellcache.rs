@@ -83,7 +83,8 @@ pub fn reset_counters() {
 /// The cache key of one noninterference cell: everything the two recorded
 /// runs depend on — the generated program and initial state, the concrete
 /// secret pair, the scheme, the core config, and the observer list the
-/// verdict vector is ordered by.
+/// verdict vector is ordered by. The program and public-state digests are
+/// memoized on `sp`, so its 36 cells per campaign render and hash it once.
 pub fn cell_key(
     sp: &SecretProgram,
     secrets: &[(i64, i64)],
@@ -94,23 +95,8 @@ pub fn cell_key(
     let mut key = String::with_capacity(256);
     let _ = writeln!(key, "levioso-nisec-cell-key/{CELL_FORMAT}");
     let _ = writeln!(key, "kind: noninterference");
-    let _ = writeln!(
-        key,
-        "program: {}",
-        levioso_support::cache::stable_hash_hex(sp.program.to_asm_string().as_bytes())
-    );
-    let mut state = String::new();
-    for (addr, val) in &sp.public_mem {
-        let _ = writeln!(state, "mem {addr:#x}={val}");
-    }
-    for (reg, val) in &sp.reg_init {
-        let _ = writeln!(state, "reg {reg:?}={val}");
-    }
-    let _ = writeln!(
-        key,
-        "public_state: {}",
-        levioso_support::cache::stable_hash_hex(state.as_bytes())
-    );
+    let _ = writeln!(key, "program: {}", sp.program_digest());
+    let _ = writeln!(key, "public_state: {}", sp.public_state_digest());
     let _ = writeln!(key, "secret_addrs: {:?}", sp.secret_addrs);
     let _ = writeln!(key, "secrets: {secrets:?}");
     let _ = writeln!(key, "scheme: {scheme_name}");
@@ -172,7 +158,7 @@ pub fn diverged_from_json(doc: &Json) -> Option<Vec<Option<Divergence>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::gen_program;
+    use crate::generator::{gen_program, gen_secret_pair};
     use levioso_support::Xoshiro256pp;
 
     fn sample_diverged() -> Vec<Option<Divergence>> {
@@ -213,6 +199,41 @@ mod tests {
     fn wrong_observer_count_is_rejected() {
         let doc = diverged_to_json(&[None, None]);
         assert_eq!(diverged_from_json(&doc), None);
+    }
+
+    /// The key of the first program and pair seed 7 draws, under
+    /// `levioso` on the default core, as rendered before the program
+    /// digests were memoized. Changing a byte of it turns every cached
+    /// cell into a miss, so it must come with a `CELL_FORMAT` bump.
+    const SEED7_LEVIOSO_KEY: &str = concat!(
+        "levioso-nisec-cell-key/1\n",
+        "kind: noninterference\n",
+        "program: dc18f90b2541aa13dead8c9d139d1e06\n",
+        "public_state: 011515507a0702f05ea1dbc2911e5a31\n",
+        "secret_addrs: [32768, 32832]\n",
+        "secrets: [(64, 134), (200, 46)]\n",
+        "scheme: levioso\n",
+        "config: CoreConfig { fetch_width: 8, dispatch_width: 8, issue_width: 8, ",
+        "commit_width: 8, rob_size: 224, iq_size: 96, lq_size: 72, sq_size: 56, ",
+        "alu_count: 6, mul_count: 2, div_count: 1, mshr_count: 16, load_ports: 2, ",
+        "store_ports: 1, mul_latency: 3, div_latency: 20, redirect_penalty: 15, ",
+        "predictor: PredictorConfig { gshare_history_bits: 14, btb_entries: 4096, ",
+        "ras_entries: 32 }, hierarchy: HierarchyConfig { l1d: CacheConfig { ",
+        "size_bytes: 32768, assoc: 8, line_bytes: 64, hit_latency: 4 }, l2: ",
+        "CacheConfig { size_bytes: 1048576, assoc: 16, line_bytes: 64, hit_latency: 14 }, ",
+        "dram_latency: 120 }, max_cycles: 500000000 }\n",
+        "observers: commit-timing,cache-line,full-trace\n",
+    );
+
+    #[test]
+    fn key_text_is_pinned() {
+        let mut rng = Xoshiro256pp::seed_from_u64(7);
+        let sp = gen_program(&mut rng);
+        let pair = gen_secret_pair(&mut rng, sp.secret_addrs.len());
+        let config = CoreConfig::default();
+        assert_eq!(cell_key(&sp, &pair, "levioso", &config), SEED7_LEVIOSO_KEY, "cold");
+        assert_eq!(cell_key(&sp, &pair, "levioso", &config), SEED7_LEVIOSO_KEY, "memoized");
+        assert_eq!(cell_key(&sp.clone(), &pair, "levioso", &config), SEED7_LEVIOSO_KEY, "clone");
     }
 
     #[test]

@@ -32,7 +32,11 @@
 
 use levioso_isa::reg::{GP, ZERO};
 use levioso_isa::{AluOp, BranchCond, Instr, Machine, MemWidth, Program, Reg};
+use levioso_support::cache::stable_hash_hex;
 use levioso_support::Rng;
+use std::fmt::Write;
+use std::ops::Deref;
+use std::sync::OnceLock;
 
 /// Base of the public scratch pool addressed off `gp` (same convention as the
 /// differential generator).
@@ -56,8 +60,56 @@ const LINE: i64 = 64;
 
 /// A generated program with its public initial state and the location of its
 /// architecturally-dead secrets.
+///
+/// The public half — `sp.program`, `sp.public_mem` and `sp.reg_init`, the
+/// [`PublicInputs`] fields, reached by `Deref` — cannot be assigned,
+/// swapped or mutated outside this crate, so the digests every cell key of
+/// the program embeds (`crate::cellcache::cell_key`) are computed once per
+/// value and can never go stale. A clone carries them over.
 #[derive(Debug, Clone)]
 pub struct SecretProgram {
+    /// Address of each gadget's secret cell (the *only* state allowed to
+    /// differ between the two runs of a pair).
+    pub secret_addrs: Vec<u64>,
+    public: PublicInputs,
+    program_digest: OnceLock<String>,
+    public_state_digest: OnceLock<String>,
+}
+
+/// The state both runs of a pair share, readable through a
+/// [`SecretProgram`] and writable only inside this crate.
+///
+/// ```
+/// let sp = levioso_nisec::gen_program(&mut levioso_support::Xoshiro256pp::seed_from_u64(1));
+/// let mut program = sp.program.clone(); // a plain `Program`, free to annotate
+/// program.annotations = None;
+/// assert!(!sp.public_mem.is_empty() && !sp.reg_init.is_empty());
+/// ```
+///
+/// Assigning, mutating or swapping it does not compile:
+///
+/// ```compile_fail,E0594
+/// let mut sp = levioso_nisec::gen_program(&mut levioso_support::Xoshiro256pp::seed_from_u64(1));
+/// sp.reg_init = Vec::new();
+/// ```
+///
+/// ```compile_fail,E0596
+/// let mut sp = levioso_nisec::gen_program(&mut levioso_support::Xoshiro256pp::seed_from_u64(1));
+/// sp.public_mem.push((0, 1));
+/// ```
+///
+/// ```compile_fail,E0596
+/// let mut sp = levioso_nisec::gen_program(&mut levioso_support::Xoshiro256pp::seed_from_u64(1));
+/// sp.program.instrs.clear();
+/// ```
+///
+/// ```compile_fail,E0596
+/// let mut rng = levioso_support::Xoshiro256pp::seed_from_u64(1);
+/// let (mut a, mut b) = (levioso_nisec::gen_program(&mut rng), levioso_nisec::gen_program(&mut rng));
+/// std::mem::swap(&mut a.program, &mut b.program);
+/// ```
+#[derive(Debug, Clone)]
+pub struct PublicInputs {
     /// The instruction stream (un-annotated; callers run
     /// `Scheme::prepare` per scheme to attach real compiler annotations).
     pub program: Program,
@@ -65,9 +117,37 @@ pub struct SecretProgram {
     pub public_mem: Vec<(u64, i64)>,
     /// Public register initialization, identical across both runs of a pair.
     pub reg_init: Vec<(Reg, i64)>,
-    /// Address of each gadget's secret cell (the *only* state allowed to
-    /// differ between the two runs of a pair).
-    pub secret_addrs: Vec<u64>,
+}
+
+impl Deref for SecretProgram {
+    type Target = PublicInputs;
+
+    fn deref(&self) -> &PublicInputs {
+        &self.public
+    }
+}
+
+impl SecretProgram {
+    /// [`stable_hash_hex`] of the program's assembly listing, computed once.
+    pub(crate) fn program_digest(&self) -> &str {
+        self.program_digest.get_or_init(|| stable_hash_hex(self.program.to_asm_string().as_bytes()))
+    }
+
+    /// [`stable_hash_hex`] of the public state rendered one line per
+    /// memory word (`mem {addr:#x}={val}`), then one per register
+    /// (`reg {reg:?}={val}`), computed once.
+    pub(crate) fn public_state_digest(&self) -> &str {
+        self.public_state_digest.get_or_init(|| {
+            let mut state = String::new();
+            for (addr, val) in &self.public_mem {
+                let _ = writeln!(state, "mem {addr:#x}={val}");
+            }
+            for (reg, val) in &self.reg_init {
+                let _ = writeln!(state, "reg {reg:?}={val}");
+            }
+            stable_hash_hex(state.as_bytes())
+        })
+    }
 }
 
 /// Public-register helper: `a0..a7` or `t0..t2`, never an `s` register.
@@ -219,7 +299,12 @@ pub fn gen_program<R: Rng>(rng: &mut R) -> SecretProgram {
 
     let secret_addrs = (0..n_gadgets).map(|i| (SECRET_BASE + i as i64 * LINE) as u64).collect();
 
-    SecretProgram { program: Program::new("nisec", instrs), public_mem, reg_init, secret_addrs }
+    SecretProgram {
+        secret_addrs,
+        public: PublicInputs { program: Program::new("nisec", instrs), public_mem, reg_init },
+        program_digest: OnceLock::new(),
+        public_state_digest: OnceLock::new(),
+    }
 }
 
 /// Draws one secret pair per gadget. The two values always select different

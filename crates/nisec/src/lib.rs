@@ -35,6 +35,8 @@ pub mod generator;
 pub mod harness;
 pub mod observer;
 
-pub use generator::{assert_pair_low_equivalent, gen_program, gen_secret_pair, SecretProgram};
+pub use generator::{
+    assert_pair_low_equivalent, gen_program, gen_secret_pair, PublicInputs, SecretProgram,
+};
 pub use harness::{fuzz, CellResult, FuzzConfig, FuzzReport, DEFAULT_SEED, ENFORCED_CLEAN};
 pub use observer::{diff, project, Divergence, Ev, Obs, ObsKey, Observer, Recorder};

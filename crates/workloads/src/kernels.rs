@@ -53,14 +53,13 @@ fn filter_scan(scale: Scale) -> Workload {
         "
     );
     let data = seeded_values("filter_scan", n, -50, 51);
-    Workload {
-        name: "filter_scan",
-        description:
-            "filtered aggregation: unpredictable data-dependent branch, independent stream",
-        program: compile("filter_scan", &src),
-        memory: place(IN1, &data).collect(),
-        checksum_addr: OUT,
-    }
+    Workload::new(
+        "filter_scan",
+        "filtered aggregation: unpredictable data-dependent branch, independent stream",
+        compile("filter_scan", &src),
+        place(IN1, &data).collect(),
+        OUT,
+    )
 }
 
 /// Histogram: indirect updates, no data-dependent branches.
@@ -90,13 +89,13 @@ fn histogram(scale: Scale) -> Workload {
         "
     );
     let data = seeded_values("histogram", n, 0, 1 << 30);
-    Workload {
-        name: "histogram",
-        description: "histogram build: indirect addressing, branch-free bodies",
-        program: compile("histogram", &src),
-        memory: place(IN1, &data).collect(),
-        checksum_addr: OUT,
-    }
+    Workload::new(
+        "histogram",
+        "histogram build: indirect addressing, branch-free bodies",
+        compile("histogram", &src),
+        place(IN1, &data).collect(),
+        OUT,
+    )
 }
 
 /// Serial pointer chase (mcf-like): everyone suffers; Levioso cannot help
@@ -134,13 +133,13 @@ fn pointer_chase(scale: Scale) -> Workload {
     for w in 0..n {
         next[perm[w]] = perm[(w + 1) % n] as i64;
     }
-    Workload {
-        name: "pointer_chase",
-        description: "linked-list traversal: serial dependent misses",
-        program: compile("pointer_chase", &src),
-        memory: place(IN1, &next).collect(),
-        checksum_addr: OUT,
-    }
+    Workload::new(
+        "pointer_chase",
+        "linked-list traversal: serial dependent misses",
+        compile("pointer_chase", &src),
+        place(IN1, &next).collect(),
+        OUT,
+    )
 }
 
 /// Repeated binary searches over a sorted array.
@@ -175,13 +174,13 @@ fn binary_search(scale: Scale) -> Workload {
     let mut sorted = seeded_values("binary_search", n, 0, 1 << 40);
     sorted.sort_unstable();
     let queries_v = seeded_values("binary_search.q", queries, 0, 1 << 40);
-    Workload {
-        name: "binary_search",
-        description: "binary search: branch outcome feeds the next address",
-        program: compile("binary_search", &src),
-        memory: place(IN1, &sorted).chain(place(IN2, &queries_v)).collect(),
-        checksum_addr: OUT,
-    }
+    Workload::new(
+        "binary_search",
+        "binary search: branch outcome feeds the next address",
+        compile("binary_search", &src),
+        place(IN1, &sorted).chain(place(IN2, &queries_v)).collect(),
+        OUT,
+    )
 }
 
 /// Hash-table probe with open addressing (join build side precomputed).
@@ -241,13 +240,13 @@ fn hash_join(scale: Scale) -> Workload {
     let probe: Vec<i64> = (0..n)
         .map(|i| if i % 2 == 0 { build[(i / 2) % build.len()] } else { rng.i64_in(1i64..1 << 30) })
         .collect();
-    Workload {
-        name: "hash_join",
-        description: "hash-join probe: key-compare branches, independent probes",
-        program: compile("hash_join", &src),
-        memory: place(IN1, &probe).chain(place(IN2, &ht_key)).chain(place(AUX1, &ht_val)).collect(),
-        checksum_addr: OUT,
-    }
+    Workload::new(
+        "hash_join",
+        "hash-join probe: key-compare branches, independent probes",
+        compile("hash_join", &src),
+        place(IN1, &probe).chain(place(IN2, &ht_key)).chain(place(AUX1, &ht_val)).collect(),
+        OUT,
+    )
 }
 
 /// Partition step of quicksort/radix: branch-dependent store indices.
@@ -275,13 +274,13 @@ fn partition(scale: Scale) -> Workload {
         "
     );
     let data = seeded_values("partition", n, -1000, 1000);
-    Workload {
-        name: "partition",
-        description: "quicksort partition: data movement under unpredictable branches",
-        program: compile("partition", &src),
-        memory: place(IN1, &data).collect(),
-        checksum_addr: OUT,
-    }
+    Workload::new(
+        "partition",
+        "quicksort partition: data movement under unpredictable branches",
+        compile("partition", &src),
+        place(IN1, &data).collect(),
+        OUT,
+    )
 }
 
 /// 1-D 3-point stencil with boundary checks (predictable branches).
@@ -314,13 +313,13 @@ fn stencil(scale: Scale) -> Workload {
         "
     );
     let data = seeded_values("stencil", n, -10000, 10000);
-    Workload {
-        name: "stencil",
-        description: "3-point stencil: streaming loads, predictable branches",
-        program: compile("stencil", &src),
-        memory: place(IN1, &data).collect(),
-        checksum_addr: OUT,
-    }
+    Workload::new(
+        "stencil",
+        "3-point stencil: streaming loads, predictable branches",
+        compile("stencil", &src),
+        place(IN1, &data).collect(),
+        OUT,
+    )
 }
 
 /// Naive substring search over a byte-like text.
@@ -358,13 +357,13 @@ fn string_search(scale: Scale) -> Workload {
     for start in [n / 7, n / 3, n / 2, (4 * n) / 5] {
         text[start..start + plen].copy_from_slice(&pat);
     }
-    Workload {
-        name: "string_search",
-        description: "substring scan: early-exit inner loops on loaded data",
-        program: compile("string_search", &src),
-        memory: place(IN1, &text).chain(place(IN2, &pat)).collect(),
-        checksum_addr: OUT,
-    }
+    Workload::new(
+        "string_search",
+        "substring scan: early-exit inner loops on loaded data",
+        compile("string_search", &src),
+        place(IN1, &text).chain(place(IN2, &pat)).collect(),
+        OUT,
+    )
 }
 
 /// Bitwise CRC over words: branches resolved by fast register compares.
@@ -395,13 +394,13 @@ fn crc32(scale: Scale) -> Workload {
         "
     );
     let data = seeded_values("crc32", n, 0, 1 << 50);
-    Workload {
-        name: "crc32",
-        description: "bitwise CRC: unpredictable branches with 1-cycle resolution",
-        program: compile("crc32", &src),
-        memory: place(IN1, &data).collect(),
-        checksum_addr: OUT,
-    }
+    Workload::new(
+        "crc32",
+        "bitwise CRC: unpredictable branches with 1-cycle resolution",
+        compile("crc32", &src),
+        place(IN1, &data).collect(),
+        OUT,
+    )
 }
 
 /// Branchless ARX mixing (constant-time-crypto stand-in).
@@ -428,11 +427,11 @@ fn ct_mix(scale: Scale) -> Workload {
         "
     );
     let data = seeded_values("ct_mix", n, 0, 1 << 50);
-    Workload {
-        name: "ct_mix",
-        description: "constant-time ARX mixing: branchless bodies",
-        program: compile("ct_mix", &src),
-        memory: place(IN1, &data).collect(),
-        checksum_addr: OUT,
-    }
+    Workload::new(
+        "ct_mix",
+        "constant-time ARX mixing: branchless bodies",
+        compile("ct_mix", &src),
+        place(IN1, &data).collect(),
+        OUT,
+    )
 }

@@ -62,13 +62,13 @@ pub fn guarded_call(scale: Scale) -> Workload {
     let mut memory: Vec<(u64, i64)> =
         (0..n as u64).map(|i| (IN1 + 8 * i, rng.i64_in(-100i64..101))).collect();
     memory.extend((0..1024u64).map(|i| (AUX1 + 8 * i, rng.i64_in(0i64..4096))));
-    Workload {
-        name: "guarded_call",
-        description: "function call guarded by an unpredictable branch (interprocedural deps)",
+    Workload::new(
+        "guarded_call",
+        "function call guarded by an unpredictable branch (interprocedural deps)",
         program,
         memory,
-        checksum_addr: OUT,
-    }
+        OUT,
+    )
 }
 
 /// A five-op bytecode interpreter dispatching through a loaded jump table.
@@ -132,11 +132,11 @@ pub fn bytecode_interp(scale: Scale) -> Workload {
         (0..n as u64).map(|i| (IN1 + 8 * i, rng.i64_in(0i64..5))).collect();
     memory.extend(handlers.iter().enumerate().map(|(i, &h)| (IN2 + 8 * i as u64, h as i64)));
     memory.extend((0..1024u64).map(|i| (AUX1 + 8 * i, rng.i64_in(0i64..1 << 20))));
-    Workload {
-        name: "bytecode_interp",
-        description: "jump-table bytecode interpreter (indirect-branch barriers)",
+    Workload::new(
+        "bytecode_interp",
+        "jump-table bytecode interpreter (indirect-branch barriers)",
         program,
         memory,
-        checksum_addr: OUT,
-    }
+        OUT,
+    )
 }
