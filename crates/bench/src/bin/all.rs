@@ -6,7 +6,6 @@
 //! all --smoke --check       # CI: recompute shape figures, diff vs golden, exit 1 on drift
 //! all --paper --bless       # regenerate + record new paper-tier goldens
 //! all --threads 8           # size the sweep pool explicitly
-//! all --serve target/jobs   # warm sweep server: poll a job directory for levq requests
 //! ```
 //!
 //! All simulation cells fan out across the sweep pool; results are
@@ -14,7 +13,7 @@
 //! simulator throughput snapshot to `results/BENCH_sim_throughput.json`
 //! (see `levioso_bench::throughput`), preserving any recorded `baseline`
 //! object so the before/after trajectory survives regeneration, and
-//! mirrors the final telemetry snapshot (`levioso-metrics/1`, see
+//! mirrors the final telemetry snapshot (`levioso-metrics/2`, see
 //! `levioso_support::metrics`) to `results/METRICS_run.json`.
 #[path = "../util.rs"]
 mod util;
@@ -24,9 +23,6 @@ use std::time::Instant;
 
 fn main() {
     let opts = util::Opts::parse(true, true);
-    if let Some(dir) = &opts.serve {
-        std::process::exit(levioso_bench::serve::serve(dir));
-    }
     let sweep = opts.sweep();
     let tier = opts.tier;
     let start = Instant::now();
@@ -84,8 +80,7 @@ fn append_ledger(sweep: &Sweep, tier: Tier, start: Instant) {
     levioso_bench::ledger::append_run("all", tier, sweep.threads(), start.elapsed().as_secs_f64());
 }
 
-/// Mirrors the final registry snapshot to `results/METRICS_run.json` —
-/// the same document a served session refreshes after every request.
+/// Mirrors the final registry snapshot to `results/METRICS_run.json`.
 fn write_metrics() {
     let path = util::results_dir().join("METRICS_run.json");
     if let Err(e) = std::fs::create_dir_all(util::results_dir())

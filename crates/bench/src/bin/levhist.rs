@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! levhist                        # trend table + sparklines per series
-//! levhist --once --json          # machine-readable trends (scripting)
+//! levhist --json                 # machine-readable trends (scripting)
 //! levhist --check                # regression sentinel: robust baseline gate
 //! levhist --ledger PATH ...      # read a specific ledger file
 //! levhist --inject-regression    # append a synthetically degraded record
@@ -25,8 +25,8 @@
 //!   green by having nothing to check).
 //!
 //! `--inject-regression` exists for CI's negative test: it appends a
-//! copy of the newest measurable record with throughput halved and
-//! latencies quadrupled, so the pipeline can prove the gate actually
+//! copy of the newest measurable record with throughput quartered and
+//! latencies inflated 8x, so the pipeline can prove the gate actually
 //! fires before trusting its green.
 
 use levioso_support::ledger::{
@@ -45,9 +45,8 @@ struct Args {
 }
 
 fn usage() -> String {
-    "usage: levhist [--ledger PATH] [--once] [--json] [--check] [--inject-regression]\n\
+    "usage: levhist [--ledger PATH] [--json] [--check] [--inject-regression]\n\
      \n  --ledger PATH        ledger file (default: results/ledger.jsonl)\
-     \n  --once               accepted for levtop symmetry (levhist is always one-shot)\
      \n  --json               print trends as levioso-ledger-trends/1 JSON\
      \n  --check              regression sentinel: exit 1 on a regression, 4 if vacuous\
      \n  --inject-regression  append a degraded copy of the newest measurable record\
@@ -76,7 +75,6 @@ fn parse_args() -> Args {
             },
             "--check" => args.check = true,
             "--json" => args.json = true,
-            "--once" => {}
             "--inject-regression" => args.inject = true,
             "--help" | "-h" => {
                 eprintln!("{}", usage());

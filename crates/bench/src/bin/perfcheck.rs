@@ -6,14 +6,10 @@
 //! pipeline runs this right after the smoke golden gate, so a change that
 //! silently stops producing throughput numbers fails the build.
 //!
-//! Also validates `results/BENCH_serve_latency.json` when present (the
-//! warm sweep server's request-latency book, `levioso-serve-latency/2`,
-//! including the per-selector p50/p95/p99 distributions) — a server run
-//! that stops recording latencies fails the build the same way a silent
-//! throughput regression would. Likewise `results/METRICS_run.json` (the
-//! `levioso-metrics/1` registry snapshot every `all` run and every served
-//! request mirrors): a present file must be schema-tagged and every
-//! counter/timer well-formed.
+//! Also validates `results/METRICS_run.json` when present (the
+//! `levioso-metrics/2` registry snapshot every `all` run mirrors): it
+//! must be schema-tagged and every counter and gauge well-formed. And
+//! `results/ledger.jsonl`, whose every record must load.
 //!
 //! ```text
 //! perfcheck            # validate + summarize results/BENCH_*.json
@@ -88,17 +84,6 @@ fn main() {
     });
     let hits = cache_field("hits");
     let misses = cache_field("misses");
-    // Additive field: present (and bounded by hits) since the hot tier
-    // landed; absent in snapshots recorded before it.
-    let l1_hits = util::json_num_field(&cache, "l1_hits").unwrap_or(0.0);
-    if !(l1_hits.is_finite() && (0.0..=hits).contains(&l1_hits)) {
-        eprintln!(
-            "perfcheck: {}: `current.cache.l1_hits` ({l1_hits}) must be between 0 and hits \
-             ({hits:.0})",
-            path.display()
-        );
-        exit(1);
-    }
     // The throughput meter must only sample freshly computed cells: every
     // recorded cell corresponds to exactly one cache miss (hits return
     // stored stats and skip the meter). A snapshot where cells != misses
@@ -148,7 +133,6 @@ fn main() {
         "PERF tier={tier} threads={threads:.0} cells={cells:.0} busy_seconds={busy:.3} \
          wall_seconds={wall:.3} kilocycles_per_busy_sec={kc:.3} cells_per_busy_sec={cps:.3}"
     );
-    check_serve_latency();
     check_metrics_run();
     check_ledger();
 }
@@ -176,114 +160,9 @@ fn check_ledger() {
     println!("LEDGER records={} series={} checkable={checkable}", records.len(), series.len());
 }
 
-/// Validates `results/BENCH_serve_latency.json` if a server wrote one.
-/// Absence is fine (not every pipeline runs serve mode); a present file
-/// must be well-formed, and every recorded latency finite.
-fn check_serve_latency() {
-    let path = util::results_dir().join("BENCH_serve_latency.json");
-    let Ok(text) = std::fs::read_to_string(&path) else {
-        return;
-    };
-    let fail = |reason: &str| -> ! {
-        eprintln!("perfcheck: {}: {reason}", path.display());
-        exit(1);
-    };
-    let Ok(doc) = Json::parse(&text) else { fail("not valid JSON") };
-    if doc.get("schema").and_then(Json::as_str) != Some("levioso-serve-latency/2") {
-        fail("missing or unknown schema field (expected levioso-serve-latency/2)");
-    }
-    // Either cold field may be null (no check request served yet), but a
-    // recorded value must be a positive finite duration.
-    let secs = |key: &str| -> Option<f64> {
-        match doc.get(key) {
-            Some(Json::Null) => None,
-            Some(v) => match v.as_f64() {
-                Some(s) if s.is_finite() && s > 0.0 => Some(s),
-                _ => fail(&format!("`{key}` must be null or a positive finite number")),
-            },
-            None => fail(&format!("missing field `{key}`")),
-        }
-    };
-    let cold = secs("cold_request_seconds");
-    let warm = secs("warm_request_seconds");
-    let Some(requests) = doc.get("requests").and_then(Json::as_arr) else {
-        fail("missing or non-array field `requests`")
-    };
-    if requests.is_empty() {
-        fail("a server wrote the latency book but recorded no requests");
-    }
-    for (i, req) in requests.iter().enumerate() {
-        let wall = req.get("wall_seconds").and_then(Json::as_f64);
-        if !wall.is_some_and(|w| w.is_finite() && w >= 0.0) {
-            fail(&format!("requests[{i}].wall_seconds missing or not finite"));
-        }
-        for key in ["l1_hits", "l2_hits", "misses"] {
-            let v = req.get("cache").and_then(|c| c.get(key)).and_then(Json::as_i64);
-            if v.is_none_or(|n| n < 0) {
-                fail(&format!("requests[{i}].cache.{key} missing or negative"));
-            }
-        }
-    }
-    // The per-selector latency distributions: every selector's entry must
-    // carry a parsable histogram, ordered percentiles, and counts that sum
-    // to the request book.
-    let Some(Json::Obj(selectors)) = doc.get("selectors") else {
-        fail("missing or non-object field `selectors`")
-    };
-    let mut selector_count = 0i64;
-    for (selector, entry) in selectors {
-        let sfail = |reason: &str| -> ! { fail(&format!("selectors.{selector}: {reason}")) };
-        let count = match entry.get("count").and_then(Json::as_i64) {
-            Some(n) if n >= 1 => n,
-            _ => sfail("`count` missing or < 1"),
-        };
-        selector_count += count;
-        let pct = |key: &str| -> f64 {
-            match entry.get(key).and_then(Json::as_f64) {
-                Some(v) if v.is_finite() && v >= 0.0 => v,
-                _ => sfail(&format!("`{key}` missing or not a finite non-negative number")),
-            }
-        };
-        let (p50, p95, p99) = (pct("p50_seconds"), pct("p95_seconds"), pct("p99_seconds"));
-        if !(p50 <= p95 && p95 <= p99) {
-            sfail(&format!("percentiles out of order: p50={p50} p95={p95} p99={p99}"));
-        }
-        let Some(h) = entry.get("histogram_micros").and_then(levioso_support::Histogram::from_json)
-        else {
-            sfail("`histogram_micros` missing or malformed")
-        };
-        if h.count() != count as u64 {
-            sfail(&format!("histogram count {} disagrees with `count` {count}", h.count()));
-        }
-    }
-    if selector_count != requests.len() as i64 {
-        fail(&format!(
-            "selector counts sum to {selector_count} but the book records {} request(s)",
-            requests.len()
-        ));
-    }
-    match (cold, warm) {
-        (Some(c), Some(w)) => println!(
-            "serve latency: {} request(s); smoke-check cold {c:.3}s -> warm {w:.3}s ({:.1}% of cold)",
-            requests.len(),
-            100.0 * w / c
-        ),
-        (Some(c), None) => {
-            println!("serve latency: {} request(s); check cold {c:.3}s (no warm replay yet)", requests.len());
-        }
-        _ => println!("serve latency: {} request(s); no check request served yet", requests.len()),
-    }
-    println!(
-        "SERVE requests={} cold_request_seconds={} warm_request_seconds={}",
-        requests.len(),
-        cold.map_or("null".to_string(), |c| format!("{c:.3}")),
-        warm.map_or("null".to_string(), |w| format!("{w:.3}")),
-    );
-}
-
 /// Validates `results/METRICS_run.json` if a run mirrored one. Absence is
 /// fine (pre-telemetry snapshots); a present file must carry the schema
-/// tag, u64-parsable counters, and well-formed timer histograms.
+/// tag, u64-parsable counters, and integer gauges.
 fn check_metrics_run() {
     let path = util::results_dir().join("METRICS_run.json");
     let Ok(text) = std::fs::read_to_string(&path) else {
@@ -294,8 +173,11 @@ fn check_metrics_run() {
         exit(1);
     };
     let Ok(doc) = Json::parse(&text) else { fail("not valid JSON") };
-    if doc.get("schema").and_then(Json::as_str) != Some("levioso-metrics/1") {
-        fail("missing or unknown schema field (expected levioso-metrics/1)");
+    if doc.get("schema").and_then(Json::as_str) != Some(levioso_support::metrics::SCHEMA) {
+        fail(&format!(
+            "missing or unknown schema field (expected {})",
+            levioso_support::metrics::SCHEMA
+        ));
     }
     let obj = |key: &str| -> &Vec<(String, Json)> {
         match doc.get(key) {
@@ -315,17 +197,10 @@ fn check_metrics_run() {
             fail(&format!("gauge `{name}` is not an integer"));
         }
     }
-    let timers = obj("timers");
-    for (name, value) in timers {
-        if levioso_support::Histogram::from_json(value).is_none() {
-            fail(&format!("timer `{name}` is not a parsable histogram"));
-        }
-    }
     println!(
-        "METRICS counters={} gauges={} timers={} enabled={}",
+        "METRICS counters={} gauges={} enabled={}",
         counters.len(),
         gauges.len(),
-        timers.len(),
         doc.get("enabled").and_then(Json::as_bool).map_or("null".to_string(), |b| b.to_string()),
     );
 }

@@ -29,7 +29,7 @@
 //! (asserted by `perfcheck`).
 
 use levioso_support::cache::{Cache, CacheReport};
-use levioso_support::{Json, TieredCache};
+use levioso_support::Json;
 use levioso_uarch::{core_fingerprint, CacheStats, CoreConfig, SimStats};
 use levioso_workloads::Workload;
 use std::sync::{OnceLock, RwLock};
@@ -39,40 +39,25 @@ use std::sync::{OnceLock, RwLock};
 /// cells plain misses instead of parse errors.
 const CELL_FORMAT: u32 = 1;
 
-fn handle() -> &'static RwLock<TieredCache> {
-    static CACHE: OnceLock<RwLock<TieredCache>> = OnceLock::new();
+fn handle() -> &'static RwLock<Cache> {
+    static CACHE: OnceLock<RwLock<Cache>> = OnceLock::new();
     CACHE.get_or_init(|| {
         // The environment-configured process cache feeds the telemetry
         // registry under `{cache=bench}`; caches installed later via
         // `configure` (tests, --no-cache) keep detached counters so
         // per-instance reports stay isolated.
-        RwLock::new(TieredCache::plain(Cache::from_env(core_fingerprint())).with_metrics("bench"))
+        RwLock::new(Cache::from_env(core_fingerprint()).with_metrics("bench"))
     })
 }
 
-/// Replaces the process-global cache with a plain disk-only store (tests
-/// point it at a temp dir or disable it; `--no-cache` installs
-/// [`Cache::disabled`]). One-shot CLI runs keep pure disk semantics; the
-/// serve loop opts into the hot tier via [`enable_hot_tier`].
+/// Replaces the process-global cache (tests point it at a temp dir or
+/// disable it; `--no-cache` installs [`Cache::disabled`]).
 pub fn configure(cache: Cache) {
-    configure_tiered(TieredCache::plain(cache));
-}
-
-/// Replaces the process-global cache with an explicit tier stack.
-pub fn configure_tiered(cache: TieredCache) {
     *handle().write().expect("cell cache lock") = cache;
 }
 
-/// Layers a process-lifetime in-memory hot tier above the current disk
-/// cache (idempotent; keeps an existing tier's resident cells). Warm
-/// server processes call this once at startup so repeated requests skip
-/// disk entirely.
-pub fn enable_hot_tier() {
-    handle().write().expect("cell cache lock").enable_hot_tier();
-}
-
 /// Runs `f` against the process-global cache.
-pub fn with<R>(f: impl FnOnce(&TieredCache) -> R) -> R {
+pub fn with<R>(f: impl FnOnce(&Cache) -> R) -> R {
     f(&handle().read().expect("cell cache lock"))
 }
 

@@ -2,9 +2,10 @@
 //!
 //! Every fig/table binary includes `src/util.rs` as its own module for
 //! argument parsing; the pieces that must be *identical across binaries*
-//! (error messages asserted by tests, the results-directory anchor, the
-//! throughput-snapshot renderer the server reuses) live here in the
-//! library so there is exactly one definition.
+//! (error messages asserted by tests, the `LEVIOSO_SCALE` parser, the
+//! results-directory anchor, the throughput-snapshot and run-summary
+//! renderers) live here in the library so there is exactly one
+//! definition.
 
 use crate::{Throughput, Tier};
 use std::path::{Path, PathBuf};
@@ -19,22 +20,29 @@ pub const RESUME_NO_CACHE_CONFLICT: &str =
 pub const RESUME_CACHE_DISABLED: &str =
     "--resume needs the cell cache, but LEVIOSO_SWEEP_CACHE=off disabled it";
 
-/// Parses a tier name as used by the job protocol and `LEVIOSO_SCALE`.
-pub fn tier_from_name(name: &str) -> Option<Tier> {
-    match name {
-        "smoke" => Some(Tier::Smoke),
-        "paper" => Some(Tier::Paper),
-        _ => None,
+/// Parses a `LEVIOSO_SCALE` value: unset or empty means paper, and
+/// `smoke`/`paper` are accepted in any ASCII case. Anything else panics —
+/// a typo that silently ran the paper grid would change what a check
+/// measures (same contract as `LEVIOSO_SWEEP_CACHE` and `LEVIOSO_METRICS`).
+fn parse_scale(value: Option<&str>) -> Tier {
+    match value {
+        None | Some("") => Tier::Paper,
+        Some(v) if v.eq_ignore_ascii_case("smoke") => Tier::Smoke,
+        Some(v) if v.eq_ignore_ascii_case("paper") => Tier::Paper,
+        Some(other) => panic!(
+            "unknown LEVIOSO_SCALE value {other:?}: expected unset, empty, \"smoke\" or \"paper\""
+        ),
     }
 }
 
-/// Tier selected by the `LEVIOSO_SCALE` environment variable
-/// (`smoke`/`paper`; default `paper`), overridable by `--smoke`/`--paper`.
+/// Tier selected by the `LEVIOSO_SCALE` environment variable (default
+/// `paper`), overridable by `--smoke`/`--paper`.
+///
+/// # Panics
+///
+/// Panics on any value but unset, empty, `smoke` or `paper` (any case).
 pub fn tier_from_env() -> Tier {
-    match std::env::var("LEVIOSO_SCALE").as_deref() {
-        Ok("smoke") | Ok("SMOKE") => Tier::Smoke,
-        _ => Tier::Paper,
-    }
+    parse_scale(std::env::var("LEVIOSO_SCALE").ok().as_deref())
 }
 
 /// The `results/` directory every binary writes into: the repo root's by
@@ -113,8 +121,7 @@ pub fn json_num_field(doc: &str, key: &str) -> Option<f64> {
 /// Renders `results/BENCH_sim_throughput.json`: the current run's
 /// simulator-throughput snapshot (including the sweep-cache split — the
 /// meter only samples freshly computed cells, so `perfcheck` needs the
-/// hit/miss counts to judge the sample; `l1_hits` is the in-memory hot
-/// tier's share, zero outside serve mode) plus the preserved `baseline`
+/// hit/miss counts to judge the sample) plus the preserved `baseline`
 /// object (the pre-change reference recorded by `scripts/perf.sh`; `null`
 /// until one is recorded).
 pub fn throughput_json(
@@ -131,8 +138,7 @@ pub fn throughput_json(
          \"sim_cycles\": {},\n    \"retired_instrs\": {},\n    \"busy_seconds\": {:.3},\n    \
          \"wall_seconds\": {:.3},\n    \"cells_per_busy_sec\": {:.3},\n    \
          \"kilocycles_per_busy_sec\": {:.3},\n    \"retired_per_busy_sec\": {:.3},\n    \
-         \"cache\": {{ \"enabled\": {}, \"hits\": {}, \"l1_hits\": {}, \"misses\": {}, \
-         \"poisoned\": {} }}\n  }}",
+         \"cache\": {{ \"enabled\": {}, \"hits\": {}, \"misses\": {}, \"poisoned\": {} }}\n  }}",
         tier.name(),
         threads,
         t.cells,
@@ -145,7 +151,6 @@ pub fn throughput_json(
         t.retired_per_busy_sec(),
         cache_enabled,
         cache.hits,
-        cache.l1_hits,
         cache.misses,
         cache.poisoned,
     );
@@ -166,11 +171,9 @@ pub fn run_summary(wall_seconds: f64) -> String {
     let cells = levioso_support::metrics::counter_value("sweep_cells_total", &[]);
     let bench = crate::cellcache::report();
     let nisec = levioso_nisec::cellcache::report();
-    let l1 = bench.l1_hits + nisec.l1_hits;
-    let l2 = (bench.hits - bench.l1_hits) + (nisec.hits - nisec.l1_hits);
     format!(
-        "run-summary: cells={cells} l1_hits={l1} l2_hits={l2} misses={} poisoned={} \
-         wall_seconds={wall_seconds:.3}",
+        "run-summary: cells={cells} hits={} misses={} poisoned={} wall_seconds={wall_seconds:.3}",
+        bench.hits + nisec.hits,
         bench.misses + nisec.misses,
         bench.poisoned + nisec.poisoned,
     )
@@ -181,20 +184,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tier_names_round_trip() {
-        assert_eq!(tier_from_name("smoke"), Some(Tier::Smoke));
-        assert_eq!(tier_from_name("paper"), Some(Tier::Paper));
-        assert_eq!(tier_from_name(Tier::Smoke.name()), Some(Tier::Smoke));
-        assert_eq!(tier_from_name("Paper"), None);
-        assert_eq!(tier_from_name(""), None);
+    fn scale_env_parsing_is_strict() {
+        assert_eq!(parse_scale(None), Tier::Paper);
+        assert_eq!(parse_scale(Some("")), Tier::Paper);
+        for smoke in ["smoke", "SMOKE", "Smoke", Tier::Smoke.name()] {
+            assert_eq!(parse_scale(Some(smoke)), Tier::Smoke, "{smoke:?}");
+        }
+        for paper in ["paper", "PAPER", "Paper", Tier::Paper.name()] {
+            assert_eq!(parse_scale(Some(paper)), Tier::Paper, "{paper:?}");
+        }
+        for bad in ["smok", "smoke ", "1", "full"] {
+            assert!(std::panic::catch_unwind(|| parse_scale(Some(bad))).is_err(), "{bad:?}");
+        }
     }
 
     #[test]
-    fn throughput_json_carries_the_tier_split() {
+    fn throughput_json_carries_the_cache_split() {
         let t = Throughput { cells: 3, sim_cycles: 9_000, retired: 4_500, busy_nanos: 1_000_000 };
         let cache = levioso_support::CacheReport {
             hits: 10,
-            l1_hits: 7,
             misses: 3,
             poisoned: 0,
             stores: 3,
@@ -205,7 +213,7 @@ mod tests {
         let current = json_object_field(&doc, "current").unwrap();
         let inner = json_object_field(&current, "cache").unwrap();
         assert_eq!(json_num_field(&inner, "hits"), Some(10.0));
-        assert_eq!(json_num_field(&inner, "l1_hits"), Some(7.0));
+        assert_eq!(json_num_field(&inner, "l1_hits"), None);
         assert_eq!(json_num_field(&inner, "misses"), Some(3.0));
         assert_eq!(json_bool_field(&inner, "enabled"), Some(true));
         // The document must stay real JSON, not just grep-compatible.

@@ -8,7 +8,6 @@
 //!
 //! * every fig/table binary, via `util::finish`;
 //! * the `all` driver (regen, `--check`, and `--bless` modes);
-//! * the serve loop at shutdown, with its per-selector latency book;
 //! * `scripts/perf.sh`, transitively (its measured runs are `all
 //!   --check --no-cache` invocations).
 //!
@@ -16,9 +15,8 @@
 
 use crate::{cellcache, cli, throughput, Tier};
 use levioso_support::cache::stable_hash_hex;
-use levioso_support::ledger::{self, AttribTotal, CacheTotals, LatencySummary, Record};
-use levioso_support::{metrics, Histogram, Json};
-use std::collections::BTreeMap;
+use levioso_support::ledger::{self, AttribTotal, CacheTotals, Record};
+use levioso_support::{metrics, Json};
 use std::path::PathBuf;
 
 /// Where the ledger lives: next to the other results artifacts (so
@@ -27,19 +25,14 @@ pub fn ledger_path() -> PathBuf {
     cli::results_dir().join("ledger.jsonl")
 }
 
-/// Assembles this process's end-of-run ledger record. `latency` is the
-/// serve loop's per-selector microsecond histograms (empty for one-shot
-/// runs). The cache split combines both cell caches, exactly like the
-/// `run-summary:` stderr line; throughput comes from the global meter,
-/// which only ever saw freshly simulated cells, so a cache-warm run
-/// yields `cells == 0` and contributes no throughput sample downstream.
-pub fn record_now(
-    source: &str,
-    tier: Tier,
-    threads: usize,
-    wall_seconds: f64,
-    latency: &BTreeMap<String, Histogram>,
-) -> Record {
+/// Assembles this process's end-of-run ledger record. The cache split
+/// combines both cell caches, exactly like the `run-summary:` stderr
+/// line; every hit is a disk hit, so `l1_hits` is 0 and `latency` empty
+/// (both fields stay in the format for records the removed warm server
+/// wrote). Throughput comes from the global meter, which only ever saw
+/// freshly simulated cells, so a cache-warm run yields `cells == 0` and
+/// contributes no throughput sample downstream.
+pub fn record_now(source: &str, tier: Tier, threads: usize, wall_seconds: f64) -> Record {
     let t = throughput::snapshot();
     let bench = cellcache::report();
     let nisec = levioso_nisec::cellcache::report();
@@ -49,7 +42,6 @@ pub fn record_now(
     // run left behind.
     let mut snapshot_text = snapshot.emit_pretty();
     snapshot_text.push('\n');
-    let l1_hits = bench.l1_hits + nisec.l1_hits;
     Record {
         source: source.to_string(),
         fingerprint: levioso_uarch::core_fingerprint(),
@@ -63,12 +55,12 @@ pub fn record_now(
         kilocycles_per_busy_sec: t.kilocycles_per_busy_sec(),
         cells_per_busy_sec: t.cells_per_busy_sec(),
         cache: CacheTotals {
-            l1_hits,
-            l2_hits: (bench.hits + nisec.hits) - l1_hits,
+            l1_hits: 0,
+            l2_hits: bench.hits + nisec.hits,
             misses: bench.misses + nisec.misses,
             poisoned: bench.poisoned + nisec.poisoned,
         },
-        latency: latency.iter().map(|(s, h)| (s.clone(), LatencySummary::of(h))).collect(),
+        latency: Vec::new(),
         attrib: attrib_totals(&snapshot),
         metrics_digest: stable_hash_hex(snapshot_text.as_bytes()),
     }
@@ -78,18 +70,7 @@ pub fn record_now(
 /// moves on (the ledger is telemetry — it must never fail a run that
 /// otherwise succeeded).
 pub fn append_run(source: &str, tier: Tier, threads: usize, wall_seconds: f64) {
-    append_with_latency(source, tier, threads, wall_seconds, &BTreeMap::new());
-}
-
-/// [`append_run`] with the serve loop's latency book.
-pub fn append_with_latency(
-    source: &str,
-    tier: Tier,
-    threads: usize,
-    wall_seconds: f64,
-    latency: &BTreeMap<String, Histogram>,
-) {
-    let record = record_now(source, tier, threads, wall_seconds, latency);
+    let record = record_now(source, tier, threads, wall_seconds);
     let path = ledger_path();
     if let Err(e) = ledger::append(&path, &record) {
         eprintln!("warning: could not append run record to {}: {e}", path.display());
@@ -139,12 +120,14 @@ mod tests {
 
     #[test]
     fn record_now_reads_the_meters_and_digests_the_snapshot() {
-        let rec = record_now("test", Tier::Smoke, 3, 1.5, &BTreeMap::new());
+        let rec = record_now("test", Tier::Smoke, 3, 1.5);
         assert_eq!(rec.source, "test");
         assert_eq!(rec.tier, "smoke");
         assert_eq!(rec.threads, 3);
         assert_eq!(rec.fingerprint, levioso_uarch::core_fingerprint());
         assert_eq!(rec.metrics_digest.len(), 32, "stable_hash_hex is 32 hex chars");
+        assert_eq!(rec.cache.l1_hits, 0, "every hit is a disk hit");
+        assert!(rec.latency.is_empty(), "only the removed warm server wrote latencies");
         // The record round-trips through its ledger line.
         let line = rec.to_json().emit();
         let back = Record::from_json(&Json::parse(&line).unwrap()).unwrap();

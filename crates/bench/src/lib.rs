@@ -41,7 +41,6 @@ pub mod cli;
 pub mod corerev;
 pub mod gate;
 pub mod ledger;
-pub mod serve;
 pub mod sweep;
 pub mod throughput;
 pub mod trace_export;

@@ -16,7 +16,7 @@
 //! The counters themselves live in the telemetry registry
 //! (`levioso_support::metrics`, names `sweep_*_total`): one set of
 //! atomics feeds both this module's [`snapshot`] and the
-//! `levioso-metrics/1` document, so the throughput-honesty invariant
+//! `levioso-metrics/2` document, so the throughput-honesty invariant
 //! (`cells == misses` under an enabled cache) is checkable against
 //! either source. Recording is *not* gated on `LEVIOSO_METRICS` — the
 //! meter is load-bearing (perfcheck fails a run with no recorded work).

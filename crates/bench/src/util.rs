@@ -6,7 +6,6 @@
 
 use levioso_bench::{Sweep, Tier};
 use levioso_core::Scheme;
-use std::path::PathBuf;
 use std::process::exit;
 
 // The pieces that must be identical across every binary (shared error
@@ -20,8 +19,8 @@ pub use levioso_bench::cli::{
 };
 
 /// Options every experiment binary understands. The `all` driver
-/// additionally accepts the golden-gate flags (`--check`/`--bless`) and
-/// `--serve`; simulating binaries additionally accept `--attrib`.
+/// additionally accepts the golden-gate flags (`--check`/`--bless`);
+/// simulating binaries additionally accept `--attrib`.
 #[derive(Debug, Clone)]
 pub struct Opts {
     /// Sweep tier (problem scale + sweep grids).
@@ -46,14 +45,11 @@ pub struct Opts {
     /// per-cell store *is* the checkpoint, so this just requires the cache
     /// to be on and reports how many cells are already banked.
     pub resume: bool,
-    /// Run as the warm sweep server, polling this job directory for
-    /// request files instead of executing one sweep (`all` only).
-    pub serve: Option<PathBuf>,
 }
 
 impl Opts {
-    /// Parses process arguments. `gate_flags` enables `--check`/`--bless`/
-    /// `--serve` (the `all` driver) and `attrib_flag` enables `--attrib`
+    /// Parses process arguments. `gate_flags` enables `--check`/`--bless`
+    /// (the `all` driver) and `attrib_flag` enables `--attrib`
     /// (binaries that simulate); others reject them. Prints usage and
     /// exits 2 on unknown or malformed arguments.
     pub fn parse(gate_flags: bool, attrib_flag: bool) -> Opts {
@@ -66,7 +62,6 @@ impl Opts {
             attrib: false,
             no_cache: false,
             resume: false,
-            serve: None,
         };
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
@@ -79,10 +74,6 @@ impl Opts {
                 },
                 "--check" if gate_flags => opts.check = true,
                 "--bless" if gate_flags => opts.bless = true,
-                "--serve" if gate_flags => match args.next() {
-                    Some(dir) if !dir.starts_with('-') => opts.serve = Some(PathBuf::from(dir)),
-                    _ => usage_error(gate_flags, attrib_flag, "--serve needs a job directory"),
-                },
                 "--quiet" | "-q" => opts.quiet = true,
                 "--attrib" if attrib_flag => opts.attrib = true,
                 "--no-cache" => opts.no_cache = true,
@@ -98,14 +89,6 @@ impl Opts {
         }
         if opts.check && opts.bless {
             usage_error(gate_flags, attrib_flag, "--check and --bless are mutually exclusive");
-        }
-        if opts.serve.is_some() && (opts.check || opts.bless || opts.resume || opts.no_cache) {
-            usage_error(
-                gate_flags,
-                attrib_flag,
-                "--serve runs a daemon; per-run flags (--check/--bless/--resume/--no-cache) \
-                 belong in the submitted requests",
-            );
         }
         if opts.no_cache && opts.resume {
             usage_error(gate_flags, attrib_flag, levioso_bench::cli::RESUME_NO_CACHE_CONFLICT);
@@ -132,8 +115,7 @@ impl Opts {
 fn usage(gate_flags: bool, attrib_flag: bool) -> String {
     let gate = if gate_flags {
         "\n  --check        compare against results/golden/<tier>/ and exit nonzero on drift\
-         \n  --bless        regenerate the tier's golden snapshots\
-         \n  --serve DIR    run as the warm sweep server polling DIR for levq requests"
+         \n  --bless        regenerate the tier's golden snapshots"
     } else {
         ""
     };

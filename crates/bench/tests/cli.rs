@@ -109,9 +109,7 @@ fn run_summary_line_is_shared_and_fed_from_the_registry() {
     // shape is the one `levioso_bench::cli::run_summary` renders, verbatim.
     let line = summary_line(env!("CARGO_BIN_EXE_table1_config"), &base);
     assert!(
-        line.starts_with(
-            "run-summary: cells=0 l1_hits=0 l2_hits=0 misses=0 poisoned=0 wall_seconds="
-        ),
+        line.starts_with("run-summary: cells=0 hits=0 misses=0 poisoned=0 wall_seconds="),
         "{line}"
     );
     let wall: f64 = line.rsplit_once("wall_seconds=").expect("wall field").1.parse().expect("f64");
@@ -123,36 +121,52 @@ fn run_summary_line_is_shared_and_fed_from_the_registry() {
     let cells = summary_field(&cold, "cells");
     assert!(cells > 0, "{cold}");
     assert_eq!(cells, summary_field(&cold, "misses"), "{cold}");
-    assert_eq!(summary_field(&cold, "l1_hits") + summary_field(&cold, "l2_hits"), 0, "{cold}");
+    assert_eq!(summary_field(&cold, "hits"), 0, "{cold}");
 
-    // The same run against the now-warm disk cache: every cell is an L2
-    // hit, nothing recomputes — the summary reads the same atomics the
+    // The same run against the now-warm disk cache: every cell is a hit,
+    // nothing recomputes — the summary reads the same atomics the
     // telemetry snapshot exports.
     let warm = summary_line(env!("CARGO_BIN_EXE_fig1_motivation"), &base);
     assert_eq!(summary_field(&warm, "cells"), 0, "{warm}");
     assert_eq!(summary_field(&warm, "misses"), 0, "{warm}");
-    assert_eq!(summary_field(&warm, "l2_hits"), cells, "{warm}");
+    assert_eq!(summary_field(&warm, "hits"), cells, "{warm}");
 
     let _ = std::fs::remove_dir_all(&base);
 }
 
 #[test]
-fn serve_rejects_per_run_flags() {
-    for flags in [["--serve", "x", "--check"], ["--serve", "x", "--resume"]] {
-        let out = Command::new(env!("CARGO_BIN_EXE_all")).args(flags).output().expect("spawn all");
-        assert_eq!(out.status.code(), Some(2), "{flags:?}");
+fn serve_flag_is_unknown_everywhere() {
+    for bin in BINARIES {
+        let out = Command::new(bin)
+            .args(["--serve", "x"])
+            .output()
+            .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
+        assert_eq!(out.status.code(), Some(2), "{}", short_name(bin));
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("--serve runs a daemon"), "{stderr}");
+        assert!(stderr.contains("unknown argument `--serve`"), "{}: {stderr}", short_name(bin));
     }
 }
 
+/// A bad `LEVIOSO_SCALE` or `LEVIOSO_THREADS` stops the run before any
+/// sweep and names the variable: a typo must not silently pick another
+/// tier or worker count.
 #[test]
-fn serve_flag_is_driver_only() {
-    let out = Command::new(env!("CARGO_BIN_EXE_fig2_overhead"))
-        .args(["--serve", "x"])
-        .output()
-        .expect("spawn fig2_overhead");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown argument `--serve`"), "{stderr}");
+fn bad_env_values_fail_before_any_sweep() {
+    for (var, value) in [("LEVIOSO_SCALE", "smok"), ("LEVIOSO_THREADS", "0")] {
+        let base =
+            std::env::temp_dir().join(format!("levioso-cli-bad-env-{var}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let out = Command::new(env!("CARGO_BIN_EXE_all"))
+            .args(["--check", "--quiet"])
+            .env(var, value)
+            .env("LEVIOSO_SWEEP_CACHE_DIR", base.join("cache"))
+            .env("LEVIOSO_RESULTS_DIR", base.join("results"))
+            .output()
+            .expect("spawn all");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{var}={value} must fail: {stderr}");
+        assert!(stderr.contains(&format!("unknown {var} value \"{value}\"")), "{stderr}");
+        assert!(!stderr.contains("==>"), "{var}={value}: no sweep may start: {stderr}");
+        assert!(!base.exists(), "{var}={value}: nothing may be cached or written");
+    }
 }

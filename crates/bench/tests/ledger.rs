@@ -135,7 +135,7 @@ fn trends_render_and_json_modes_cover_the_same_series() {
     assert!(table_out.contains("perf trajectory"), "{table_out}");
     assert!(table_out.contains("kilocycles_per_busy_sec[fig1_motivation smoke t2]"), "{table_out}");
 
-    let json = levhist(&["--ledger", ledger_arg, "--once", "--json"]);
+    let json = levhist(&["--ledger", ledger_arg, "--json"]);
     assert!(json.status.success());
     let doc = levioso_support::Json::parse(&stdout_of(&json)).expect("trends JSON parses");
     assert_eq!(doc.get("schema").and_then(|s| s.as_str()), Some("levioso-ledger-trends/1"));

@@ -54,7 +54,8 @@ fn telemetry_gate_never_perturbs_results_and_snapshots_are_stable() {
     let a = metrics::snapshot_text();
     let b = metrics::snapshot_text();
     assert_eq!(a, b, "idle registry snapshots must be byte-identical");
-    assert!(a.contains("\"schema\": \"levioso-metrics/1\""), "{a}");
+    assert!(a.contains("\"schema\": \"levioso-metrics/2\""), "{a}");
+    assert!(!a.contains("\"timers\""), "{a}");
 
     cellcache::configure(Cache::disabled());
     let _ = std::fs::remove_dir_all(&root);

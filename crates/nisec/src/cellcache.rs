@@ -23,7 +23,7 @@
 use crate::generator::SecretProgram;
 use crate::observer::{Divergence, Observer};
 use levioso_support::cache::{Cache, CacheReport};
-use levioso_support::{Json, TieredCache};
+use levioso_support::Json;
 use levioso_uarch::{core_fingerprint, CoreConfig};
 use std::sync::{OnceLock, RwLock};
 
@@ -31,37 +31,24 @@ use std::sync::{OnceLock, RwLock};
 /// layout change turns old cells into plain misses instead of parse errors.
 const CELL_FORMAT: u32 = 1;
 
-fn handle() -> &'static RwLock<TieredCache> {
-    static CACHE: OnceLock<RwLock<TieredCache>> = OnceLock::new();
+fn handle() -> &'static RwLock<Cache> {
+    static CACHE: OnceLock<RwLock<Cache>> = OnceLock::new();
     CACHE.get_or_init(|| {
         // Environment-configured process cache feeds the telemetry
         // registry under `{cache=nisec}`; `configure`d replacements
         // (tests, --no-cache) keep detached counters.
-        RwLock::new(TieredCache::plain(Cache::from_env(core_fingerprint())).with_metrics("nisec"))
+        RwLock::new(Cache::from_env(core_fingerprint()).with_metrics("nisec"))
     })
 }
 
-/// Replaces the process-global cache with a plain disk-only store (tests
-/// point it at a temp dir or disable it; `--no-cache` installs
-/// [`Cache::disabled`]). The serve loop opts into the in-memory hot tier
-/// via [`enable_hot_tier`].
+/// Replaces the process-global cache (tests point it at a temp dir or
+/// disable it; `--no-cache` installs [`Cache::disabled`]).
 pub fn configure(cache: Cache) {
-    configure_tiered(TieredCache::plain(cache));
-}
-
-/// Replaces the process-global cache with an explicit tier stack.
-pub fn configure_tiered(cache: TieredCache) {
     *handle().write().expect("nisec cell cache lock") = cache;
 }
 
-/// Layers a process-lifetime in-memory hot tier above the current disk
-/// cache (idempotent; keeps an existing tier's resident cells).
-pub fn enable_hot_tier() {
-    handle().write().expect("nisec cell cache lock").enable_hot_tier();
-}
-
 /// Runs `f` against the process-global cache.
-pub fn with<R>(f: impl FnOnce(&TieredCache) -> R) -> R {
+pub fn with<R>(f: impl FnOnce(&Cache) -> R) -> R {
     f(&handle().read().expect("nisec cell cache lock"))
 }
 

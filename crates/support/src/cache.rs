@@ -73,12 +73,8 @@ pub fn stable_hash_hex(bytes: &[u8]) -> String {
 /// Point-in-time snapshot of a cache's counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheReport {
-    /// Lookups served from any tier (disk, plus the in-memory hot tier
-    /// when one is layered above — see [`crate::memcache`]).
+    /// Lookups served from a valid stored envelope.
     pub hits: u64,
-    /// Subset of `hits` served from the in-memory hot tier without any
-    /// filesystem I/O. Always zero for a plain on-disk [`Cache`].
-    pub l1_hits: u64,
     /// Lookups that found nothing valid (cold, invalidated, collided).
     pub misses: u64,
     /// Subset of misses where an envelope existed but failed its
@@ -98,20 +94,12 @@ impl CacheReport {
     }
 
     /// One-line human summary: the hit/miss split CI logs and asserts on.
-    /// The hot-tier share appears only when one served lookups, so plain
-    /// disk-cache runs keep their historical summary line byte-for-byte.
     pub fn summary(&self, fingerprint: &str) -> String {
-        let hot = if self.l1_hits > 0 {
-            format!("{} from hot tier, ", self.l1_hits)
-        } else {
-            String::new()
-        };
         format!(
-            "sweep-cache: {} hits, {} misses, {} poisoned ({}{} lookups, fingerprint {})",
+            "sweep-cache: {} hits, {} misses, {} poisoned ({} lookups, fingerprint {})",
             self.hits,
             self.misses,
             self.poisoned,
-            hot,
             self.lookups(),
             fingerprint
         )
@@ -122,7 +110,7 @@ impl CacheReport {
 /// gets detached counters (private, per-instance — what every test and
 /// ad-hoc cache sees); [`Cache::with_metrics`] swaps in counters
 /// registered in the global telemetry registry, so the process-wide
-/// caches feed [`CacheReport`] and the `levioso-metrics/1` snapshot
+/// caches feed [`CacheReport`] and the `levioso-metrics/2` snapshot
 /// from the *same* atomics. `heals` (stores that replaced an existing
 /// envelope — the poison-recovery path) is telemetry-only and not part
 /// of [`CacheReport`].
@@ -138,14 +126,11 @@ struct Counters {
 
 impl Counters {
     /// Counters registered in the global registry under
-    /// `sweep_cache_*_total{cache=<domain>}`. Disk hits register as
-    /// `l2_hits`: the on-disk cache is the L2 tier under
-    /// [`crate::memcache::TieredCache`], and a standalone disk cache is
-    /// just an L2 with no L1 above it.
+    /// `sweep_cache_*_total{cache=<domain>}`.
     fn registered(domain: &str) -> Counters {
         let labels = [("cache", domain)];
         Counters {
-            hits: metrics::counter("sweep_cache_l2_hits_total", &labels),
+            hits: metrics::counter("sweep_cache_hits_total", &labels),
             misses: metrics::counter("sweep_cache_misses_total", &labels),
             poisoned: metrics::counter("sweep_cache_poisoned_total", &labels),
             stores: metrics::counter("sweep_cache_stores_total", &labels),
@@ -224,9 +209,8 @@ impl Cache {
     /// at construction of the process-wide caches). Registered counters
     /// are shared by identity: every cache bound to the same domain —
     /// and every [`CacheReport`] taken from one — reads the exact
-    /// atomics the `levioso-metrics/1` snapshot exports, which is what
-    /// lets a serve session's `status` snapshot reconcile against
-    /// per-response cache splits.
+    /// atomics the `levioso-metrics/2` snapshot exports, so the
+    /// `run-summary:` line and `METRICS_run.json` cannot disagree.
     pub fn with_metrics(mut self, domain: &str) -> Cache {
         self.counters = Arc::new(Counters::registered(domain));
         self
@@ -439,7 +423,6 @@ impl Cache {
         miss_labels.sort();
         CacheReport {
             hits: self.counters.hits.get(),
-            l1_hits: 0,
             misses: self.counters.misses.get(),
             poisoned: self.counters.poisoned.get(),
             stores: self.counters.stores.get(),
@@ -605,22 +588,12 @@ mod tests {
 
     #[test]
     fn summary_line_has_the_split() {
-        let report = CacheReport {
-            hits: 300,
-            l1_hits: 0,
-            misses: 16,
-            poisoned: 1,
-            stores: 16,
-            miss_labels: vec![],
-        };
-        let line = report.summary("core-v1");
-        assert!(line.starts_with("sweep-cache: 300 hits, 16 misses, 1 poisoned"), "{line}");
-        assert!(line.contains("core-v1"), "{line}");
-        assert!(!line.contains("hot tier"), "no hot-tier share without L1 hits: {line}");
-        let warm = CacheReport { l1_hits: 250, ..report };
-        let line = warm.summary("core-v1");
-        assert!(line.contains("250 from hot tier"), "{line}");
-        assert!(line.contains("316 lookups"), "{line}");
+        let report =
+            CacheReport { hits: 300, misses: 16, poisoned: 1, stores: 16, miss_labels: vec![] };
+        assert_eq!(
+            report.summary("core-v1"),
+            "sweep-cache: 300 hits, 16 misses, 1 poisoned (316 lookups, fingerprint core-v1)"
+        );
     }
 
     #[test]
@@ -636,7 +609,7 @@ mod tests {
         let r = cache.report();
         assert_eq!((r.hits, r.misses, r.stores), (1, 1, 2));
         // The report and the registry read the same atomics.
-        assert_eq!(metrics::counter_value("sweep_cache_l2_hits_total", &labels), 1);
+        assert_eq!(metrics::counter_value("sweep_cache_hits_total", &labels), 1);
         assert_eq!(metrics::counter_value("sweep_cache_misses_total", &labels), 1);
         assert_eq!(metrics::counter_value("sweep_cache_stores_total", &labels), 2);
         assert_eq!(metrics::counter_value("sweep_cache_heals_total", &labels), 1);

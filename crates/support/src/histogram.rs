@@ -16,16 +16,6 @@ use crate::json::Json;
 /// nonzero `u64`.
 pub const BUCKETS: usize = 65;
 
-/// The one log2 bucketing rule every histogram in the workspace uses:
-/// the bucket index `value` falls into — `0` for zero, otherwise the
-/// value's bit width. Monotonically non-decreasing in `value`. Both
-/// [`Histogram`] and the atomic mirror behind `metrics::Timer` route
-/// through this function, so their bucket boundaries can never drift
-/// apart.
-pub const fn bucket_index(value: u64) -> usize {
-    (u64::BITS - value.leading_zeros()) as usize
-}
-
 /// A fixed-size histogram with power-of-two bucket boundaries.
 ///
 /// Bucket `0` holds exactly the value `0`; bucket `k >= 1` holds values in
@@ -51,10 +41,10 @@ impl Histogram {
         Histogram { buckets: [0; BUCKETS], count: 0, sum: 0, max: 0 }
     }
 
-    /// The bucket index `value` falls into (delegates to the module-level
-    /// [`bucket_index`], the shared definition).
+    /// The bucket index `value` falls into: `0` for zero, otherwise the
+    /// value's bit width. Monotonically non-decreasing in `value`.
     pub const fn bucket_index(value: u64) -> usize {
-        bucket_index(value)
+        (u64::BITS - value.leading_zeros()) as usize
     }
 
     /// Inclusive lower bound of bucket `index`.
@@ -85,17 +75,6 @@ impl Histogram {
         } else {
             (1u64 << index) - 1
         }
-    }
-
-    /// Reassembles a histogram from raw bucket counts plus tracked sum
-    /// and max ([`crate::metrics`]'s atomic mirror snapshots through
-    /// this). The count is derived from the buckets, so the invariant
-    /// `count == Σ buckets` that [`Histogram::from_json`] enforces
-    /// holds by construction even if the source was mutating while the
-    /// buckets were read.
-    pub(crate) fn from_raw(buckets: [u64; BUCKETS], sum: u64, max: u64) -> Histogram {
-        let count = buckets.iter().fold(0u64, |acc, &n| acc.saturating_add(n));
-        Histogram { buckets, count, sum, max }
     }
 
     /// Records one sample.
@@ -237,10 +216,6 @@ mod tests {
 
     #[test]
     fn bucket_boundaries() {
-        // The method is a thin wrapper; pin both spellings to the same rule.
-        for v in [0, 1, 2, 3, 4, 1 << 20, u64::MAX] {
-            assert_eq!(Histogram::bucket_index(v), bucket_index(v));
-        }
         assert_eq!(Histogram::bucket_index(0), 0);
         assert_eq!(Histogram::bucket_index(1), 1);
         assert_eq!(Histogram::bucket_index(2), 2);

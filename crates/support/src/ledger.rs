@@ -5,21 +5,29 @@
 //! `METRICS_run.json` keeps only the last snapshot. The ledger is the
 //! longitudinal complement — one `levioso-ledger/1` JSON line per run,
 //! appended and never rewritten, so the perf trajectory (throughput,
-//! serve latency percentiles, cache splits, per-rule attribution) is a
-//! machine-readable series rather than a point-in-time snapshot. The
-//! `levhist` binary renders it and gates on it (see [`check_series`]).
+//! cache splits, per-rule attribution) is a machine-readable series
+//! rather than a point-in-time snapshot. The `levhist` binary renders it
+//! and gates on it (see [`check_series`]).
+//!
+//! ## Records written by the removed warm server
+//!
+//! Older ledgers also hold `source: serve` records, appended by a warm
+//! sweep server this repository no longer has. They carry per-selector
+//! request-latency digests ([`LatencySummary`]) and a nonzero in-memory
+//! hit count ([`CacheTotals::l1_hits`]). The format keeps both fields so
+//! that history still loads and its latency series still render and
+//! gate; new records write `latency` as `{}` and `l1_hits` as 0.
 //!
 //! ## Append atomicity
 //!
 //! JSONL has no in-place atomic append on POSIX short of `O_APPEND`
-//! bookkeeping; instead [`append`] reuses the `jobdir` tmp+rename idiom:
-//! read the existing file, add one line, write the whole thing to a
-//! unique `.tmp-<pid>-<seq>` sibling, `rename` over the original. A
-//! reader therefore always sees a complete file — either without or
-//! with the new record, never a torn line. The ledger assumes a single
-//! writer at a time (runs are sequential; the serve loop appends once,
-//! at shutdown); concurrent writers would lose one record, not corrupt
-//! the file.
+//! bookkeeping; instead [`append`] uses tmp+rename: read the existing
+//! file, add one line, write the whole thing to a unique
+//! `.tmp-<pid>-<seq>` sibling, `rename` over the original. A reader
+//! therefore always sees a complete file — either without or with the
+//! new record, never a torn line. The ledger assumes a single writer at
+//! a time (runs are sequential); concurrent writers would lose one
+//! record, not corrupt the file.
 //!
 //! ## The regression sentinel's robust baseline
 //!
@@ -39,7 +47,6 @@
 //! (`levhist --check` exits nonzero) so a fresh clone cannot pass by
 //! having no history.
 
-use crate::histogram::Histogram;
 use crate::json::Json;
 use std::io;
 use std::path::Path;
@@ -73,16 +80,20 @@ pub const THROUGHPUT_REL_FLOOR: f64 = 0.35;
 /// --inject-regression`, which quarters throughput) deterministic.
 pub const THROUGHPUT_REL_CEIL: f64 = 0.5;
 
-/// Relative tolerance floor for lower-is-better (latency) series.
-/// Wider than the throughput floor: serve latencies come from log2
-/// histogram upper bounds, whose quantization alone is a 2x step.
+/// Relative tolerance floor for lower-is-better (latency) series, which
+/// only records from the removed warm server carry. Wider than the
+/// throughput floor: their latencies are log2 histogram upper bounds,
+/// whose quantization alone is a 2x step.
 pub const LATENCY_REL_FLOOR: f64 = 1.0;
 
 /// Relative tolerance ceiling for latency series: a 3x inflation of the
 /// baseline median always trips, whatever the observed noise.
 pub const LATENCY_REL_CEIL: f64 = 2.0;
 
-/// Per-selector latency digest carried by serve-shutdown records.
+/// Per-selector request-latency digest carried by the `source: serve`
+/// records of the removed warm server. Still parsed, re-emitted and
+/// turned into series so that older ledgers load and gate unchanged; no
+/// current writer produces one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LatencySummary {
     /// Requests recorded for this selector.
@@ -96,16 +107,6 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Digests a microsecond-valued histogram.
-    pub fn of(h: &Histogram) -> LatencySummary {
-        LatencySummary {
-            count: h.count(),
-            p50_micros: h.quantile_hi(0.50),
-            p95_micros: h.quantile_hi(0.95),
-            p99_micros: h.quantile_hi(0.99),
-        }
-    }
-
     fn to_json(self) -> Json {
         Json::obj([
             ("count", Json::Str(self.count.to_string())),
@@ -130,7 +131,8 @@ impl LatencySummary {
 /// combined, the same split the `run-summary:` line prints).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheTotals {
-    /// In-memory hot-tier hits.
+    /// Hits from the removed warm server's in-memory tier: nonzero only
+    /// in its `source: serve` records, written as 0 by current runs.
     pub l1_hits: u64,
     /// On-disk cell-cache hits.
     pub l2_hits: u64,
@@ -154,8 +156,8 @@ pub struct AttribTotal {
 /// One run, as one ledger line.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Record {
-    /// What appended this record: a binary name (`fig2_overhead`, `all`)
-    /// or `serve` for the serve loop's shutdown record.
+    /// What appended this record: a binary name (`fig2_overhead`, `all`),
+    /// or `serve` in records the removed warm server wrote at shutdown.
     pub source: String,
     /// The `CORE_REV` fingerprint of the simulator that ran.
     pub fingerprint: String,
@@ -179,15 +181,15 @@ pub struct Record {
     pub cells_per_busy_sec: f64,
     /// Cumulative cache split (both cell caches).
     pub cache: CacheTotals,
-    /// Per-selector serve latency digests, sorted by selector; empty for
-    /// non-serve runs.
+    /// Per-selector serve latency digests, sorted by selector; empty in
+    /// every record but the removed warm server's.
     pub latency: Vec<(String, LatencySummary)>,
     /// Per-rule blamed-cycle totals, sorted by (scheme, rule); empty
     /// when the run did no attribution.
     pub attrib: Vec<AttribTotal>,
-    /// Content hash of the run's final `levioso-metrics/1` snapshot
-    /// text, tying the summary numbers above to the full snapshot that
-    /// produced them.
+    /// Content hash of the run's final metrics snapshot text (the bytes
+    /// of `METRICS_run.json`), tying the summary numbers above to the
+    /// full snapshot that produced them.
     pub metrics_digest: String,
 }
 
@@ -434,7 +436,8 @@ impl Series {
 ///   cache-warm run contributes no throughput sample, the same honesty
 ///   rule `perfcheck` enforces on the snapshot);
 /// * `serve_p50_micros/<selector>` and `serve_p95_micros/<selector>`
-///   (lower is better) from each record's latency digests.
+///   (lower is better) from each record's latency digests (present only
+///   in records the removed warm server wrote).
 ///
 /// Series order is deterministic (sorted by key); point order is ledger
 /// order.

@@ -14,10 +14,8 @@
 //! | [`bench`] | `criterion` | a wall-clock benchmark runner with a compatible surface |
 //! | [`pool`] | `rayon` | a work-stealing worker pool with order-stable, panic-transparent fan-out |
 //! | [`cache`] | — | a content-addressed on-disk cell cache for incremental sweeps |
-//! | [`memcache`] | — | an in-memory hot tier layered above [`cache`] for warm server processes |
-//! | [`jobdir`] | — | the job-directory request/response protocol for `all --serve` |
 //! | [`histogram`] | `hdrhistogram` | fixed-footprint log2-bucketed latency histograms |
-//! | [`metrics`] | `prometheus` | lock-free counters/gauges/timers with deterministic JSON snapshots |
+//! | [`metrics`] | `prometheus` | lock-free counters and gauges with deterministic JSON snapshots |
 //! | [`ledger`] | — | the append-only per-run perf ledger and its regression sentinel |
 //!
 //! All randomness is deterministic: the same seed always reproduces the
@@ -31,10 +29,8 @@ pub mod bench;
 pub mod cache;
 pub mod check;
 pub mod histogram;
-pub mod jobdir;
 pub mod json;
 pub mod ledger;
-pub mod memcache;
 pub mod metrics;
 pub mod pool;
 pub mod rng;
@@ -44,7 +40,6 @@ pub use cache::{Cache, CacheReport};
 pub use check::{Config, Gen};
 pub use histogram::Histogram;
 pub use json::{Json, JsonError};
-pub use memcache::TieredCache;
 pub use metrics::Registry;
 pub use pool::Pool;
 pub use rng::{Rng, SplitMix64, Xoshiro256pp};

@@ -1,30 +1,29 @@
-//! Process-global, lock-free metrics registry for fleet telemetry.
+//! Process-global, lock-free metrics registry for run telemetry.
 //!
-//! The serving stack (work-stealing pool, tiered sweep cache, warm job
-//! directory server) makes performance claims — warm serves cost ~6% of
-//! cold, warm hits do zero I/O, every throughput sample comes from a
-//! fresh cell. Each claim should be backed by an inspectable,
-//! schema-versioned telemetry stream rather than ad-hoc log lines. This
-//! module is that stream's source of truth:
+//! The sweep layer (work-stealing pool, sweep-cell caches, throughput
+//! meter) makes claims — how many cells a run computed, how many it
+//! read from the cache, that every throughput sample comes from a fresh
+//! cell. Each claim should be backed by an inspectable, schema-versioned
+//! telemetry stream rather than ad-hoc log lines. This module is that
+//! stream's source of truth:
 //!
-//! * **Instruments** — [`Counter`] (monotonic `u64`), [`Gauge`] (signed
-//!   level with a `set_max` high-water mode), and [`Timer`] (a log2
-//!   [`Histogram`] mirror with lock-free recording). All are cheap
+//! * **Instruments** — [`Counter`] (monotonic `u64`) and [`Gauge`]
+//!   (signed level with a `set_max` high-water mode). Both are cheap
 //!   `Arc`-backed handles over atomics: registration takes the registry
-//!   lock once, after which every `inc`/`add`/`record` is a relaxed
-//!   atomic op — no locks on the hot path.
+//!   lock once, after which every `inc`/`add`/`set` is a relaxed atomic
+//!   op — no locks on the hot path.
 //! * **Identity** — an instrument is named by `name{key=value,...}` with
 //!   labels sorted by key, so the same (name, labels) pair always
 //!   resolves to the same underlying atomic no matter where or in what
 //!   order it is requested.
 //! * **Snapshot** — [`snapshot`] renders the whole registry as a
-//!   `levioso-metrics/1` JSON document with every map sorted by key.
+//!   `levioso-metrics/2` JSON document with every map sorted by key.
 //!   Two snapshots of an idle registry are byte-identical, so the
 //!   document can be diffed, pinned, and parsed by shell scripts.
 //! * **Switch** — `LEVIOSO_METRICS=off` (or `0`) disables the *optional*
 //!   instrumentation: call sites that exist purely for telemetry (pool
-//!   timing, serve request counters/timers) consult [`enabled`] and skip
-//!   their clock reads and atomic bumps. Load-bearing counters — the
+//!   timing) consult [`enabled`] and skip their clock reads and atomic
+//!   bumps. Load-bearing counters — the
 //!   sweep-cache counters behind [`crate::cache::CacheReport`] and the
 //!   throughput meter — always count, because correctness reports are
 //!   derived from them; the switch only sheds the pure-overhead hooks
@@ -34,17 +33,16 @@
 //! friends): the same atomic handle type, but private to its owner and
 //! absent from the global snapshot. `support::cache` uses detached
 //! counters for ad-hoc instances (tests, `--no-cache`) and registered
-//! ones for the process-wide caches, so per-instance reports and fleet
+//! ones for the process-wide caches, so per-instance reports and run
 //! telemetry share one implementation.
 
-use crate::histogram::{bucket_index, Histogram, BUCKETS};
 use crate::json::Json;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Schema identifier of the snapshot document.
-pub const SCHEMA: &str = "levioso-metrics/1";
+pub const SCHEMA: &str = "levioso-metrics/2";
 
 // ---------------------------------------------------------------------------
 // Enabled switch
@@ -185,79 +183,6 @@ impl Gauge {
     }
 }
 
-/// Shared lock-free mirror of a [`Histogram`]: 65 atomic log2 buckets
-/// plus tracked sum and max. The sample count is derived from the
-/// buckets at snapshot time, so a snapshot taken mid-record can never
-/// produce a count/bucket inconsistency (which
-/// [`Histogram::from_json`] would reject).
-#[derive(Debug)]
-struct AtomicHistogram {
-    buckets: [AtomicU64; BUCKETS],
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl AtomicHistogram {
-    fn new() -> AtomicHistogram {
-        AtomicHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, value: u64) {
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> Histogram {
-        let buckets = std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
-        Histogram::from_raw(
-            buckets,
-            self.sum.load(Ordering::Relaxed),
-            self.max.load(Ordering::Relaxed),
-        )
-    }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A latency/duration recorder backed by an [`AtomicHistogram`]. Units
-/// are the caller's choice and should be part of the instrument name
-/// (e.g. `serve_request_micros`).
-#[derive(Debug, Clone)]
-pub struct Timer(Arc<AtomicHistogram>);
-
-impl Timer {
-    /// Creates a timer outside any registry (see [`Counter::detached`]).
-    pub fn detached() -> Timer {
-        Timer(Arc::new(AtomicHistogram::new()))
-    }
-
-    /// Records one sample.
-    pub fn record(&self, value: u64) {
-        self.0.record(value);
-    }
-
-    /// Materialises the current distribution as a [`Histogram`].
-    pub fn snapshot(&self) -> Histogram {
-        self.0.snapshot()
-    }
-
-    /// Resets to empty.
-    pub fn reset(&self) {
-        self.0.reset();
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
@@ -266,7 +191,6 @@ impl Timer {
 enum Metric {
     Counter(Counter),
     Gauge(Gauge),
-    Timer(Timer),
 }
 
 impl Metric {
@@ -274,7 +198,6 @@ impl Metric {
         match self {
             Metric::Counter(_) => "counter",
             Metric::Gauge(_) => "gauge",
-            Metric::Timer(_) => "timer",
         }
     }
 }
@@ -282,7 +205,7 @@ impl Metric {
 /// A named collection of instruments.
 ///
 /// Most code uses the process-global registry through the module-level
-/// functions ([`counter`], [`gauge`], [`timer`], [`snapshot`]);
+/// functions ([`counter`], [`gauge`], [`snapshot`]);
 /// `Registry` is also constructible standalone so tests can exercise
 /// snapshot determinism without cross-test interference.
 #[derive(Debug, Default)]
@@ -366,15 +289,6 @@ impl Registry {
         }
     }
 
-    /// Returns the timer registered under `(name, labels)` (see
-    /// [`Registry::counter`] for identity and panic rules).
-    pub fn timer(&self, name: &str, labels: &[(&str, &str)]) -> Timer {
-        match self.get_or_insert(name, labels, || Metric::Timer(Timer::detached())) {
-            Metric::Timer(t) => t,
-            other => panic!("metric {} is a {}, not a timer", identity(name, labels), other.kind()),
-        }
-    }
-
     /// Current value of a registered counter; 0 if never registered.
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
         let id = identity(name, labels);
@@ -384,17 +298,7 @@ impl Registry {
         }
     }
 
-    /// Distribution of a registered timer; `None` if never registered.
-    pub fn timer_snapshot(&self, name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
-        let id = identity(name, labels);
-        let metric = self.metrics.lock().expect("metrics registry poisoned").get(&id).cloned();
-        match metric {
-            Some(Metric::Timer(t)) => Some(t.snapshot()),
-            _ => None,
-        }
-    }
-
-    /// Renders the registry as a `levioso-metrics/1` JSON document.
+    /// Renders the registry as a `levioso-metrics/2` JSON document.
     ///
     /// Deterministic by construction: identities are iterated in
     /// `BTreeMap` (byte-sorted) order, `u64` quantities are decimal
@@ -405,22 +309,10 @@ impl Registry {
         let map = self.metrics.lock().expect("metrics registry poisoned");
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
-        let mut timers = Vec::new();
         for (id, metric) in map.iter() {
             match metric {
                 Metric::Counter(c) => counters.push((id.clone(), Json::Str(c.get().to_string()))),
                 Metric::Gauge(g) => gauges.push((id.clone(), Json::I64(g.get()))),
-                Metric::Timer(t) => {
-                    let h = t.snapshot();
-                    let mut obj = match h.to_json() {
-                        Json::Obj(pairs) => pairs,
-                        _ => unreachable!("Histogram::to_json always emits an object"),
-                    };
-                    for (key, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-                        obj.push((key.to_string(), Json::Str(h.quantile_hi(q).to_string())));
-                    }
-                    timers.push((id.clone(), Json::Obj(obj)));
-                }
             }
         }
         Json::Obj(vec![
@@ -428,7 +320,6 @@ impl Registry {
             ("enabled".to_string(), Json::Bool(enabled())),
             ("counters".to_string(), Json::Obj(counters)),
             ("gauges".to_string(), Json::Obj(gauges)),
-            ("timers".to_string(), Json::Obj(timers)),
         ])
     }
 
@@ -439,7 +330,6 @@ impl Registry {
             match metric {
                 Metric::Counter(c) => c.reset(),
                 Metric::Gauge(g) => g.reset(),
-                Metric::Timer(t) => t.reset(),
             }
         }
     }
@@ -461,19 +351,9 @@ pub fn gauge(name: &str, labels: &[(&str, &str)]) -> Gauge {
     global().gauge(name, labels)
 }
 
-/// [`Registry::timer`] on the global registry.
-pub fn timer(name: &str, labels: &[(&str, &str)]) -> Timer {
-    global().timer(name, labels)
-}
-
 /// [`Registry::counter_value`] on the global registry.
 pub fn counter_value(name: &str, labels: &[(&str, &str)]) -> u64 {
     global().counter_value(name, labels)
-}
-
-/// [`Registry::timer_snapshot`] on the global registry.
-pub fn timer_snapshot(name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
-    global().timer_snapshot(name, labels)
 }
 
 /// [`Registry::snapshot`] on the global registry.
@@ -482,8 +362,7 @@ pub fn snapshot() -> Json {
 }
 
 /// The global snapshot pretty-printed with a trailing newline — the
-/// exact bytes of `results/METRICS_run.json` and of the `status`
-/// selector's `metrics` field.
+/// exact bytes of `results/METRICS_run.json`.
 pub fn snapshot_text() -> String {
     let mut text = snapshot().emit_pretty();
     text.push('\n');
@@ -503,7 +382,7 @@ mod tests {
         }
         assert!(std::panic::catch_unwind(|| identity("ok", &[("k", "a,b")])).is_err());
         assert!(std::panic::catch_unwind(|| identity("ok", &[("k", "")])).is_err());
-        // Parenthesised sentinel values (e.g. selector="(unknown)") are fine.
+        // Parenthesised sentinel values are fine.
         assert_eq!(identity("ok", &[("k", "(unknown)")]), "ok{k=(unknown)}");
     }
 
@@ -548,31 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn timer_snapshot_matches_plain_histogram() {
-        let t = Timer::detached();
-        let mut h = Histogram::new();
-        for v in [0u64, 3, 3, 10, 1 << 40] {
-            t.record(v);
-            h.record(v);
-        }
-        assert_eq!(t.snapshot(), h);
-        // The snapshot JSON round-trips through Histogram::from_json even
-        // with the percentile fields appended.
-        let r = Registry::new();
-        let reg = r.timer("lat_micros", &[]);
-        for v in [1u64, 2, 4] {
-            reg.record(v);
-        }
-        let snap = r.snapshot();
-        let doc = snap.get("timers").and_then(|t| t.get("lat_micros")).unwrap();
-        let back = Histogram::from_json(doc).unwrap();
-        assert_eq!(back.count(), 3);
-        // quantile_hi reports the containing bucket's upper bound: the
-        // median sample 2 lands in bucket [2,3].
-        assert_eq!(doc.get("p50").and_then(Json::as_str), Some("3"));
-    }
-
-    #[test]
     fn snapshot_is_deterministic_and_registration_order_independent() {
         let make = |flip: bool| {
             let r = Registry::new();
@@ -584,7 +438,6 @@ mod tests {
                 r.counter(name, labels).add((i + 1) as u64);
             }
             r.gauge("depth", &[]).set(-2);
-            r.timer("lat", &[]).record(7);
             r.snapshot().emit_pretty()
         };
         let a = make(false);

@@ -63,12 +63,14 @@ impl Pool {
     }
 
     /// A pool sized by the `LEVIOSO_THREADS` environment variable, falling
-    /// back to the machine's available parallelism (and then to 1).
+    /// back to the machine's available parallelism (and then to 1) when
+    /// it is unset or empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other value that is not a positive integer.
     pub fn from_env() -> Self {
-        let threads = std::env::var("LEVIOSO_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
+        let threads = parse_threads(std::env::var("LEVIOSO_THREADS").ok().as_deref())
             .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
         Pool::new(threads)
     }
@@ -296,6 +298,23 @@ impl Default for Pool {
     }
 }
 
+/// Parses a `LEVIOSO_THREADS` value: unset or empty means "not set"
+/// (`None`), a positive integer is the worker count. Anything else
+/// panics — `0`, `-3` or `abc` silently using every core would change
+/// what a timed run measures (same contract as `LEVIOSO_METRICS` and
+/// `LEVIOSO_SWEEP_CACHE`).
+fn parse_threads(value: Option<&str>) -> Option<usize> {
+    match value {
+        None | Some("") => None,
+        Some(v) => match v.parse::<usize>() {
+            Ok(n) if n > 0 => Some(n),
+            _ => panic!(
+                "unknown LEVIOSO_THREADS value {v:?}: expected unset, empty, or a positive integer"
+            ),
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,6 +377,17 @@ mod tests {
         let queues = deal(4, &costs, 1);
         let q: Vec<usize> = queues[0].lock().unwrap().iter().copied().collect();
         assert_eq!(q, vec![2, 3, 0, 1]);
+    }
+
+    #[test]
+    fn threads_env_parsing_is_strict() {
+        assert_eq!(parse_threads(None), None);
+        assert_eq!(parse_threads(Some("")), None);
+        assert_eq!(parse_threads(Some("1")), Some(1));
+        assert_eq!(parse_threads(Some("12")), Some(12));
+        for bad in ["0", "-3", "abc", " 2", "2.0"] {
+            assert!(std::panic::catch_unwind(|| parse_threads(Some(bad))).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -35,7 +35,8 @@
 #                         speculation masks
 #     throughput check:   perfcheck validates the snapshot the golden gate
 #                         just wrote, including that busy-time samples came
-#                         only from freshly computed cells
+#                         only from freshly computed cells, and the
+#                         levioso-metrics/2 schema of METRICS_run.json
 #     trace smoke:        levitrace traces one smoke cell, proving blame
 #                         conservation + JSON round-trip
 #     noninterference:    table4_noninterference fuzzes every scheme with
@@ -45,19 +46,6 @@
 #                         hit/miss lines (all misses under --no-cache) — a
 #                         run that silently stopped reporting the split
 #                         would hide cache rot
-#     serve smoke:        starts `all --smoke --serve` once, submits the
-#                         smoke golden check twice via levq, and asserts
-#                         the second response is answered entirely from
-#                         the in-memory hot tier (nonzero l1_hits, zero
-#                         disk reads, zero recomputes) with report bytes
-#                         identical to the first; both request latencies
-#                         land in target/ci_timing.json. While the server
-#                         is still warm, `levtop --once --json` captures a
-#                         status snapshot (target/ci_levtop.json) whose
-#                         registry counters must reconcile exactly with
-#                         the summed per-response cache splits, and the
-#                         mirrored METRICS_run.json must carry the
-#                         levioso-metrics/1 schema tag
 #     run ledger:         one measured smoke run appends this commit's
 #                         levioso-ledger/1 record to results/ledger.jsonl
 #                         (persisted across CI runs by the workflow cache),
@@ -154,102 +142,10 @@ step_noninterference() {
     --smoke --quiet --no-cache
 }
 
-step_serve_smoke() {
-  local jobs=target/ci_jobs resdir=target/ci_serve_results
-  rm -rf "$jobs" "$resdir"
-  cargo build -q --release --offline -p levioso-bench
-  LEVIOSO_RESULTS_DIR="$resdir" target/release/all --smoke --serve "$jobs" \
-    2> target/ci_serve_server.log &
-  local server=$!
-  # Wait until the server is polling: a request written before its start
-  # would be skipped as stale by design.
-  local i
-  for i in $(seq 1 100); do [[ -d "$jobs" ]] && break; sleep 0.1; done
-  sleep 0.5
-  local id
-  for id in ci-cold ci-warm; do
-    if ! target/release/levq "$jobs" check --smoke --id "$id" --timeout-secs 300 \
-        > "target/ci_serve_$id.out" 2> "target/ci_serve_$id.err"; then
-      kill "$server" 2>/dev/null || true
-      echo "ERROR: served check request $id failed:" >&2
-      cat "target/ci_serve_$id.err" >&2
-      exit 1
-    fi
-  done
-  # Introspection while the server is still warm: one status snapshot via
-  # the dashboard's scripting mode.
-  if ! target/release/levtop "$jobs" --smoke --once --json --timeout-secs 60 \
-      > target/ci_levtop.json 2> target/ci_levtop.err; then
-    kill "$server" 2>/dev/null || true
-    echo "ERROR: serve smoke: levtop --once --json failed:" >&2
-    cat target/ci_levtop.err >&2
-    exit 1
-  fi
-  if ! target/release/levq "$jobs" shutdown --id ci-bye --timeout-secs 60 >/dev/null 2>&1; then
-    kill "$server" 2>/dev/null || true
-    echo "ERROR: serve smoke: shutdown request failed" >&2
-    exit 1
-  fi
-  if ! wait "$server"; then
-    echo "ERROR: serve smoke: server exited nonzero (see target/ci_serve_server.log)" >&2
-    exit 1
-  fi
-  if ! cmp -s target/ci_serve_ci-cold.out target/ci_serve_ci-warm.out; then
-    echo "ERROR: serve smoke: warm report bytes differ from the cold report" >&2
-    exit 1
-  fi
-  local warm_line
-  warm_line=$(grep -E '^levq: id=ci-warm' target/ci_serve_ci-warm.err)
-  echo "    warm request: $warm_line"
-  if ! grep -qE 'l1_hits=[1-9][0-9]* l2_hits=0 misses=0' <<< "$warm_line"; then
-    echo "ERROR: serve smoke: warm request was not answered entirely from the memory tier" >&2
-    exit 1
-  fi
-  # Fold both request latencies into the timing report (fractional seconds,
-  # straight from the responses' wall_seconds).
-  local cold_s warm_s
-  cold_s=$(sed -nE 's/^levq: id=ci-cold .*wall_seconds=([0-9.]+).*/\1/p' target/ci_serve_ci-cold.err)
-  warm_s=$(sed -nE 's/^levq: id=ci-warm .*wall_seconds=([0-9.]+).*/\1/p' target/ci_serve_ci-warm.err)
-  step_names+=("serve smoke: cold levq check" "serve smoke: warm levq check")
-  step_seconds+=("${cold_s:-0}" "${warm_s:-0}")
-  # The status snapshot's registry counters and the per-response splits
-  # are the same atomics: the cumulative bench-cache counters must equal
-  # the cold+warm splits summed, or the telemetry is lying.
-  local reg_l1 reg_l2 reg_miss
-  reg_l1=$(sed -nE 's/.*"sweep_cache_l1_hits_total\{cache=bench\}": "([0-9]+)".*/\1/p' target/ci_levtop.json)
-  reg_l2=$(sed -nE 's/.*"sweep_cache_l2_hits_total\{cache=bench\}": "([0-9]+)".*/\1/p' target/ci_levtop.json)
-  reg_miss=$(sed -nE 's/.*"sweep_cache_misses_total\{cache=bench\}": "([0-9]+)".*/\1/p' target/ci_levtop.json)
-  if [[ -z "$reg_l1" || -z "$reg_l2" || -z "$reg_miss" ]]; then
-    echo "ERROR: serve smoke: status snapshot is missing the bench cache counters" >&2
-    exit 1
-  fi
-  local sum_l1=0 sum_l2=0 sum_miss=0 f
-  for f in target/ci_serve_ci-cold.err target/ci_serve_ci-warm.err; do
-    sum_l1=$((sum_l1 + $(sed -nE 's/.* l1_hits=([0-9]+).*/\1/p' "$f")))
-    sum_l2=$((sum_l2 + $(sed -nE 's/.* l2_hits=([0-9]+).*/\1/p' "$f")))
-    sum_miss=$((sum_miss + $(sed -nE 's/.* misses=([0-9]+).*/\1/p' "$f")))
-  done
-  if [[ "$reg_l1" -ne "$sum_l1" || "$reg_l2" -ne "$sum_l2" || "$reg_miss" -ne "$sum_miss" ]]; then
-    echo "ERROR: serve smoke: status snapshot (l1=$reg_l1 l2=$reg_l2 miss=$reg_miss) does not" >&2
-    echo "       reconcile with the summed response splits (l1=$sum_l1 l2=$sum_l2 miss=$sum_miss)" >&2
-    exit 1
-  fi
-  echo "    status snapshot reconciles: l1=$reg_l1 l2=$reg_l2 misses=$reg_miss"
-  # Every served request refreshes the metrics mirror; it must be there
-  # and schema-tagged.
-  if ! grep -q '"schema": "levioso-metrics/1"' "$resdir/METRICS_run.json"; then
-    echo "ERROR: serve smoke: $resdir/METRICS_run.json missing or not schema-tagged" >&2
-    exit 1
-  fi
-  # The server's results snapshots (cumulative throughput split + the
-  # latency book + the metrics mirror) must satisfy perfcheck too.
-  LEVIOSO_RESULTS_DIR="$resdir" target/release/perfcheck
-}
-
 # Run ledger + sentinel. Every measured run in this script has already
-# appended a levioso-ledger/1 record to results/ledger.jsonl (the golden
-# gate when its cells computed fresh, the serve session at shutdown into
-# its own results dir); here the trajectory is gated:
+# appended a levioso-ledger/1 record to results/ledger.jsonl (both
+# golden-gate tiers and the noninterference gate); here the trajectory
+# is gated:
 #
 #   1. append one fresh measured smoke run for *this* commit — the
 #      sentinel judges the newest point, so the candidate must be ours;
@@ -343,7 +239,6 @@ if [[ "$mode" == "test" || "$mode" == "all" ]]; then
   run_step "trace smoke: levitrace conservation + round-trip on one cell" step_trace_smoke
   run_step "noninterference gate: two-run fuzz of every scheme, smoke tier" step_noninterference
   run_step "golden gate reported its cache hit/miss split" step_cache_split
-  run_step "serve smoke: warm server answers the second check from memory" step_serve_smoke
   run_step "run ledger: levhist sentinel + injected-regression negative test" step_ledger_sentinel
 fi
 

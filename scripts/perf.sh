@@ -26,7 +26,7 @@
 #               (enabled). Neither run attaches a trace sink. The delta is
 #               the *enabled-but-idle registry* cost — per-job clock reads
 #               and per-cell counter updates — bounded at 1% (DESIGN.md
-#               §13).
+#               §12).
 #   --ab-trace  the trace hooks. Run A is bare, run B attaches the no-op
 #               sink to every cell (LEVIOSO_TRACE=null); metrics stay at
 #               their default in both. The delta is the *hooked-but-idle*
