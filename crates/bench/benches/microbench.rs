@@ -40,8 +40,8 @@ fn scheme_throughput(c: &mut Bench) {
 
 /// The scheduler core loop in isolation: fixed kernels under one fixed
 /// scheme, reported as host wall-clock per simulated megacycle (the number
-/// the PR-level throughput trajectory in `results/BENCH_sim_throughput.json`
-/// tracks at sweep granularity). Each kernel leans on one mechanism:
+/// perfbench's `uarch.ns_per_cycle` tracks at sweep granularity; see
+/// `perfbench/README.md`). Each kernel leans on one mechanism:
 /// `filter_scan` is branch- and load-heavy; `histogram` keeps the store
 /// queue full of read-modify-write stores whose addresses wait on loads,
 /// so its loads wait parked on an older store instead of being re-decided

@@ -303,19 +303,6 @@ pub fn attribution_report(
         }
         out.push((scheme, agg));
     }
-    // Mirror the per-rule totals into the telemetry registry so the end-
-    // of-run ledger record can carry them (see `crate::ledger`).
-    if levioso_support::metrics::enabled() {
-        for (scheme, stats) in &out {
-            for (rule, rs) in &stats.rules {
-                levioso_support::metrics::counter(
-                    "attrib_blamed_cycles_total",
-                    &[("rule", rule), ("scheme", scheme.name())],
-                )
-                .add(rs.cycles);
-            }
-        }
-    }
     out
 }
 

@@ -9,16 +9,13 @@
 //! ```
 //!
 //! All simulation cells fan out across the sweep pool; results are
-//! bit-identical at any thread count. Every mode additionally writes the
-//! simulator throughput snapshot to `results/BENCH_sim_throughput.json`
-//! (see `levioso_bench::throughput`), preserving any recorded `baseline`
-//! object so the before/after trajectory survives regeneration, and
-//! mirrors the final telemetry snapshot (`levioso-metrics/2`, see
-//! `levioso_support::metrics`) to `results/METRICS_run.json`.
+//! bit-identical at any thread count. Every mode ends by printing the
+//! simulator throughput of the cells it computed to stderr (see
+//! `levioso_bench::throughput`).
 #[path = "../util.rs"]
 mod util;
 
-use levioso_bench::{cellcache, gate, Sweep, Tier};
+use levioso_bench::{cellcache, gate, throughput, Sweep, Tier};
 use std::time::Instant;
 
 fn main() {
@@ -48,9 +45,7 @@ fn main() {
 
     if opts.check || opts.bless {
         let code = gate_mode(&sweep, tier, opts.check, start);
-        write_throughput(&sweep, tier, start);
-        write_metrics();
-        append_ledger(&sweep, tier, start);
+        print_throughput();
         std::process::exit(code);
     }
 
@@ -67,27 +62,8 @@ fn main() {
     util::emit(&opts, "table3_annotation", &t.render(), None);
     util::emit_attrib(&opts, &sweep, "overhead", &levioso_core::Scheme::HEADLINE);
     print_cache_summary(false);
-    write_throughput(&sweep, tier, start);
-    write_metrics();
-    append_ledger(&sweep, tier, start);
+    print_throughput();
     eprintln!("==> regenerated everything in {:.1}s", start.elapsed().as_secs_f64());
-}
-
-/// Appends this run's record to `results/ledger.jsonl` — the
-/// longitudinal counterpart of the snapshot files above (rendered and
-/// gated by `levhist`).
-fn append_ledger(sweep: &Sweep, tier: Tier, start: Instant) {
-    levioso_bench::ledger::append_run("all", tier, sweep.threads(), start.elapsed().as_secs_f64());
-}
-
-/// Mirrors the final registry snapshot to `results/METRICS_run.json`.
-fn write_metrics() {
-    let path = util::results_dir().join("METRICS_run.json");
-    if let Err(e) = std::fs::create_dir_all(util::results_dir())
-        .and_then(|()| std::fs::write(&path, levioso_support::metrics::snapshot_text()))
-    {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
 }
 
 /// Prints the sweep-cache hit/miss split (the line `scripts/ci.sh` asserts
@@ -153,38 +129,17 @@ fn gate_mode(sweep: &Sweep, tier: Tier, check: bool, start: Instant) -> i32 {
     }
 }
 
-/// Writes `results/BENCH_sim_throughput.json` from the global meter,
-/// carrying over the `baseline` object of an existing file (if any) so the
-/// recorded before/after comparison survives every regeneration.
-fn write_throughput(sweep: &Sweep, tier: Tier, start: Instant) {
-    let t = sweep.throughput();
-    let path = util::results_dir().join("BENCH_sim_throughput.json");
-    let baseline = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|old| util::json_object_field(&old, "baseline"));
-    let json = util::throughput_json(
-        &t,
-        tier,
-        sweep.threads(),
-        start.elapsed().as_secs_f64(),
-        &cellcache::report(),
-        cellcache::enabled(),
-        baseline.as_deref(),
-    );
-    if let Err(e) =
-        std::fs::create_dir_all(util::results_dir()).and_then(|()| std::fs::write(&path, json))
-    {
-        eprintln!("warning: could not write {}: {e}", path.display());
-        return;
-    }
+/// Prints the `==> sim throughput:` line from the global meter
+/// (`scripts/perf.sh --ab-trace` reads its cells/busy-sec figure).
+fn print_throughput() {
+    let t = throughput::snapshot();
     eprintln!(
         "==> sim throughput: {} cells, {:.1} simulated Mcycles in {:.1}s busy \
-         ({:.0} kilocycles/busy-sec, {:.2} cells/busy-sec) -> {}",
+         ({:.0} kilocycles/busy-sec, {:.2} cells/busy-sec)",
         t.cells,
         t.sim_cycles as f64 / 1e6,
         t.busy_seconds(),
         t.kilocycles_per_busy_sec(),
         t.cells_per_busy_sec(),
-        path.display()
     );
 }

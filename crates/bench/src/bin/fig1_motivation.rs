@@ -9,5 +9,5 @@ fn main() {
     let f = levioso_bench::motivation_figure(&sweep, opts.tier.scale());
     util::emit(&opts, "fig1_motivation", &f.render(), Some(f.to_json()));
     util::emit_attrib(&opts, &sweep, "fig1_motivation", &[levioso_core::Scheme::Levioso]);
-    util::finish(&opts, "fig1_motivation", start);
+    util::finish(start);
 }

@@ -20,5 +20,5 @@ fn main() {
         }
     }
     util::emit_attrib(&opts, &sweep, "fig2_overhead", &levioso_core::Scheme::HEADLINE);
-    util::finish(&opts, "fig2_overhead", start);
+    util::finish(start);
 }

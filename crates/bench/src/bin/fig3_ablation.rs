@@ -14,5 +14,5 @@ fn main() {
         "fig3_ablation",
         &[levioso_core::Scheme::Levioso, levioso_core::Scheme::LeviosoStatic],
     );
-    util::finish(&opts, "fig3_ablation", start);
+    util::finish(start);
 }

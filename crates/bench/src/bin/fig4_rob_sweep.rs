@@ -8,5 +8,5 @@ fn main() {
     let f =
         levioso_bench::rob_sweep_figure(&opts.sweep(), opts.tier.scale(), opts.tier.rob_sizes());
     util::emit(&opts, "fig4_rob_sweep", &f.render(), Some(f.to_json()));
-    util::finish(&opts, "fig4_rob_sweep", start);
+    util::finish(start);
 }

@@ -11,5 +11,5 @@ fn main() {
         opts.tier.dram_latencies(),
     );
     util::emit(&opts, "fig5_mem_sweep", &f.render(), Some(f.to_json()));
-    util::finish(&opts, "fig5_mem_sweep", start);
+    util::finish(start);
 }

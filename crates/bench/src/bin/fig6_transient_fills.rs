@@ -9,5 +9,5 @@ fn main() {
     let f = levioso_bench::transient_fill_figure(&sweep, opts.tier.scale());
     util::emit(&opts, "fig6_transient_fills", &f.render(), Some(f.to_json()));
     util::emit_attrib(&opts, &sweep, "fig6_transient_fills", &levioso_core::Scheme::HEADLINE);
-    util::finish(&opts, "fig6_transient_fills", start);
+    util::finish(start);
 }

@@ -8,5 +8,5 @@ fn main() {
     let f =
         levioso_bench::annotation_cap_figure(&opts.sweep(), opts.tier.scale(), opts.tier.caps());
     util::emit(&opts, "fig7_hint_budget", &f.render(), Some(f.to_json()));
-    util::finish(&opts, "fig7_hint_budget", start);
+    util::finish(start);
 }

@@ -7,5 +7,5 @@ fn main() {
     let opts = util::Opts::parse(false, false);
     let t = levioso_bench::config_table();
     util::emit(&opts, "table1_config", &t.render(), None);
-    util::finish(&opts, "table1_config", start);
+    util::finish(start);
 }

@@ -7,5 +7,5 @@ fn main() {
     let opts = util::Opts::parse(false, false);
     let t = levioso_bench::security_table();
     util::emit(&opts, "table2_security", &t.render(), None);
-    util::finish(&opts, "table2_security", start);
+    util::finish(start);
 }

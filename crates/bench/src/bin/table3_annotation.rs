@@ -7,5 +7,5 @@ fn main() {
     let opts = util::Opts::parse(false, false);
     let t = levioso_bench::annotation_table(&opts.sweep(), opts.tier.scale());
     util::emit(&opts, "table3_annotation", &t.render(), None);
-    util::finish(&opts, "table3_annotation", start);
+    util::finish(start);
 }

@@ -14,7 +14,7 @@ fn main() {
     util::emit(&opts, "table4_noninterference", &report.render(), Some(report.to_json()));
     let fingerprint = levioso_nisec::cellcache::with(|c| c.fingerprint().to_string());
     println!("{}", levioso_nisec::cellcache::report().summary(&fingerprint));
-    util::finish(&opts, "table4_noninterference", start);
+    util::finish(start);
     let failures = report.gate_failures();
     if !failures.is_empty() {
         for f in &failures {

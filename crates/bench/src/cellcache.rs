@@ -26,7 +26,8 @@
 //! cold, warm, and mixed cache runs produce byte-identical reports —
 //! pinned by `tests/cache.rs`. Hits skip `throughput::record`, keeping the
 //! perf meter's busy-time samples exclusively from freshly computed cells
-//! (asserted by `perfcheck`).
+//! (so a cold run's `run-summary:` line reports `cells` equal to `misses`,
+//! asserted by `tests/cli.rs`).
 
 use levioso_support::cache::{Cache, CacheReport};
 use levioso_support::Json;
@@ -41,13 +42,7 @@ const CELL_FORMAT: u32 = 1;
 
 fn handle() -> &'static RwLock<Cache> {
     static CACHE: OnceLock<RwLock<Cache>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        // The environment-configured process cache feeds the telemetry
-        // registry under `{cache=bench}`; caches installed later via
-        // `configure` (tests, --no-cache) keep detached counters so
-        // per-instance reports stay isolated.
-        RwLock::new(Cache::from_env(core_fingerprint()).with_metrics("bench"))
-    })
+    CACHE.get_or_init(|| RwLock::new(Cache::from_env(core_fingerprint())))
 }
 
 /// Replaces the process-global cache (tests point it at a temp dir or

@@ -3,11 +3,10 @@
 //! Every fig/table binary includes `src/util.rs` as its own module for
 //! argument parsing; the pieces that must be *identical across binaries*
 //! (error messages asserted by tests, the `LEVIOSO_SCALE` parser, the
-//! results-directory anchor, the throughput-snapshot and run-summary
-//! renderers) live here in the library so there is exactly one
-//! definition.
+//! results-directory anchor and the run-summary renderer) live here in
+//! the library so there is exactly one definition.
 
-use crate::{Throughput, Tier};
+use crate::Tier;
 use std::path::{Path, PathBuf};
 
 /// The one mutual-exclusion message every binary prints for
@@ -23,7 +22,7 @@ pub const RESUME_CACHE_DISABLED: &str =
 /// Parses a `LEVIOSO_SCALE` value: unset or empty means paper, and
 /// `smoke`/`paper` are accepted in any ASCII case. Anything else panics —
 /// a typo that silently ran the paper grid would change what a check
-/// measures (same contract as `LEVIOSO_SWEEP_CACHE` and `LEVIOSO_METRICS`).
+/// measures (same contract as `LEVIOSO_SWEEP_CACHE` and `LEVIOSO_THREADS`).
 fn parse_scale(value: Option<&str>) -> Tier {
     match value {
         None | Some("") => Tier::Paper,
@@ -56,119 +55,13 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|_| Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"))
 }
 
-/// Extracts the raw text of a `"key": { ... }` object field from a JSON
-/// document by balanced-brace scan. Sufficient for the flat numeric
-/// objects `BENCH_sim_throughput.json` stores (no `{`/`}` inside strings).
-pub fn json_object_field(doc: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\"");
-    let at = doc.find(&needle)?;
-    let rest = doc[at + needle.len()..].trim_start().strip_prefix(':')?.trim_start();
-    if !rest.starts_with('{') {
-        return None;
-    }
-    let mut depth = 0usize;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(rest[..=i].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Extracts a `"key": "value"` string field (no escape handling — the
-/// throughput snapshot only stores identifier-like strings).
-pub fn json_str_field(doc: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\"");
-    let at = doc.find(&needle)?;
-    let rest = doc[at + needle.len()..].trim_start().strip_prefix(':')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Extracts a `"key": true|false` field.
-pub fn json_bool_field(doc: &str, key: &str) -> Option<bool> {
-    let needle = format!("\"{key}\"");
-    let at = doc.find(&needle)?;
-    let rest = doc[at + needle.len()..].trim_start().strip_prefix(':')?.trim_start();
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// Extracts a `"key": <number>` field.
-pub fn json_num_field(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = doc.find(&needle)?;
-    let rest = doc[at + needle.len()..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .char_indices()
-        .find(|(_, c)| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-        .map_or(rest.len(), |(i, _)| i);
-    rest[..end].parse().ok()
-}
-
-/// Renders `results/BENCH_sim_throughput.json`: the current run's
-/// simulator-throughput snapshot (including the sweep-cache split — the
-/// meter only samples freshly computed cells, so `perfcheck` needs the
-/// hit/miss counts to judge the sample) plus the preserved `baseline`
-/// object (the pre-change reference recorded by `scripts/perf.sh`; `null`
-/// until one is recorded).
-pub fn throughput_json(
-    t: &Throughput,
-    tier: Tier,
-    threads: usize,
-    wall_seconds: f64,
-    cache: &levioso_support::CacheReport,
-    cache_enabled: bool,
-    baseline: Option<&str>,
-) -> String {
-    let current = format!(
-        "{{\n    \"tier\": \"{}\",\n    \"threads\": {},\n    \"cells\": {},\n    \
-         \"sim_cycles\": {},\n    \"retired_instrs\": {},\n    \"busy_seconds\": {:.3},\n    \
-         \"wall_seconds\": {:.3},\n    \"cells_per_busy_sec\": {:.3},\n    \
-         \"kilocycles_per_busy_sec\": {:.3},\n    \"retired_per_busy_sec\": {:.3},\n    \
-         \"cache\": {{ \"enabled\": {}, \"hits\": {}, \"misses\": {}, \"poisoned\": {} }}\n  }}",
-        tier.name(),
-        threads,
-        t.cells,
-        t.sim_cycles,
-        t.retired,
-        t.busy_seconds(),
-        wall_seconds,
-        t.cells_per_busy_sec(),
-        t.kilocycles_per_busy_sec(),
-        t.retired_per_busy_sec(),
-        cache_enabled,
-        cache.hits,
-        cache.misses,
-        cache.poisoned,
-    );
-    format!(
-        "{{\n  \"schema\": \"levioso-sim-throughput/2\",\n  \"current\": {},\n  \"baseline\": {}\n}}\n",
-        current,
-        baseline.unwrap_or("null"),
-    )
-}
-
 /// Renders the one end-of-run summary line every fig/table binary prints
-/// to stderr (asserted verbatim by `tests/cli.rs`). Fed from the
-/// telemetry registry: `cells` is the `sweep_cells_total` counter, the
-/// cache split combines the bench and nisec cell caches (whose reports
-/// read the registered `sweep_cache_*` counters), and only `wall_seconds`
-/// comes from the caller.
+/// to stderr (asserted verbatim by `tests/cli.rs`): `cells` is the
+/// [`crate::throughput`] meter's count of freshly simulated cells, the
+/// cache split combines the bench and nisec cell caches, and only
+/// `wall_seconds` comes from the caller.
 pub fn run_summary(wall_seconds: f64) -> String {
-    let cells = levioso_support::metrics::counter_value("sweep_cells_total", &[]);
+    let cells = crate::throughput::snapshot().cells;
     let bench = crate::cellcache::report();
     let nisec = levioso_nisec::cellcache::report();
     format!(
@@ -196,27 +89,5 @@ mod tests {
         for bad in ["smok", "smoke ", "1", "full"] {
             assert!(std::panic::catch_unwind(|| parse_scale(Some(bad))).is_err(), "{bad:?}");
         }
-    }
-
-    #[test]
-    fn throughput_json_carries_the_cache_split() {
-        let t = Throughput { cells: 3, sim_cycles: 9_000, retired: 4_500, busy_nanos: 1_000_000 };
-        let cache = levioso_support::CacheReport {
-            hits: 10,
-            misses: 3,
-            poisoned: 0,
-            stores: 3,
-            miss_labels: vec![],
-        };
-        let doc = throughput_json(&t, Tier::Smoke, 8, 1.5, &cache, true, None);
-        assert_eq!(json_str_field(&doc, "schema").as_deref(), Some("levioso-sim-throughput/2"));
-        let current = json_object_field(&doc, "current").unwrap();
-        let inner = json_object_field(&current, "cache").unwrap();
-        assert_eq!(json_num_field(&inner, "hits"), Some(10.0));
-        assert_eq!(json_num_field(&inner, "l1_hits"), None);
-        assert_eq!(json_num_field(&inner, "misses"), Some(3.0));
-        assert_eq!(json_bool_field(&inner, "enabled"), Some(true));
-        // The document must stay real JSON, not just grep-compatible.
-        levioso_support::Json::parse(&doc).expect("throughput snapshot parses");
     }
 }

@@ -40,7 +40,6 @@ pub mod cellcache;
 pub mod cli;
 pub mod corerev;
 pub mod gate;
-pub mod ledger;
 pub mod sweep;
 pub mod throughput;
 pub mod trace_export;
@@ -61,7 +60,7 @@ pub use trace_export::{validate_chrome_trace, ChromeTraceSink, TraceSummary};
 /// come back bit-identical to a fresh simulation — the simulator is
 /// deterministic and the envelope is integrity-checked — and the
 /// throughput meter is deliberately *not* fed: perf samples must only
-/// come from freshly computed cells (asserted by `perfcheck`).
+/// come from freshly computed cells (asserted by `tests/cli.rs`).
 ///
 /// # Panics
 ///

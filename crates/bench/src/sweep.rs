@@ -53,15 +53,6 @@ impl Sweep {
         self.pool.threads()
     }
 
-    /// Snapshot of the process-global simulator throughput counters (see
-    /// [`crate::throughput`]): everything recorded by cells this process
-    /// has run so far, on this sweep or any other. Busy-time rates are
-    /// measured per cell inside the worker, so the numbers are comparable
-    /// across thread counts.
-    pub fn throughput(&self) -> crate::Throughput {
-        crate::throughput::snapshot()
-    }
-
     /// Runs `f` over every cell in parallel; results in cell order.
     ///
     /// `f` receives the cell plus its pre-split RNG. Panics inside a cell

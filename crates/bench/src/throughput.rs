@@ -8,58 +8,27 @@
 //! shrink wall-clock but leave per-cell busy time (and thus
 //! kilocycles-per-busy-second) essentially unchanged.
 //!
-//! The `all` driver snapshots these counters at exit and writes
-//! `results/BENCH_sim_throughput.json`, the PR-over-PR throughput
-//! trajectory of the simulator core (see DESIGN.md "Hot path &
-//! performance model").
-//!
-//! The counters themselves live in the telemetry registry
-//! (`levioso_support::metrics`, names `sweep_*_total`): one set of
-//! atomics feeds both this module's [`snapshot`] and the
-//! `levioso-metrics/2` document, so the throughput-honesty invariant
-//! (`cells == misses` under an enabled cache) is checkable against
-//! either source. Recording is *not* gated on `LEVIOSO_METRICS` — the
-//! meter is load-bearing (perfcheck fails a run with no recorded work).
+//! The `all` driver prints a snapshot at exit (its `==> sim throughput:`
+//! line, which `scripts/perf.sh --ab-trace` reads), and `cells` feeds
+//! every binary's `run-summary:` line. Only freshly simulated cells are
+//! recorded: a cell served from the sweep cache adds nothing.
 
-use levioso_support::metrics::{self, Counter};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;
 
-struct Meters {
-    cells: Counter,
-    sim_cycles: Counter,
-    retired: Counter,
-    busy_nanos: Counter,
-}
-
-fn meters() -> &'static Meters {
-    static METERS: OnceLock<Meters> = OnceLock::new();
-    METERS.get_or_init(|| Meters {
-        cells: metrics::counter("sweep_cells_total", &[]),
-        sim_cycles: metrics::counter("sweep_sim_cycles_total", &[]),
-        retired: metrics::counter("sweep_retired_instrs_total", &[]),
-        busy_nanos: metrics::counter("sweep_busy_nanos_total", &[]),
-    })
-}
+static CELLS: AtomicU64 = AtomicU64::new(0);
+static SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
+static RETIRED: AtomicU64 = AtomicU64::new(0);
+static BUSY_NANOS: AtomicU64 = AtomicU64::new(0);
 
 /// Records one finished simulation cell. Called from inside the sweep
 /// worker so `busy` reflects that cell's host time regardless of how many
 /// cells ran concurrently.
 pub fn record(sim_cycles: u64, retired: u64, busy: Duration) {
-    let m = meters();
-    m.cells.inc();
-    m.sim_cycles.add(sim_cycles);
-    m.retired.add(retired);
-    m.busy_nanos.add(busy.as_nanos() as u64);
-}
-
-/// Zeroes all counters (tests; the binaries snapshot once at exit).
-pub fn reset() {
-    let m = meters();
-    m.cells.reset();
-    m.sim_cycles.reset();
-    m.retired.reset();
-    m.busy_nanos.reset();
+    CELLS.fetch_add(1, Relaxed);
+    SIM_CYCLES.fetch_add(sim_cycles, Relaxed);
+    RETIRED.fetch_add(retired, Relaxed);
+    BUSY_NANOS.fetch_add(busy.as_nanos() as u64, Relaxed);
 }
 
 /// A point-in-time snapshot of the global throughput counters.
@@ -91,11 +60,6 @@ impl Throughput {
     pub fn kilocycles_per_busy_sec(&self) -> f64 {
         per_sec(self.sim_cycles as f64 / 1e3, self.busy_nanos)
     }
-
-    /// Retired instructions per host busy second.
-    pub fn retired_per_busy_sec(&self) -> f64 {
-        per_sec(self.retired as f64, self.busy_nanos)
-    }
 }
 
 fn per_sec(amount: f64, busy_nanos: u64) -> f64 {
@@ -108,12 +72,11 @@ fn per_sec(amount: f64, busy_nanos: u64) -> f64 {
 
 /// Reads the current counter values.
 pub fn snapshot() -> Throughput {
-    let m = meters();
     Throughput {
-        cells: m.cells.get(),
-        sim_cycles: m.sim_cycles.get(),
-        retired: m.retired.get(),
-        busy_nanos: m.busy_nanos.get(),
+        cells: CELLS.load(Relaxed),
+        sim_cycles: SIM_CYCLES.load(Relaxed),
+        retired: RETIRED.load(Relaxed),
+        busy_nanos: BUSY_NANOS.load(Relaxed),
     }
 }
 
@@ -140,7 +103,6 @@ mod tests {
         };
         assert!((alone.kilocycles_per_busy_sec() - 1000.0).abs() < 1e-9);
         assert!((alone.cells_per_busy_sec() - 0.5).abs() < 1e-12);
-        assert!((alone.retired_per_busy_sec() - 250_000.0).abs() < 1e-6);
     }
 
     #[test]

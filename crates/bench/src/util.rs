@@ -4,19 +4,11 @@
 // every helper.
 #![allow(dead_code)]
 
+use levioso_bench::cli::results_dir;
 use levioso_bench::{Sweep, Tier};
 use levioso_core::Scheme;
+use std::path::Path;
 use std::process::exit;
-
-// The pieces that must be identical across every binary (shared error
-// messages, the results anchor, the JSON scrapers and the throughput
-// renderer) live once in the library; re-exported here so each binary's
-// `util::` call sites keep working.
-#[allow(unused_imports)]
-pub use levioso_bench::cli::{
-    json_bool_field, json_num_field, json_object_field, json_str_field, results_dir,
-    throughput_json,
-};
 
 /// Options every experiment binary understands. The `all` driver
 /// additionally accepts the golden-gate flags (`--check`/`--bless`);
@@ -142,7 +134,8 @@ fn usage_error(gate_flags: bool, attrib_flag: bool, message: &str) -> ! {
 
 /// Prints a rendered report (unless `--quiet`) and, at paper tier,
 /// mirrors it (plus optional JSON) into `results/`. Smoke-tier runs
-/// never overwrite the recorded paper-scale snapshots.
+/// never overwrite the recorded paper-scale snapshots. A report that
+/// cannot be saved ends the run: the error names the path, exit code 1.
 pub fn emit(opts: &Opts, id: &str, rendered: &str, json: Option<String>) {
     if !opts.quiet {
         println!("{rendered}");
@@ -151,24 +144,29 @@ pub fn emit(opts: &Opts, id: &str, rendered: &str, json: Option<String>) {
         return;
     }
     let dir = results_dir();
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let _ = std::fs::write(dir.join(format!("{id}.txt")), rendered);
-        if let Some(j) = json {
-            let _ = std::fs::write(dir.join(format!("{id}.json")), j);
-        }
+    write_or_exit(&dir.join(format!("{id}.txt")), rendered);
+    if let Some(j) = json {
+        write_or_exit(&dir.join(format!("{id}.json")), &j);
+    }
+}
+
+fn write_or_exit(path: &Path, contents: &str) {
+    let written = path
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, contents));
+    if let Err(e) = written {
+        eprintln!("error: could not write {}: {e}", path.display());
+        exit(1);
     }
 }
 
 /// Prints the unified end-of-run summary line (cells, cache split,
 /// wall-clock — see [`levioso_bench::cli::run_summary`]) to stderr, so
-/// stdout report bytes stay identical with or without it, and appends
-/// this run's record to `results/ledger.jsonl` (see
-/// [`levioso_bench::ledger`]). Every fig/table binary calls this last,
-/// naming itself and passing the `Instant` it captured at entry.
-pub fn finish(opts: &Opts, id: &str, start: std::time::Instant) {
-    let wall_seconds = start.elapsed().as_secs_f64();
-    eprintln!("{}", levioso_bench::cli::run_summary(wall_seconds));
-    levioso_bench::ledger::append_run(id, opts.tier, opts.sweep().threads(), wall_seconds);
+/// stdout report bytes stay identical with or without it. Every fig/table
+/// binary calls this last, passing the `Instant` it captured at entry.
+pub fn finish(start: std::time::Instant) {
+    eprintln!("{}", levioso_bench::cli::run_summary(start.elapsed().as_secs_f64()));
 }
 
 /// When `--attrib` was given: runs the delay-attribution report for

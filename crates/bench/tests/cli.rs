@@ -100,7 +100,7 @@ fn summary_field(line: &str, key: &str) -> u64 {
 }
 
 #[test]
-fn run_summary_line_is_shared_and_fed_from_the_registry() {
+fn run_summary_line_is_shared_and_counts_only_fresh_cells() {
     let base = std::env::temp_dir().join(format!("levioso-cli-summary-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).expect("create temp dir");
@@ -115,8 +115,8 @@ fn run_summary_line_is_shared_and_fed_from_the_registry() {
     let wall: f64 = line.rsplit_once("wall_seconds=").expect("wall field").1.parse().expect("f64");
     assert!(wall.is_finite() && wall >= 0.0);
 
-    // A cold figure run computes fresh cells: the registry's cell counter
-    // and the cache's miss counter agree (throughput honesty), no hits.
+    // A cold figure run computes fresh cells: the throughput meter's cell
+    // count and the cache's miss count agree (throughput honesty), no hits.
     let cold = summary_line(env!("CARGO_BIN_EXE_fig1_motivation"), &base);
     let cells = summary_field(&cold, "cells");
     assert!(cells > 0, "{cold}");
@@ -124,14 +124,35 @@ fn run_summary_line_is_shared_and_fed_from_the_registry() {
     assert_eq!(summary_field(&cold, "hits"), 0, "{cold}");
 
     // The same run against the now-warm disk cache: every cell is a hit,
-    // nothing recomputes — the summary reads the same atomics the
-    // telemetry snapshot exports.
+    // nothing recomputes, so the meter records no cell.
     let warm = summary_line(env!("CARGO_BIN_EXE_fig1_motivation"), &base);
     assert_eq!(summary_field(&warm, "cells"), 0, "{warm}");
     assert_eq!(summary_field(&warm, "misses"), 0, "{warm}");
     assert_eq!(summary_field(&warm, "hits"), cells, "{warm}");
 
+    // Smoke runs never write under results/.
+    assert!(!base.join("results").exists(), "a smoke run wrote under LEVIOSO_RESULTS_DIR");
+
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// A paper-tier report that cannot be saved fails the run and names the
+/// path it could not write, instead of exiting 0 with nothing saved.
+#[test]
+fn unwritable_results_dir_fails_loudly() {
+    let blocker =
+        std::env::temp_dir().join(format!("levioso-cli-unwritable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&blocker);
+    std::fs::write(&blocker, "a regular file where results/ should be").expect("create file");
+    let out = Command::new(env!("CARGO_BIN_EXE_table1_config"))
+        .args(["--paper", "--quiet"])
+        .env("LEVIOSO_RESULTS_DIR", &blocker)
+        .output()
+        .expect("spawn table1_config");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains(&blocker.display().to_string()), "path not named: {stderr}");
+    let _ = std::fs::remove_file(&blocker);
 }
 
 #[test]

@@ -33,12 +33,7 @@ const CELL_FORMAT: u32 = 1;
 
 fn handle() -> &'static RwLock<Cache> {
     static CACHE: OnceLock<RwLock<Cache>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        // Environment-configured process cache feeds the telemetry
-        // registry under `{cache=nisec}`; `configure`d replacements
-        // (tests, --no-cache) keep detached counters.
-        RwLock::new(Cache::from_env(core_fingerprint()).with_metrics("nisec"))
-    })
+    CACHE.get_or_init(|| RwLock::new(Cache::from_env(core_fingerprint())))
 }
 
 /// Replaces the process-global cache (tests point it at a temp dir or

@@ -33,9 +33,9 @@
 //!   byte-identical by construction.
 
 use crate::json::Json;
-use crate::metrics;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Envelope schema tag; bump if the on-disk layout changes.
@@ -106,38 +106,15 @@ impl CacheReport {
     }
 }
 
-/// The cache's counters are [`metrics::Counter`] handles. A fresh cache
-/// gets detached counters (private, per-instance — what every test and
-/// ad-hoc cache sees); [`Cache::with_metrics`] swaps in counters
-/// registered in the global telemetry registry, so the process-wide
-/// caches feed [`CacheReport`] and the `levioso-metrics/2` snapshot
-/// from the *same* atomics. `heals` (stores that replaced an existing
-/// envelope — the poison-recovery path) is telemetry-only and not part
-/// of [`CacheReport`].
+/// The counters behind [`CacheReport`], shared by every clone of one
+/// cache.
 #[derive(Debug, Default)]
 struct Counters {
-    hits: metrics::Counter,
-    misses: metrics::Counter,
-    poisoned: metrics::Counter,
-    stores: metrics::Counter,
-    heals: metrics::Counter,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    poisoned: AtomicU64,
+    stores: AtomicU64,
     miss_labels: Mutex<Vec<String>>,
-}
-
-impl Counters {
-    /// Counters registered in the global registry under
-    /// `sweep_cache_*_total{cache=<domain>}`.
-    fn registered(domain: &str) -> Counters {
-        let labels = [("cache", domain)];
-        Counters {
-            hits: metrics::counter("sweep_cache_hits_total", &labels),
-            misses: metrics::counter("sweep_cache_misses_total", &labels),
-            poisoned: metrics::counter("sweep_cache_poisoned_total", &labels),
-            stores: metrics::counter("sweep_cache_stores_total", &labels),
-            heals: metrics::counter("sweep_cache_heals_total", &labels),
-            miss_labels: Mutex::new(Vec::new()),
-        }
-    }
 }
 
 /// A content-addressed cell cache rooted at `root/<fingerprint>/`.
@@ -204,18 +181,6 @@ impl Cache {
         Cache::new(root, fingerprint)
     }
 
-    /// Rebinds the counters to the global telemetry registry under
-    /// `sweep_cache_*_total{cache=<domain>}` (consuming builder, applied
-    /// at construction of the process-wide caches). Registered counters
-    /// are shared by identity: every cache bound to the same domain —
-    /// and every [`CacheReport`] taken from one — reads the exact
-    /// atomics the `levioso-metrics/2` snapshot exports, so the
-    /// `run-summary:` line and `METRICS_run.json` cannot disagree.
-    pub fn with_metrics(mut self, domain: &str) -> Cache {
-        self.counters = Arc::new(Counters::registered(domain));
-        self
-    }
-
     /// Whether lookups can ever hit.
     pub fn enabled(&self) -> bool {
         self.enabled
@@ -244,7 +209,7 @@ impl Cache {
     }
 
     fn count_miss(&self, label: &str) {
-        self.counters.misses.inc();
+        self.counters.misses.fetch_add(1, Relaxed);
         self.counters.miss_labels.lock().expect("miss label lock").push(label.to_string());
     }
 
@@ -267,12 +232,12 @@ impl Cache {
         };
         match Self::validate_envelope(&text, input) {
             Ok(result) => {
-                self.counters.hits.inc();
+                self.counters.hits.fetch_add(1, Relaxed);
                 Some(result)
             }
             Err(poisoned) => {
                 if poisoned {
-                    self.counters.poisoned.inc();
+                    self.counters.poisoned.fetch_add(1, Relaxed);
                 }
                 self.count_miss(label);
                 None
@@ -326,14 +291,11 @@ impl Cache {
             return;
         }
         let path = self.cell_path(input);
-        if path.exists() {
-            // Replacing an existing envelope: the recompute-after-poison
-            // (or racing-writer) path. Telemetry-only; the overwrite
-            // itself is an ordinary store.
-            self.counters.heals.inc();
-        }
-        let tmp =
-            dir.join(format!(".tmp-{}-{:x}", std::process::id(), self.counters.stores.fetch_inc()));
+        let tmp = dir.join(format!(
+            ".tmp-{}-{:x}",
+            std::process::id(),
+            self.counters.stores.fetch_add(1, Relaxed)
+        ));
         if std::fs::write(&tmp, envelope.emit_pretty()).is_ok()
             && std::fs::rename(&tmp, &path).is_err()
         {
@@ -422,22 +384,21 @@ impl Cache {
         let mut miss_labels = self.counters.miss_labels.lock().expect("miss label lock").clone();
         miss_labels.sort();
         CacheReport {
-            hits: self.counters.hits.get(),
-            misses: self.counters.misses.get(),
-            poisoned: self.counters.poisoned.get(),
-            stores: self.counters.stores.get(),
+            hits: self.counters.hits.load(Relaxed),
+            misses: self.counters.misses.load(Relaxed),
+            poisoned: self.counters.poisoned.load(Relaxed),
+            stores: self.counters.stores.load(Relaxed),
             miss_labels,
         }
     }
 
     /// Zeroes the counters (between phases of a multi-sweep process).
     pub fn reset_counters(&self) {
-        self.counters.hits.reset();
-        self.counters.misses.reset();
-        self.counters.poisoned.reset();
-        self.counters.stores.reset();
-        self.counters.heals.reset();
-        self.counters.miss_labels.lock().expect("miss label lock").clear();
+        let c = &self.counters;
+        for counter in [&c.hits, &c.misses, &c.poisoned, &c.stores] {
+            counter.store(0, Relaxed);
+        }
+        c.miss_labels.lock().expect("miss label lock").clear();
     }
 }
 
@@ -574,6 +535,7 @@ mod tests {
         cache.store("b", "input-b", &result_doc(2), 0);
         cache.store("a", "input-a", &result_doc(1), 0); // overwrite, not a new cell
         assert_eq!(cache.cell_count(), 2);
+        assert_eq!(cache.report().stores, 3, "an overwrite still counts as a store");
     }
 
     #[test]
@@ -594,25 +556,6 @@ mod tests {
             report.summary("core-v1"),
             "sweep-cache: 300 hits, 16 misses, 1 poisoned (316 lookups, fingerprint core-v1)"
         );
-    }
-
-    #[test]
-    fn registered_counters_feed_the_global_registry() {
-        // A unique domain keeps this test independent of anything else
-        // sharing the process-global registry.
-        let cache = Cache::new(tmpdir("registered"), "v1").with_metrics("cache_unit_test");
-        let labels = [("cache", "cache_unit_test")];
-        cache.lookup("cell", "input-a");
-        cache.store("cell", "input-a", &result_doc(1), 0);
-        cache.store("cell", "input-a", &result_doc(1), 0); // overwrite => heal
-        cache.lookup("cell", "input-a");
-        let r = cache.report();
-        assert_eq!((r.hits, r.misses, r.stores), (1, 1, 2));
-        // The report and the registry read the same atomics.
-        assert_eq!(metrics::counter_value("sweep_cache_hits_total", &labels), 1);
-        assert_eq!(metrics::counter_value("sweep_cache_misses_total", &labels), 1);
-        assert_eq!(metrics::counter_value("sweep_cache_stores_total", &labels), 2);
-        assert_eq!(metrics::counter_value("sweep_cache_heals_total", &labels), 1);
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //! | [`pool`] | `rayon` | a work-stealing worker pool with order-stable, panic-transparent fan-out |
 //! | [`cache`] | — | a content-addressed on-disk cell cache for incremental sweeps |
 //! | [`histogram`] | `hdrhistogram` | fixed-footprint log2-bucketed latency histograms |
-//! | [`metrics`] | `prometheus` | lock-free counters and gauges with deterministic JSON snapshots |
-//! | [`ledger`] | — | the append-only per-run perf ledger and its regression sentinel |
 //!
 //! All randomness is deterministic: the same seed always reproduces the
 //! same stream, on every platform, so property tests and workload inputs
@@ -30,8 +28,6 @@ pub mod cache;
 pub mod check;
 pub mod histogram;
 pub mod json;
-pub mod ledger;
-pub mod metrics;
 pub mod pool;
 pub mod rng;
 
@@ -40,6 +36,5 @@ pub use cache::{Cache, CacheReport};
 pub use check::{Config, Gen};
 pub use histogram::Histogram;
 pub use json::{Json, JsonError};
-pub use metrics::Registry;
 pub use pool::Pool;
 pub use rng::{Rng, SplitMix64, Xoshiro256pp};

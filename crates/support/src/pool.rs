@@ -35,11 +35,9 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
-use crate::metrics;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// A fixed-width scoped worker pool.
 ///
@@ -124,30 +122,11 @@ impl Pool {
         if jobs.is_empty() {
             return Vec::new();
         }
-        // Telemetry is strictly observational: counters and clock reads
-        // only, never scheduling decisions — results are bit-identical
-        // with the switch in either position. Sampled once per run so a
-        // mid-run toggle cannot tear the busy/idle bookkeeping.
-        let instrumented = metrics::enabled();
         if self.threads == 1 || jobs.len() == 1 {
-            if !instrumented {
-                return jobs.iter().enumerate().map(|(i, job)| f(i, job)).collect();
-            }
-            let start = Instant::now();
-            let out = jobs.iter().enumerate().map(|(i, job)| f(i, job)).collect();
-            metrics::counter("pool_jobs_dealt_total", &[]).add(jobs.len() as u64);
-            metrics::counter("pool_worker_busy_nanos", &[("worker", "0")])
-                .add(start.elapsed().as_nanos() as u64);
-            return out;
+            return jobs.iter().enumerate().map(|(i, job)| f(i, job)).collect();
         }
         let workers = self.threads.min(jobs.len());
         let queues = deal(jobs.len(), costs, workers);
-        if instrumented {
-            metrics::counter("pool_jobs_dealt_total", &[]).add(jobs.len() as u64);
-            let deepest =
-                queues.iter().map(|q| q.lock().expect("queue lock").len()).max().unwrap_or(0);
-            metrics::gauge("pool_queue_depth_highwater", &[]).set_max(deepest as i64);
-        }
         // Count of jobs not yet claimed; lets idle workers exit without
         // rescanning every queue once everything is taken.
         let remaining = AtomicUsize::new(jobs.len());
@@ -162,32 +141,9 @@ impl Pool {
                     let f = &f;
                     scope.spawn(move || {
                         let mut done: Vec<(usize, R)> = Vec::new();
-                        if !instrumented {
-                            while let Some((i, _)) = claim(queues, w, remaining) {
-                                done.push((i, f(i, jobs.get(i).expect("dealt index in range"))));
-                            }
-                            return done;
-                        }
-                        // Accumulate locally, publish once at worker exit:
-                        // two clock reads per job, zero shared writes until
-                        // the pool is already draining.
-                        let (mut busy, mut idle, mut steals) = (0u64, 0u64, 0u64);
-                        let mut mark = Instant::now();
-                        while let Some((i, stolen)) = claim(queues, w, remaining) {
-                            let claimed = Instant::now();
-                            idle += (claimed - mark).as_nanos() as u64;
-                            steals += u64::from(stolen);
+                        while let Some(i) = claim(queues, w, remaining) {
                             done.push((i, f(i, jobs.get(i).expect("dealt index in range"))));
-                            mark = Instant::now();
-                            busy += (mark - claimed).as_nanos() as u64;
                         }
-                        idle += mark.elapsed().as_nanos() as u64;
-                        let worker = w.to_string();
-                        metrics::counter("pool_steals_total", &[]).add(steals);
-                        metrics::counter("pool_worker_busy_nanos", &[("worker", &worker)])
-                            .add(busy);
-                        metrics::counter("pool_worker_idle_nanos", &[("worker", &worker)])
-                            .add(idle);
                         done
                     })
                 })
@@ -252,20 +208,19 @@ fn deal(
 /// Claims the next job index for worker `w`: front of its own queue
 /// (largest remaining), else steal from the *back* of the currently
 /// longest other queue (that queue's smallest), else `None` when all jobs
-/// are claimed. `remaining` is decremented per claim. The flag reports
-/// whether the claim was a steal (telemetry only — never scheduling).
+/// are claimed. `remaining` is decremented per claim.
 fn claim(
     queues: &[Mutex<std::collections::VecDeque<usize>>],
     w: usize,
     remaining: &AtomicUsize,
-) -> Option<(usize, bool)> {
+) -> Option<usize> {
     loop {
         if remaining.load(Ordering::Acquire) == 0 {
             return None;
         }
         if let Some(i) = queues[w].lock().expect("queue lock").pop_front() {
             remaining.fetch_sub(1, Ordering::AcqRel);
-            return Some((i, false));
+            return Some(i);
         }
         // Own queue empty: pick the longest victim queue, steal its back.
         let victim = queues
@@ -280,7 +235,7 @@ fn claim(
             Some(v) => {
                 if let Some(i) = queues[v].lock().expect("queue lock").pop_back() {
                     remaining.fetch_sub(1, Ordering::AcqRel);
-                    return Some((i, true));
+                    return Some(i);
                 }
                 // Raced with the victim draining itself; rescan.
             }
@@ -301,7 +256,7 @@ impl Default for Pool {
 /// Parses a `LEVIOSO_THREADS` value: unset or empty means "not set"
 /// (`None`), a positive integer is the worker count. Anything else
 /// panics — `0`, `-3` or `abc` silently using every core would change
-/// what a timed run measures (same contract as `LEVIOSO_METRICS` and
+/// what a timed run measures (same contract as `LEVIOSO_SCALE` and
 /// `LEVIOSO_SWEEP_CACHE`).
 fn parse_threads(value: Option<&str>) -> Option<usize> {
     match value {
@@ -418,20 +373,6 @@ mod tests {
             }
         });
         assert!(counters.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn telemetry_counts_dealt_jobs_without_changing_results() {
-        // Other tests in this process also feed the global registry, so
-        // assert on the delta (monotonic counter: concurrent bumps only
-        // make it larger, never smaller).
-        let before = metrics::counter_value("pool_jobs_dealt_total", &[]);
-        let jobs: Vec<usize> = (0..40).collect();
-        let expect: Vec<usize> = jobs.iter().map(|&x| x + 1).collect();
-        assert_eq!(Pool::new(4).run(&jobs, |_, &x| x + 1), expect);
-        assert_eq!(Pool::new(1).run(&jobs, |_, &x| x + 1), expect, "inline path identical");
-        let after = metrics::counter_value("pool_jobs_dealt_total", &[]);
-        assert!(after >= before + 80, "both runs dealt all jobs: {before} -> {after}");
     }
 
     #[test]
