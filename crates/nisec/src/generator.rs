@@ -110,8 +110,11 @@ pub struct SecretProgram {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PublicInputs {
-    /// The instruction stream (un-annotated; callers run
-    /// `Scheme::prepare` per scheme to attach real compiler annotations).
+    /// The instruction stream, un-annotated: callers run `Scheme::prepare`
+    /// on a clone to attach real compiler annotations. It stays
+    /// un-annotated (this field is read-only outside this crate), which is
+    /// what lets `fuzz` prepare one clone per `Scheme::flavour` and share
+    /// it across schemes.
     pub program: Program,
     /// Public memory initialization, identical across both runs of a pair.
     pub public_mem: Vec<(u64, i64)>,

@@ -18,9 +18,12 @@ use crate::cellcache;
 use crate::generator::{gen_program, gen_secret_pair, SecretProgram};
 use crate::observer::{diff, Divergence, Observer, Recorder};
 use levioso_core::Scheme;
+use levioso_isa::Program;
 use levioso_stats::{leak_matrix_table, Table};
-use levioso_support::{Json, Pool, Xoshiro256pp};
+use levioso_support::pool::UNKNOWN_COST;
+use levioso_support::{Cache, Json, Pool, Xoshiro256pp};
 use levioso_uarch::{CoreConfig, Simulator};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Default master seed for the fuzzing campaign (distinct from the bench
@@ -98,17 +101,17 @@ pub struct FuzzReport {
     pub results: Vec<CellResult>,
 }
 
-/// Runs both members of one pair under one scheme and returns the two
-/// recorded event streams.
+/// Runs both members of one pair under one scheme on `program` (the
+/// generated program, prepared for `scheme`) and returns the two recorded
+/// event streams.
 fn record_pair(
     sp: &SecretProgram,
+    program: &Program,
     secrets: &[(i64, i64)],
     scheme: Scheme,
 ) -> [Vec<crate::observer::Ev>; 2] {
     [0usize, 1].map(|side| {
-        let mut program = sp.program.clone();
-        scheme.prepare(&mut program);
-        let mut sim = Simulator::new(&program, CoreConfig::default());
+        let mut sim = Simulator::new(program, CoreConfig::default());
         for &(addr, v) in &sp.public_mem {
             sim.mem.write_i64(addr, v);
         }
@@ -141,6 +144,13 @@ fn record_pair(
 /// count. Cell verdicts are replayed from the [`cellcache`] when a
 /// persisted cell matches the generated inputs; divergences round-trip
 /// exactly, so warm, cold, and mixed cache campaigns are byte-identical.
+///
+/// Work done once: each program is annotated once per distinct
+/// [`Scheme::flavour`] among `schemes`, by the first cell of that flavour
+/// that misses (so a warm campaign annotates nothing), and both runs of
+/// every cell of the flavour borrow it. With the cache off, no cell is
+/// keyed, labelled or costed: a disabled lookup misses whatever it is
+/// asked, and is still made, so the cache report counts every miss.
 pub fn fuzz(config: &FuzzConfig, schemes: &[Scheme]) -> FuzzReport {
     /// A generated program plus its secret pairs (one `Vec<(a, b)>` per pair
     /// index, one `(a, b)` per gadget).
@@ -166,42 +176,73 @@ pub fn fuzz(config: &FuzzConfig, schemes: &[Scheme]) -> FuzzReport {
         }
     }
 
+    // One handle for the whole campaign; clones share the counters.
+    let cache = cellcache::with(Cache::clone);
     let core = CoreConfig::default();
-    let keys: Vec<String> = jobs
-        .iter()
-        .map(|&(p, pair, scheme)| {
-            let (sp, pairs) = &corpus[p];
-            cellcache::cell_key(sp, &pairs[pair], scheme.name(), &core)
-        })
-        .collect();
-    let costs: Vec<u64> = keys
-        .iter()
-        .map(|key| {
-            cellcache::with(|c| c.estimate_cost(key)).unwrap_or(levioso_support::pool::UNKNOWN_COST)
-        })
-        .collect();
+    let keys: Vec<String> = if cache.enabled() {
+        jobs.iter()
+            .map(|&(p, pair, scheme)| {
+                let (sp, pairs) = &corpus[p];
+                cellcache::cell_key(sp, &pairs[pair], scheme.name(), &core)
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    // Empty with the cache off: every job then costs `UNKNOWN_COST`, which
+    // is what a disabled cache estimates.
+    let costs: Vec<u64> =
+        keys.iter().map(|key| cache.estimate_cost(key).unwrap_or(UNKNOWN_COST)).collect();
+
+    let mut flavours = Vec::new();
+    for scheme in schemes {
+        if !flavours.contains(&scheme.flavour()) {
+            flavours.push(scheme.flavour());
+        }
+    }
+    let prepared: Vec<Vec<OnceLock<Program>>> =
+        (0..config.programs).map(|_| flavours.iter().map(|_| OnceLock::new()).collect()).collect();
 
     let pool = if config.threads == 0 { Pool::from_env() } else { Pool::new(config.threads) };
     let results = pool.run_with_costs(&jobs, &costs, |i, &(p, pair, scheme)| {
-        let label = cellcache::cell_label(scheme.name(), p, pair);
-        if let Some(diverged) = cellcache::with(|c| c.lookup(&label, &keys[i]))
-            .and_then(|doc| cellcache::diverged_from_json(&doc))
+        let (key, label) = match keys.get(i) {
+            Some(key) => (key.as_str(), cellcache::cell_label(scheme.name(), p, pair)),
+            // Cache off: the lookup below only counts the miss.
+            None => ("", String::new()),
+        };
+        if let Some(diverged) =
+            cache.lookup(&label, key).and_then(|doc| cellcache::diverged_from_json(&doc))
         {
             return CellResult { scheme, program: p, pair, diverged };
         }
         let started = Instant::now();
         let (sp, pairs) = &corpus[p];
-        let [a, b] = record_pair(sp, &pairs[pair], scheme);
+        let flavour = flavours.iter().position(|&f| f == scheme.flavour()).expect("listed above");
+        // `sp.program` is un-annotated, so whichever scheme of the flavour
+        // gets here first prepares it exactly as the others would.
+        let program = prepared[p][flavour].get_or_init(|| {
+            let mut program = sp.program.clone();
+            scheme.prepare(&mut program);
+            program
+        });
+        // Verdicts are blind to a wrong flavour on the generated programs
+        // (every delaying scheme stays clean), so debug builds check it.
+        debug_assert!(
+            {
+                let mut own = sp.program.clone();
+                scheme.prepare(&mut own);
+                own == *program
+            },
+            "{} was given a program prepared for another flavour",
+            scheme.name()
+        );
+        let [a, b] = record_pair(sp, program, &pairs[pair], scheme);
         let diverged: Vec<Option<Divergence>> =
             Observer::ALL.iter().map(|&o| diff(o, &a, &b)).collect();
-        cellcache::with(|c| {
-            c.store(
-                &label,
-                &keys[i],
-                &cellcache::diverged_to_json(&diverged),
-                started.elapsed().as_nanos() as u64,
-            )
-        });
+        if cache.enabled() {
+            let busy = started.elapsed().as_nanos() as u64;
+            cache.store(&label, key, &cellcache::diverged_to_json(&diverged), busy);
+        }
         CellResult { scheme, program: p, pair, diverged }
     });
 

@@ -299,27 +299,31 @@ impl std::fmt::Display for ObsKey {
     }
 }
 
-/// Projects a recorded event stream through an observer.
-pub fn project(observer: Observer, events: &[Ev]) -> Vec<Obs> {
-    let mut out = Vec::new();
-    for (src, &ev) in events.iter().enumerate() {
+/// The observations `observer` makes of `events`, in stream order: the
+/// one filter [`project`] collects and [`diff`] walks.
+fn observations(observer: Observer, events: &[Ev]) -> impl Iterator<Item = Obs> + '_ {
+    events.iter().enumerate().filter_map(move |(src, &ev)| {
         let key = match observer {
             Observer::CommitTiming => match ev {
-                Ev::Commit { cycle, pc, .. } => Some(ObsKey::Commit { pc, cycle }),
-                _ => None,
+                Ev::Commit { cycle, pc, .. } => ObsKey::Commit { pc, cycle },
+                _ => return None,
             },
             Observer::CacheLine => match ev {
-                Ev::Issue { addr: Some(a), filled: true, .. } => Some(ObsKey::Line(a & LINE_MASK)),
-                Ev::Commit { store_line: Some(l), .. } => Some(ObsKey::Line(l)),
-                _ => None,
+                Ev::Issue { addr: Some(a), filled: true, .. } => ObsKey::Line(a & LINE_MASK),
+                Ev::Commit { store_line: Some(l), .. } => ObsKey::Line(l),
+                _ => return None,
             },
-            Observer::FullTrace => Some(ObsKey::Event(ev)),
+            Observer::FullTrace => ObsKey::Event(ev),
         };
-        if let Some(key) = key {
-            out.push(Obs { key, src });
-        }
-    }
-    out
+        Some(Obs { key, src })
+    })
+}
+
+/// Projects a recorded event stream through an observer. [`diff`] walks
+/// the same observations without collecting them; this is the reference
+/// it is tested against.
+pub fn project(observer: Observer, events: &[Ev]) -> Vec<Obs> {
+    observations(observer, events).collect()
 }
 
 /// The first point where two projected observation streams differ.
@@ -353,28 +357,175 @@ impl std::fmt::Display for Divergence {
     }
 }
 
-/// Diffs two runs under an observer: projects both full streams and returns
-/// the first divergent observation, or `None` if the projections agree.
+/// Diffs two runs under an observer: walks both projections side by side
+/// and returns the first divergent observation, or `None` if they agree.
+/// Equal to diffing the two [`project`]ions, without collecting them.
 pub fn diff(observer: Observer, a_events: &[Ev], b_events: &[Ev]) -> Option<Divergence> {
-    let a = project(observer, a_events);
-    let b = project(observer, b_events);
-    let end = "<end of trace>".to_string();
-    for i in 0..a.len().max(b.len()) {
-        let (oa, ob) = (a.get(i), b.get(i));
+    let (mut a, mut b) = (observations(observer, a_events), observations(observer, b_events));
+    let mut index = 0;
+    loop {
+        let (oa, ob) = (a.next(), b.next());
+        if oa.is_none() && ob.is_none() {
+            return None;
+        }
         if oa.map(|o| o.key) != ob.map(|o| o.key) {
-            let src = oa.map(|o| o.src).unwrap_or(a_events.len());
-            let rule_context =
-                a_events[..src.min(a_events.len())].iter().rev().find_map(|ev| match *ev {
-                    Ev::Block { rule, .. } => Some(rule.to_string()),
-                    _ => None,
-                });
-            return Some(Divergence {
-                index: i,
-                a: oa.map(|o| o.key.to_string()).unwrap_or_else(|| end.clone()),
-                b: ob.map(|o| o.key.to_string()).unwrap_or_else(|| end.clone()),
-                rule_context,
+            let src = oa.map_or(a_events.len(), |o| o.src);
+            let rule_context = a_events[..src].iter().rev().find_map(|ev| match *ev {
+                Ev::Block { rule, .. } => Some(rule.to_string()),
+                _ => None,
             });
+            let render = |o: Option<Obs>| {
+                o.map_or_else(|| "<end of trace>".to_string(), |o| o.key.to_string())
+            };
+            return Some(Divergence { index, a: render(oa), b: render(ob), rule_context });
+        }
+        index += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use levioso_support::{Rng, Xoshiro256pp};
+
+    const END: &str = "<end of trace>";
+
+    /// The plain definition of `diff`: project both runs in full, then
+    /// compare the projections index by index.
+    fn reference(observer: Observer, a_events: &[Ev], b_events: &[Ev]) -> Option<Divergence> {
+        let a = project(observer, a_events);
+        let b = project(observer, b_events);
+        (0..a.len().max(b.len())).find_map(|i| {
+            let (oa, ob) = (a.get(i), b.get(i));
+            (oa.map(|o| o.key) != ob.map(|o| o.key)).then(|| {
+                let src = oa.map_or(a_events.len(), |o| o.src);
+                Divergence {
+                    index: i,
+                    a: oa.map_or_else(|| END.to_string(), |o| o.key.to_string()),
+                    b: ob.map_or_else(|| END.to_string(), |o| o.key.to_string()),
+                    rule_context: a_events[..src].iter().rev().find_map(|ev| match *ev {
+                        Ev::Block { rule, .. } => Some(rule.to_string()),
+                        _ => None,
+                    }),
+                }
+            })
+        })
+    }
+
+    const RULES: [&str; 3] = ["levioso:true-dep-unresolved", "fence:older-branch", "stt:taint"];
+
+    /// A random event over small value ranges, so mutations often leave a
+    /// projection unchanged (two addresses in one line, a non-commit event
+    /// under commit-timing) as well as changing it.
+    fn random_ev(rng: &mut Xoshiro256pp) -> Ev {
+        let (cycle, seq, pc) = (rng.below(4), rng.below(4), rng.below(4) as u32);
+        let mut coin = || rng.below(2) == 0;
+        let (c1, c2, c3) = (coin(), coin(), coin());
+        let addr = rng.below(4) * 40;
+        match rng.below(9) {
+            0 => Ev::Fetch { cycle, pc },
+            1 => Ev::Dispatch { cycle, seq, pc },
+            2 => Ev::Issue {
+                cycle,
+                seq,
+                pc,
+                addr: c1.then_some(addr),
+                touched_cache: c2,
+                filled: c3,
+            },
+            3 => Ev::Block { cycle, seq, pc, rule: RULES[rng.below(3) as usize] },
+            4 => Ev::Forward { cycle, seq, store_seq: rng.below(4) },
+            5 => Ev::Resolve { cycle, seq, pc, mispredicted: c1 },
+            6 => Ev::Squash { cycle, seq, pc },
+            7 => Ev::Writeback { cycle, seq, pc },
+            _ => Ev::Commit { cycle, seq, pc, store_line: c1.then_some(addr & LINE_MASK) },
         }
     }
-    None
+
+    /// Seeded streams, each paired with a copy that has one event replaced,
+    /// is truncated, or has a tail appended, diffed both ways round under
+    /// every observer.
+    #[test]
+    fn streamed_diff_equals_the_projected_reference() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0xd1ff);
+        let mut diverged = [0usize; 3];
+        for case in 0..600 {
+            let len = rng.usize_in(0..48);
+            let a: Vec<Ev> = (0..len).map(|_| random_ev(&mut rng)).collect();
+            let mut b = a.clone();
+            match (case % 3, b.len()) {
+                (0, n) if n > 0 => {
+                    let i = rng.usize_in(0..n);
+                    b[i] = random_ev(&mut rng);
+                }
+                (1, n) => b.truncate(rng.usize_in(0..n + 1)),
+                _ => {
+                    let tail = rng.usize_in(1..6);
+                    b.extend((0..tail).map(|_| random_ev(&mut rng)));
+                }
+            }
+            for (oi, observer) in Observer::ALL.into_iter().enumerate() {
+                for (x, y) in [(&a, &b), (&b, &a)] {
+                    let got = diff(observer, x, y);
+                    assert_eq!(got, reference(observer, x, y), "case {case}, {observer}");
+                    diverged[oi] += got.is_some() as usize;
+                }
+            }
+        }
+        for (observer, n) in Observer::ALL.iter().zip(diverged) {
+            assert!((200..1200).contains(&n), "{observer}: {n} of 1200 diffs diverged");
+        }
+    }
+
+    #[test]
+    fn diff_edge_cases_match_the_reference() {
+        let commit = |cycle, pc| Ev::Commit { cycle, seq: 0, pc, store_line: None };
+        let block = Ev::Block { cycle: 0, seq: 0, pc: 0, rule: "fence:older-branch" };
+        let fetch = Ev::Fetch { cycle: 0, pc: 0 };
+        let div = |index, a: &str, b: &str, rule: Option<&str>| Divergence {
+            index,
+            a: a.to_string(),
+            b: b.to_string(),
+            rule_context: rule.map(str::to_string),
+        };
+        let cases = [
+            ("both empty", vec![], vec![], None),
+            (
+                "A shorter",
+                vec![commit(1, 0), block],
+                vec![commit(1, 0), commit(2, 1)],
+                Some(div(1, END, "commit pc=1 @2", Some("fence:older-branch"))),
+            ),
+            (
+                "B shorter",
+                vec![commit(1, 0), commit(2, 1)],
+                vec![commit(1, 0)],
+                Some(div(1, "commit pc=1 @2", END, None)),
+            ),
+            (
+                "at observation 0",
+                vec![fetch, block, commit(1, 0)],
+                vec![fetch, block, commit(2, 0)],
+                Some(div(0, "commit pc=0 @1", "commit pc=0 @2", Some("fence:older-branch"))),
+            ),
+            (
+                "no earlier block",
+                vec![fetch, commit(1, 0), block, commit(3, 1)],
+                vec![fetch, commit(2, 0), block, commit(3, 1)],
+                Some(div(0, "commit pc=0 @1", "commit pc=0 @2", None)),
+            ),
+            ("equal", vec![fetch, block, commit(1, 0)], vec![fetch, commit(1, 0)], None),
+        ];
+        for (name, a, b, expected) in cases {
+            let got = diff(Observer::CommitTiming, &a, &b);
+            assert_eq!(got, expected, "{name}");
+            for observer in Observer::ALL {
+                assert_eq!(
+                    diff(observer, &a, &b),
+                    reference(observer, &a, &b),
+                    "{name}, {observer}"
+                );
+            }
+        }
+    }
 }

@@ -1,16 +1,17 @@
 //! Self-tests of the noninterference gate: non-vacuity (the canary — the
 //! unsafe baseline — must be caught by every observer), cleanliness of the
 //! delaying schemes, observer-coarseness relations, generator low-equivalence,
-//! and thread-count determinism of the report.
+//! thread-count determinism of the report, and its equality with a
+//! reference that prepares every run's program separately.
 
 use levioso_core::Scheme;
 use levioso_isa::reg::{A1, A2, A3, A4, A5, ZERO};
 use levioso_isa::{AluOp, BranchCond, Instr, MemWidth, Program};
 use levioso_nisec::{
-    assert_pair_low_equivalent, diff, fuzz, gen_program, gen_secret_pair, FuzzConfig, Observer,
-    Recorder, ENFORCED_CLEAN,
+    assert_pair_low_equivalent, cellcache, diff, fuzz, gen_program, gen_secret_pair, CellResult,
+    FuzzConfig, FuzzReport, Observer, Recorder, SecretProgram, ENFORCED_CLEAN,
 };
-use levioso_support::Xoshiro256pp;
+use levioso_support::{Cache, Xoshiro256pp};
 use levioso_uarch::{CoreConfig, Simulator};
 
 /// A small deterministic campaign config shared by the self-tests.
@@ -171,4 +172,66 @@ fn report_is_deterministic_across_thread_counts() {
     assert_eq!(one, four);
     assert_eq!(one.render(), four.render());
     assert_eq!(one.to_json(), four.to_json());
+}
+
+/// Records both runs of one secret pair with nothing shared: each side
+/// clones the generated program and prepares its own copy.
+fn record_pair_per_side(
+    sp: &SecretProgram,
+    secrets: &[(i64, i64)],
+    scheme: Scheme,
+) -> [Vec<levioso_nisec::Ev>; 2] {
+    [0usize, 1].map(|side| {
+        let mut program = sp.program.clone();
+        scheme.prepare(&mut program);
+        let mut sim = Simulator::new(&program, CoreConfig::default());
+        for &(addr, v) in &sp.public_mem {
+            sim.mem.write_i64(addr, v);
+        }
+        for (&addr, &(a, b)) in sp.secret_addrs.iter().zip(secrets) {
+            sim.mem.write_i64(addr, if side == 0 { a } else { b });
+        }
+        for &(r, v) in &sp.reg_init {
+            sim.set_reg(r, v);
+        }
+        sim.attach_tracer(Box::new(Recorder::default()));
+        sim.run(scheme.policy().as_ref()).expect("run");
+        sim.take_tracer().unwrap().into_any().downcast::<Recorder>().unwrap().events
+    })
+}
+
+/// The campaign, cell by cell in job order on one thread, with no cache.
+fn per_side_reference(config: &FuzzConfig, schemes: &[Scheme]) -> FuzzReport {
+    let mut master = Xoshiro256pp::seed_from_u64(config.seed);
+    let mut results = Vec::new();
+    for program in 0..config.programs {
+        let mut rng = master.split();
+        let sp = gen_program(&mut rng);
+        let pairs: Vec<Vec<(i64, i64)>> = (0..config.pairs_per_program)
+            .map(|_| gen_secret_pair(&mut rng, sp.secret_addrs.len()))
+            .collect();
+        for (pair, secrets) in pairs.iter().enumerate() {
+            for &scheme in schemes {
+                let [a, b] = record_pair_per_side(&sp, secrets, scheme);
+                let diverged = Observer::ALL.iter().map(|&o| diff(o, &a, &b)).collect();
+                results.push(CellResult { scheme, program, pair, diverged });
+            }
+        }
+    }
+    FuzzReport { schemes: schemes.to_vec(), cells: config.cells(), seed: config.seed, results }
+}
+
+/// Sharing one annotated program per flavour across a program's cells
+/// changes no verdict. The cache is switched off first, so the campaign
+/// computes every cell instead of replaying verdicts an earlier run
+/// stored; the other tests here only read reports, which the cache never
+/// changes.
+#[test]
+fn campaign_equals_a_per_side_reference() {
+    cellcache::configure(Cache::disabled());
+    let expected = per_side_reference(&tiny(1), &Scheme::ALL);
+    assert!(expected.results.iter().any(|c| c.diverged.iter().any(Option::is_some)));
+    for threads in [1, 2] {
+        assert_eq!(fuzz(&tiny(threads), &Scheme::ALL), expected, "{threads} thread(s)");
+    }
 }

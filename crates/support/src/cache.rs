@@ -30,7 +30,8 @@
 //! * a disabled cache ([`Cache::disabled`], `LEVIOSO_SWEEP_CACHE=off`)
 //!   never touches the filesystem — every lookup is a miss and every store
 //!   a no-op — so cached and uncached runs of a deterministic sweep are
-//!   byte-identical by construction.
+//!   byte-identical by construction. It counts its misses but keeps no
+//!   miss labels: every lookup would add one, for the life of the process.
 
 use crate::json::Json;
 use std::collections::HashMap;
@@ -83,7 +84,8 @@ pub struct CacheReport {
     /// Envelopes written.
     pub stores: u64,
     /// Human labels of every missed cell, sorted (the "which cells did
-    /// this change invalidate" report).
+    /// this change invalidate" report). Always empty for a disabled cache,
+    /// where every cell misses.
     pub miss_labels: Vec<String>,
 }
 
@@ -146,7 +148,8 @@ impl Cache {
     }
 
     /// A cache that never hits and never writes. Lookups still count as
-    /// misses so reports stay meaningful.
+    /// misses so reports stay meaningful, but record no labels, so a
+    /// disabled lookup ignores both its arguments.
     pub fn disabled() -> Cache {
         Cache {
             root: PathBuf::new(),
@@ -213,8 +216,8 @@ impl Cache {
         self.counters.miss_labels.lock().expect("miss label lock").push(label.to_string());
     }
 
-    /// Looks up the result for `input`. `label` is the human cell name
-    /// recorded on a miss (e.g. `fig2:hash_join/levioso`).
+    /// Looks up the result for `input`. `label` is the human cell name an
+    /// enabled cache records on a miss (e.g. `fig2:hash_join/levioso`).
     ///
     /// Returns the cached result document only when the stored envelope is
     /// (a) parseable, (b) for this exact input text, and (c) intact under
@@ -222,7 +225,7 @@ impl Cache {
     /// poisoning) — the caller recomputes and re-stores.
     pub fn lookup(&self, label: &str, input: &str) -> Option<Json> {
         if !self.enabled {
-            self.count_miss(label);
+            self.counters.misses.fetch_add(1, Relaxed);
             return None;
         }
         let path = self.cell_path(input);
@@ -525,6 +528,18 @@ mod tests {
         assert_eq!(cache.estimate_cost("input"), None);
         let r = cache.report();
         assert_eq!((r.hits, r.misses, r.stores), (0, 1, 0));
+        assert!(r.miss_labels.is_empty());
+    }
+
+    #[test]
+    fn disabled_cache_counts_misses_without_labels() {
+        let cache = Cache::disabled();
+        for i in 0..10_000 {
+            assert_eq!(cache.lookup(&format!("cell{i}"), "input"), None);
+        }
+        let r = cache.report();
+        assert_eq!(r.misses, 10_000);
+        assert!(r.miss_labels.is_empty(), "{} labels kept", r.miss_labels.len());
     }
 
     #[test]

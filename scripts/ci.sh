@@ -37,7 +37,12 @@
 #                         conservation + JSON round-trip
 #     noninterference:    table4_noninterference fuzzes every scheme with
 #                         two-run secret pairs at the smoke tier, with
-#                         --no-cache for the same reason as the golden gate
+#                         --no-cache for the same reason as the golden
+#                         gate; then at the paper tier into target/ci_t4/,
+#                         whose two reports must equal the committed
+#                         results/table4_noninterference.{txt,json} byte
+#                         for byte, so a faster campaign cannot move a
+#                         verdict or a divergence string unnoticed
 #     cache split:        asserts the golden gate printed its sweep-cache
 #                         hit/miss lines (all misses under --no-cache) — a
 #                         run that silently stopped reporting the split
@@ -128,6 +133,16 @@ step_trace_smoke() {
 step_noninterference() {
   cargo run -q --release --offline -p levioso-bench --bin table4_noninterference -- \
     --smoke --quiet --no-cache
+  rm -rf target/ci_t4
+  LEVIOSO_RESULTS_DIR=target/ci_t4 cargo run -q --release --offline -p levioso-bench \
+    --bin table4_noninterference -- --paper --quiet --no-cache
+  local f
+  for f in table4_noninterference.txt table4_noninterference.json; do
+    if ! cmp "target/ci_t4/$f" "results/$f"; then
+      echo "ERROR: the paper-tier T4 report target/ci_t4/$f differs from results/$f" >&2
+      exit 1
+    fi
+  done
 }
 
 step_cache_split() {
@@ -154,7 +169,7 @@ if [[ "$mode" == "test" || "$mode" == "all" ]]; then
   run_step "benchmark self-tests: perfbench at reduced sizes" step_perfbench
   run_step "golden gate: paper- and smoke-tier sweeps vs results/golden/" step_golden_gate
   run_step "trace smoke: levitrace conservation + round-trip on one cell" step_trace_smoke
-  run_step "noninterference gate: two-run fuzz of every scheme, smoke tier" step_noninterference
+  run_step "noninterference gate: smoke-tier fuzz, paper-tier reports vs results/" step_noninterference
   run_step "golden gate reported its cache hit/miss split" step_cache_split
 fi
 
