@@ -293,7 +293,7 @@ pub fn attribution_report(
     let cells: Vec<(Scheme, &Workload)> =
         schemes.iter().flat_map(|&scheme| workloads.iter().map(move |w| (scheme, w))).collect();
     let results =
-        sweep.map(&cells, |&(scheme, w), _rng| run_workload_attributed(w, scheme, &config).1);
+        sweep.run(&cells, |_, &(scheme, w)| run_workload_attributed(w, scheme, &config).1);
     let mut out = Vec::new();
     let mut cursor = results.into_iter();
     for &scheme in schemes {

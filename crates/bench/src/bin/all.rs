@@ -35,13 +35,6 @@ fn main() {
             ""
         }
     );
-    if opts.resume {
-        eprintln!(
-            "==> resuming: {} cell(s) already banked under fingerprint {} — only the rest compute",
-            cellcache::with(|c| c.cell_count()),
-            cellcache::with(|c| c.fingerprint().to_string()),
-        );
-    }
 
     if opts.check || opts.bless {
         let code = gate_mode(&sweep, tier, opts.check, start);

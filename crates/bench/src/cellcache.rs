@@ -101,19 +101,6 @@ pub fn workload_label(w: &Workload, scheme_name: &str, extra: &str) -> String {
     }
 }
 
-/// Estimated compute cost of a cell (busy nanoseconds from a prior run,
-/// this revision's or an older one's), [`levioso_support::pool::UNKNOWN_COST`]
-/// when never measured — unknowns schedule first.
-pub fn estimate_workload_cost(
-    w: &Workload,
-    scheme_name: &str,
-    config: &CoreConfig,
-    extra: &str,
-) -> u64 {
-    with(|c| c.estimate_cost(&workload_key(w, scheme_name, config, extra)))
-        .unwrap_or(levioso_support::pool::UNKNOWN_COST)
-}
-
 /// Serializes stats exactly (all fields are `u64`, which [`Json::I64`]
 /// round-trips bit-for-bit; no simulated counter can realistically exceed
 /// `i64::MAX`).

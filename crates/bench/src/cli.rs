@@ -2,22 +2,12 @@
 //!
 //! Every fig/table binary includes `src/util.rs` as its own module for
 //! argument parsing; the pieces that must be *identical across binaries*
-//! (error messages asserted by tests, the `LEVIOSO_SCALE` parser, the
-//! results-directory anchor and the run-summary renderer) live here in
-//! the library so there is exactly one definition.
+//! (the `LEVIOSO_SCALE` parser, the results-directory anchor and the
+//! run-summary renderer) live here in the library so there is exactly one
+//! definition.
 
 use crate::Tier;
 use std::path::{Path, PathBuf};
-
-/// The one mutual-exclusion message every binary prints for
-/// `--no-cache --resume` (asserted verbatim by `tests/cli.rs`).
-pub const RESUME_NO_CACHE_CONFLICT: &str =
-    "--resume needs the cell cache; it cannot be combined with --no-cache";
-
-/// The message every binary prints when `--resume` is given but the
-/// environment disabled the cache.
-pub const RESUME_CACHE_DISABLED: &str =
-    "--resume needs the cell cache, but LEVIOSO_SWEEP_CACHE=off disabled it";
 
 /// Parses a `LEVIOSO_SCALE` value: unset or empty means paper, and
 /// `smoke`/`paper` are accepted in any ASCII case. Anything else panics —
@@ -50,9 +40,18 @@ pub fn tier_from_env() -> Tier {
 /// (integration tests point it at a temp dir so spawned binaries never
 /// touch the committed snapshots).
 pub fn results_dir() -> PathBuf {
-    std::env::var("LEVIOSO_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"))
+    parse_results_dir(std::env::var("LEVIOSO_RESULTS_DIR").ok().as_deref())
+}
+
+/// Parses a `LEVIOSO_RESULTS_DIR` value: unset or empty means the repo
+/// root's `results/`, like every other `LEVIOSO_*` variable (an empty
+/// path would write the reports into the working directory); anything
+/// else is the directory.
+fn parse_results_dir(value: Option<&str>) -> PathBuf {
+    match value {
+        None | Some("") => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"),
+        Some(dir) => PathBuf::from(dir),
+    }
 }
 
 /// Renders the one end-of-run summary line every fig/table binary prints
@@ -89,5 +88,13 @@ mod tests {
         for bad in ["smok", "smoke ", "1", "full"] {
             assert!(std::panic::catch_unwind(|| parse_scale(Some(bad))).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn results_dir_env_parsing_treats_empty_as_unset() {
+        let repo_results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        assert_eq!(parse_results_dir(None), repo_results);
+        assert_eq!(parse_results_dir(Some("")), repo_results);
+        assert_eq!(parse_results_dir(Some("reports")), PathBuf::from("reports"));
     }
 }

@@ -20,7 +20,7 @@
 //! the numbers EXPERIMENTS.md quotes) and [`Tier::Smoke`] (reduced
 //! cycles and grids, fast enough for every CI run).
 
-use crate::sweep::Sweep;
+use crate::Sweep;
 use levioso_stats::Figure;
 use levioso_workloads::Scale;
 use std::fmt;

@@ -17,9 +17,10 @@
 //! | T4 | [`noninterference_report`] | `table4_noninterference` |
 //!
 //! Every figure decomposes into independent `(workload, scheme, config)`
-//! simulation cells that a [`Sweep`] executor fans out across threads;
-//! aggregation happens in fixed cell order, so the emitted numbers are
-//! bit-identical at any thread count (see [`sweep`]).
+//! simulation cells that a [`Sweep`] pool fans out across threads. The
+//! simulator is deterministic and the pool returns results in cell order,
+//! where aggregation walks them, so the emitted numbers are bit-identical
+//! at any thread count.
 //!
 //! Run everything with `cargo run -p levioso-bench --release --bin all`
 //! (`--threads N` to size the pool, `--smoke` for the CI tier, `--check`
@@ -31,6 +32,7 @@
 
 use levioso_core::Scheme;
 use levioso_stats::{geomean, Figure, Table};
+use levioso_support::Cache;
 use levioso_uarch::{CoreConfig, SimStats, TraceSink};
 use levioso_workloads::{suite, Scale, Workload};
 use std::collections::HashMap;
@@ -40,13 +42,13 @@ pub mod cellcache;
 pub mod cli;
 pub mod corerev;
 pub mod gate;
-pub mod sweep;
 pub mod throughput;
 pub mod trace_export;
 
 pub use attrib::{attribution_report, render_attribution, AttribSink, AttribStats};
 pub use gate::Tier;
-pub use sweep::Sweep;
+/// The worker pool every figure builder fans its cells across.
+pub use levioso_support::Pool as Sweep;
 pub use throughput::Throughput;
 pub use trace_export::{validate_chrome_trace, ChromeTraceSink, TraceSummary};
 
@@ -67,32 +69,58 @@ pub use trace_export::{validate_chrome_trace, ChromeTraceSink, TraceSummary};
 /// Panics if the simulation fails or the checksum diverges from the
 /// reference interpreter — an experiment on wrong results is meaningless.
 pub fn run_workload(w: &Workload, scheme: Scheme, config: &CoreConfig) -> SimStats {
-    let key = cellcache::workload_key(w, scheme.name(), config, "");
-    let label = cellcache::workload_label(w, scheme.name(), "");
-    if let Some(stats) =
-        cellcache::with(|c| c.lookup(&label, &key)).and_then(|doc| cellcache::stats_from_json(&doc))
+    run_cell(w, scheme, None, config)
+}
+
+/// The one body behind [`run_workload`] and [`run_workload_capped`]: look
+/// the cell up, or simulate, check, record and store it. `cap` collapses
+/// every Levioso dependency set larger than it (F7's cells, cached under
+/// the `cap=` tag). With the cache off the cell is neither keyed nor
+/// labelled; the lookup is still made, so the cache report counts the miss.
+fn run_cell(w: &Workload, scheme: Scheme, cap: Option<usize>, config: &CoreConfig) -> SimStats {
+    // One handle for the whole cell; clones share the counters.
+    let cache = cellcache::with(Cache::clone);
+    let (key, label) = if cache.enabled() {
+        let tag = cap.map(cap_tag).unwrap_or_default();
+        (
+            cellcache::workload_key(w, scheme.name(), config, &tag),
+            cellcache::workload_label(w, scheme.name(), &tag),
+        )
+    } else {
+        (String::new(), String::new())
+    };
+    if let Some(stats) = cache.lookup(&label, &key).and_then(|doc| cellcache::stats_from_json(&doc))
     {
         return stats;
     }
+    let what = || match cap {
+        None => format!("{} under {scheme}", w.name),
+        Some(cap) => format!("{} cap {cap}", w.name),
+    };
     let cell_start = std::time::Instant::now();
     let mut program = w.program.clone();
     scheme.prepare(&mut program);
+    if let Some(cap) = cap {
+        let full = program.annotations.take().expect("annotated");
+        program.annotations = Some(full.capped(cap));
+    }
     let mut sim = levioso_uarch::Simulator::new(&program, config.clone());
     w.apply_memory(&mut sim);
     if null_trace_enabled() {
         sim.attach_tracer(Box::new(levioso_uarch::NullSink));
     }
-    let stats = sim
-        .run(scheme.policy().as_ref())
-        .unwrap_or_else(|e| panic!("{} under {scheme}: {e}", w.name));
-    let got = sim.mem.read_i64(w.checksum_addr);
-    let expected = w.expected_checksum();
-    assert_eq!(got, expected, "{} under {scheme}: checksum mismatch", w.name);
+    let stats = sim.run(scheme.policy().as_ref()).unwrap_or_else(|e| panic!("{}: {e}", what()));
+    assert_eq!(
+        sim.mem.read_i64(w.checksum_addr),
+        w.expected_checksum(),
+        "{}: checksum mismatch",
+        what()
+    );
     let busy = cell_start.elapsed();
     throughput::record(stats.cycles, stats.committed, busy);
-    cellcache::with(|c| {
-        c.store(&label, &key, &cellcache::stats_to_json(&stats), busy.as_nanos() as u64)
-    });
+    if cache.enabled() {
+        cache.store(&label, &key, &cellcache::stats_to_json(&stats), busy.as_nanos() as u64);
+    }
     stats
 }
 
@@ -111,8 +139,9 @@ fn parse_trace_env(value: Option<&str>) -> Result<bool, String> {
     }
 }
 
-/// Whether `LEVIOSO_TRACE=null` asked every [`run_workload`] cell to run
-/// with a [`levioso_uarch::NullSink`] attached. Used by
+/// Whether `LEVIOSO_TRACE=null` asked every freshly simulated
+/// [`run_workload`] and [`run_workload_capped`] cell to run with a
+/// [`levioso_uarch::NullSink`] attached. Used by
 /// `scripts/perf.sh --ab-trace` to measure the hook overhead with the
 /// tracing branches *taken*; results are unchanged either way (the null
 /// sink observes but never perturbs).
@@ -161,15 +190,6 @@ pub fn run_workload_traced(
     (stats, sink)
 }
 
-/// One simulation cell of a normalized-runtime grid.
-struct SimCell<'a> {
-    config_idx: usize,
-    workload_idx: usize,
-    workload: &'a Workload,
-    scheme: Scheme,
-    config: &'a CoreConfig,
-}
-
 /// Per-scheme normalized runtime series — the building block of every
 /// slowdown figure.
 type SchemeSeries = Vec<(Scheme, Vec<(String, f64)>)>;
@@ -189,7 +209,7 @@ fn grid_runtimes(
     schemes: &[Scheme],
     configs: &[CoreConfig],
 ) -> Vec<SchemeSeries> {
-    let mut cells: Vec<SimCell<'_>> = Vec::new();
+    let mut cells: Vec<(&Workload, Scheme, &CoreConfig)> = Vec::new();
     let mut index: HashMap<(usize, usize, Scheme), usize> = HashMap::new();
     for (ci, config) in configs.iter().enumerate() {
         for (wi, workload) in workloads.iter().enumerate() {
@@ -197,18 +217,11 @@ fn grid_runtimes(
                 .chain(schemes.iter().copied().filter(|&s| s != Scheme::Unsafe))
             {
                 index.insert((ci, wi, scheme), cells.len());
-                cells.push(SimCell { config_idx: ci, workload_idx: wi, workload, scheme, config });
+                cells.push((workload, scheme, config));
             }
         }
     }
-    let costs: Vec<u64> = cells
-        .iter()
-        .map(|c| cellcache::estimate_workload_cost(c.workload, c.scheme.name(), c.config, ""))
-        .collect();
-    let stats = sweep.map_with_costs(&cells, &costs, |cell, _rng| {
-        debug_assert!(cell.config_idx < configs.len() && cell.workload_idx < workloads.len());
-        run_workload(cell.workload, cell.scheme, cell.config)
-    });
+    let stats = sweep.run(&cells, |_, &(w, scheme, config)| run_workload(w, scheme, config));
     let cycles = |ci: usize, wi: usize, scheme: Scheme| -> f64 {
         stats[index[&(ci, wi, scheme)]].cycles as f64
     };
@@ -264,12 +277,7 @@ pub fn config_table() -> Table {
 pub fn motivation_figure(sweep: &Sweep, scale: Scale) -> Figure {
     let config = CoreConfig::default();
     let workloads = suite(scale);
-    let costs: Vec<u64> = workloads
-        .iter()
-        .map(|w| cellcache::estimate_workload_cost(w, Scheme::Levioso.name(), &config, ""))
-        .collect();
-    let stats = sweep
-        .map_with_costs(&workloads, &costs, |w, _rng| run_workload(w, Scheme::Levioso, &config));
+    let stats = sweep.run(&workloads, |_, w| run_workload(w, Scheme::Levioso, &config));
     let mut shadow_frac = Vec::new();
     let mut true_frac = Vec::new();
     let mut shadow_wait = Vec::new();
@@ -420,7 +428,7 @@ pub fn annotation_table(sweep: &Sweep, scale: Scale) -> Table {
         ],
     );
     let workloads = suite(scale);
-    let rows = sweep.map(&workloads, |w, _rng| {
+    let rows = sweep.run(&workloads, |_, w| {
         let mut ctrl = w.program.clone();
         levioso_compiler::annotate_with(
             &mut ctrl,
@@ -460,12 +468,7 @@ pub fn transient_fill_figure(sweep: &Sweep, scale: Scale) -> Figure {
         .iter()
         .flat_map(|&scheme| workloads.iter().map(move |w| (scheme, w)))
         .collect();
-    let costs: Vec<u64> = cells
-        .iter()
-        .map(|&(scheme, w)| cellcache::estimate_workload_cost(w, scheme.name(), &config, ""))
-        .collect();
-    let stats =
-        sweep.map_with_costs(&cells, &costs, |&(scheme, w), _rng| run_workload(w, scheme, &config));
+    let stats = sweep.run(&cells, |_, &(scheme, w)| run_workload(w, scheme, &config));
     let mut f = Figure::new(
         "F6: transient cache fills per kilo-instruction (residual speculative visibility)",
         "fills / kilo-instruction",
@@ -512,36 +515,7 @@ fn cap_tag(cap: usize) -> String {
 ///
 /// Panics if the simulation fails or the checksum diverges.
 pub fn run_workload_capped(w: &Workload, cap: usize, config: &CoreConfig) -> SimStats {
-    let tag = cap_tag(cap);
-    let key = cellcache::workload_key(w, Scheme::Levioso.name(), config, &tag);
-    let label = cellcache::workload_label(w, Scheme::Levioso.name(), &tag);
-    if let Some(stats) =
-        cellcache::with(|c| c.lookup(&label, &key)).and_then(|doc| cellcache::stats_from_json(&doc))
-    {
-        return stats;
-    }
-    let cell_start = std::time::Instant::now();
-    let mut program = w.program.clone();
-    Scheme::Levioso.prepare(&mut program);
-    let full = program.annotations.clone().expect("annotated");
-    program.annotations = Some(full.capped(cap));
-    let mut sim = levioso_uarch::Simulator::new(&program, config.clone());
-    w.apply_memory(&mut sim);
-    let stats = sim
-        .run(Scheme::Levioso.policy().as_ref())
-        .unwrap_or_else(|e| panic!("{} cap {cap}: {e}", w.name));
-    assert_eq!(
-        sim.mem.read_i64(w.checksum_addr),
-        w.expected_checksum(),
-        "{} cap {cap}: checksum mismatch",
-        w.name
-    );
-    let busy = cell_start.elapsed();
-    throughput::record(stats.cycles, stats.committed, busy);
-    cellcache::with(|c| {
-        c.store(&label, &key, &cellcache::stats_to_json(&stats), busy.as_nanos() as u64)
-    });
-    stats
+    run_cell(w, Scheme::Levioso, Some(cap), config)
 }
 
 /// **F7** (extension) — annotation hint-budget sweep: geomean slowdown of
@@ -557,16 +531,7 @@ pub fn annotation_cap_figure(sweep: &Sweep, scale: Scale, caps: &[usize]) -> Fig
         .map(|w| (None, w))
         .chain(caps.iter().flat_map(|&cap| workloads.iter().map(move |w| (Some(cap), w))))
         .collect();
-    let costs: Vec<u64> = cells
-        .iter()
-        .map(|&(cap, w)| match cap {
-            None => cellcache::estimate_workload_cost(w, Scheme::Unsafe.name(), &config, ""),
-            Some(cap) => {
-                cellcache::estimate_workload_cost(w, Scheme::Levioso.name(), &config, &cap_tag(cap))
-            }
-        })
-        .collect();
-    let cycles = sweep.map_with_costs(&cells, &costs, |&(cap, w), _rng| match cap {
+    let cycles = sweep.run(&cells, |_, &(cap, w)| match cap {
         None => run_workload(w, Scheme::Unsafe, &config).cycles as f64,
         Some(cap) => run_workload_capped(w, cap, &config).cycles as f64,
     });

@@ -33,10 +33,6 @@ pub struct Opts {
     /// what `scripts/perf.sh` forces so throughput samples are never
     /// polluted by cached cells).
     pub no_cache: bool,
-    /// Resume an interrupted run from the persisted cells: the eager
-    /// per-cell store *is* the checkpoint, so this just requires the cache
-    /// to be on and reports how many cells are already banked.
-    pub resume: bool,
 }
 
 impl Opts {
@@ -53,7 +49,6 @@ impl Opts {
             quiet: false,
             attrib: false,
             no_cache: false,
-            resume: false,
         };
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
@@ -69,7 +64,6 @@ impl Opts {
                 "--quiet" | "-q" => opts.quiet = true,
                 "--attrib" if attrib_flag => opts.attrib = true,
                 "--no-cache" => opts.no_cache = true,
-                "--resume" => opts.resume = true,
                 "--help" | "-h" => {
                     eprintln!("{}", usage(gate_flags, attrib_flag));
                     exit(0);
@@ -82,15 +76,9 @@ impl Opts {
         if opts.check && opts.bless {
             usage_error(gate_flags, attrib_flag, "--check and --bless are mutually exclusive");
         }
-        if opts.no_cache && opts.resume {
-            usage_error(gate_flags, attrib_flag, levioso_bench::cli::RESUME_NO_CACHE_CONFLICT);
-        }
         if opts.no_cache {
             levioso_bench::cellcache::configure(levioso_support::Cache::disabled());
             levioso_nisec::cellcache::configure(levioso_support::Cache::disabled());
-        }
-        if opts.resume && !levioso_bench::cellcache::enabled() {
-            usage_error(gate_flags, attrib_flag, levioso_bench::cli::RESUME_CACHE_DISABLED);
         }
         opts
     }
@@ -117,13 +105,12 @@ fn usage(gate_flags: bool, attrib_flag: bool) -> String {
         ""
     };
     format!(
-        "usage: [--smoke|--paper] [--threads N] [--quiet] [--no-cache] [--resume]{gate}{attrib}\n\
+        "usage: [--smoke|--paper] [--threads N] [--quiet] [--no-cache]{gate}{attrib}\n\
          \n  --smoke        reduced problem sizes and sweep grids (the CI tier)\
          \n  --paper        full evaluation settings (default; or LEVIOSO_SCALE env)\
          \n  --threads N    worker threads (default: LEVIOSO_THREADS or all cores)\
          \n  --quiet, -q    suppress rendered reports on stdout\
-         \n  --no-cache     recompute every sweep cell (results are identical either way)\
-         \n  --resume       continue an interrupted run from the persisted cells"
+         \n  --no-cache     recompute every sweep cell (results are identical either way)"
     )
 }
 

@@ -16,7 +16,7 @@ fn blame_is_conserved_and_invisible_on_every_smoke_cell() {
     let workloads = suite(Scale::Smoke);
     let cells: Vec<(Scheme, &Workload)> =
         Scheme::ALL.iter().flat_map(|&scheme| workloads.iter().map(move |w| (scheme, w))).collect();
-    let results = Sweep::from_env().map(&cells, |&(scheme, w), _rng| {
+    let results = Sweep::from_env().run(&cells, |_, &(scheme, w)| {
         let untraced = run_workload(w, scheme, &config);
         // Asserts blamed_cycles == policy_delay_cycles internally.
         let (traced, attrib) = run_workload_attributed(w, scheme, &config);

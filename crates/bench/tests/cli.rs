@@ -1,10 +1,8 @@
-//! Pins the CLI contracts every experiment binary shares — most
-//! importantly that the `--no-cache`/`--resume` mutual exclusion prints
-//! the *one* message defined in `levioso_bench::cli`, from every binary
-//! (they all parse through the shared `util.rs`, so a drifted copy would
-//! mean someone forked the parser).
+//! Pins the CLI contracts every experiment binary shares: the one
+//! `run-summary:` line, loud save failures, rejected flags and bad
+//! environment values (they all parse through the shared `util.rs`, so a
+//! binary that behaved differently would mean someone forked the parser).
 
-use levioso_bench::cli::{RESUME_CACHE_DISABLED, RESUME_NO_CACHE_CONFLICT};
 use std::process::Command;
 
 /// Every binary that takes the shared sweep flags, including the nisec
@@ -26,46 +24,6 @@ const BINARIES: &[&str] = &[
 
 fn short_name(bin: &str) -> &str {
     std::path::Path::new(bin).file_name().and_then(|n| n.to_str()).unwrap_or(bin)
-}
-
-#[test]
-fn no_cache_resume_conflict_message_is_shared_verbatim() {
-    for bin in BINARIES {
-        let out = Command::new(bin)
-            .args(["--no-cache", "--resume"])
-            .output()
-            .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "{}: conflicting flags must exit 2 (stderr: {stderr})",
-            short_name(bin)
-        );
-        assert!(
-            stderr.contains(RESUME_NO_CACHE_CONFLICT),
-            "{}: stderr does not carry the shared message {RESUME_NO_CACHE_CONFLICT:?}: {stderr}",
-            short_name(bin)
-        );
-    }
-}
-
-#[test]
-fn resume_with_env_disabled_cache_message_is_shared_verbatim() {
-    for bin in BINARIES {
-        let out = Command::new(bin)
-            .args(["--resume"])
-            .env("LEVIOSO_SWEEP_CACHE", "off")
-            .output()
-            .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{}: must exit 2", short_name(bin));
-        assert!(
-            stderr.contains(RESUME_CACHE_DISABLED),
-            "{}: stderr does not carry the shared message {RESUME_CACHE_DISABLED:?}: {stderr}",
-            short_name(bin)
-        );
-    }
 }
 
 /// Spawns `bin` at smoke tier against the given cache/results dirs and
@@ -155,16 +113,28 @@ fn unwritable_results_dir_fails_loudly() {
     let _ = std::fs::remove_file(&blocker);
 }
 
+/// The warm server's `--serve` and the old `--resume` (every run resumes:
+/// each cell is stored as soon as it is computed) are usage errors
+/// everywhere, with the cache on or off.
 #[test]
 fn serve_flag_is_unknown_everywhere() {
     for bin in BINARIES {
-        let out = Command::new(bin)
-            .args(["--serve", "x"])
-            .output()
-            .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
-        assert_eq!(out.status.code(), Some(2), "{}", short_name(bin));
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("unknown argument `--serve`"), "{}: {stderr}", short_name(bin));
+        for name in ["serve", "resume"] {
+            let flag = format!("--{name}");
+            for args in [[flag.as_str(), "x"], ["--no-cache", flag.as_str()]] {
+                let out = Command::new(bin)
+                    .args(args)
+                    .output()
+                    .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(out.status.code(), Some(2), "{} {args:?}: {stderr}", short_name(bin));
+                assert!(
+                    stderr.contains(&format!("unknown argument `{flag}`")),
+                    "{} {args:?}: {stderr}",
+                    short_name(bin)
+                );
+            }
+        }
     }
 }
 

@@ -20,7 +20,6 @@ use crate::observer::{diff, Divergence, Observer, Recorder};
 use levioso_core::Scheme;
 use levioso_isa::Program;
 use levioso_stats::{leak_matrix_table, Table};
-use levioso_support::pool::UNKNOWN_COST;
 use levioso_support::{Cache, Json, Pool, Xoshiro256pp};
 use levioso_uarch::{CoreConfig, Simulator};
 use std::sync::OnceLock;
@@ -139,18 +138,18 @@ fn record_pair(
 ///
 /// Determinism: program and secret-pair generation consume per-program RNG
 /// streams split from the master seed *in order, before any worker runs*,
-/// and the job list has a fixed order that [`Pool::run_with_costs`]
-/// preserves in its results — so the report is identical at any thread
-/// count. Cell verdicts are replayed from the [`cellcache`] when a
-/// persisted cell matches the generated inputs; divergences round-trip
-/// exactly, so warm, cold, and mixed cache campaigns are byte-identical.
+/// and the job list has a fixed order that [`Pool::run`] preserves in its
+/// results — so the report is identical at any thread count. Cell verdicts
+/// are replayed from the [`cellcache`] when a persisted cell matches the
+/// generated inputs; divergences round-trip exactly, so warm, cold, and
+/// mixed cache campaigns are byte-identical.
 ///
 /// Work done once: each program is annotated once per distinct
 /// [`Scheme::flavour`] among `schemes`, by the first cell of that flavour
 /// that misses (so a warm campaign annotates nothing), and both runs of
 /// every cell of the flavour borrow it. With the cache off, no cell is
-/// keyed, labelled or costed: a disabled lookup misses whatever it is
-/// asked, and is still made, so the cache report counts every miss.
+/// keyed or labelled: a disabled lookup misses whatever it is asked, and
+/// is still made, so the cache report counts every miss.
 pub fn fuzz(config: &FuzzConfig, schemes: &[Scheme]) -> FuzzReport {
     /// A generated program plus its secret pairs (one `Vec<(a, b)>` per pair
     /// index, one `(a, b)` per gadget).
@@ -179,20 +178,6 @@ pub fn fuzz(config: &FuzzConfig, schemes: &[Scheme]) -> FuzzReport {
     // One handle for the whole campaign; clones share the counters.
     let cache = cellcache::with(Cache::clone);
     let core = CoreConfig::default();
-    let keys: Vec<String> = if cache.enabled() {
-        jobs.iter()
-            .map(|&(p, pair, scheme)| {
-                let (sp, pairs) = &corpus[p];
-                cellcache::cell_key(sp, &pairs[pair], scheme.name(), &core)
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    // Empty with the cache off: every job then costs `UNKNOWN_COST`, which
-    // is what a disabled cache estimates.
-    let costs: Vec<u64> =
-        keys.iter().map(|key| cache.estimate_cost(key).unwrap_or(UNKNOWN_COST)).collect();
 
     let mut flavours = Vec::new();
     for scheme in schemes {
@@ -204,19 +189,21 @@ pub fn fuzz(config: &FuzzConfig, schemes: &[Scheme]) -> FuzzReport {
         (0..config.programs).map(|_| flavours.iter().map(|_| OnceLock::new()).collect()).collect();
 
     let pool = if config.threads == 0 { Pool::from_env() } else { Pool::new(config.threads) };
-    let results = pool.run_with_costs(&jobs, &costs, |i, &(p, pair, scheme)| {
-        let (key, label) = match keys.get(i) {
-            Some(key) => (key.as_str(), cellcache::cell_label(scheme.name(), p, pair)),
-            // Cache off: the lookup below only counts the miss.
-            None => ("", String::new()),
+    let results = pool.run(&jobs, |_, &(p, pair, scheme)| {
+        let (sp, pairs) = &corpus[p];
+        // Cache off: no key or label; the lookup below only counts the miss.
+        let (key, label) = if cache.enabled() {
+            let key = cellcache::cell_key(sp, &pairs[pair], scheme.name(), &core);
+            (key, cellcache::cell_label(scheme.name(), p, pair))
+        } else {
+            (String::new(), String::new())
         };
         if let Some(diverged) =
-            cache.lookup(&label, key).and_then(|doc| cellcache::diverged_from_json(&doc))
+            cache.lookup(&label, &key).and_then(|doc| cellcache::diverged_from_json(&doc))
         {
             return CellResult { scheme, program: p, pair, diverged };
         }
         let started = Instant::now();
-        let (sp, pairs) = &corpus[p];
         let flavour = flavours.iter().position(|&f| f == scheme.flavour()).expect("listed above");
         // `sp.program` is un-annotated, so whichever scheme of the flavour
         // gets here first prepares it exactly as the others would.
@@ -241,7 +228,7 @@ pub fn fuzz(config: &FuzzConfig, schemes: &[Scheme]) -> FuzzReport {
             Observer::ALL.iter().map(|&o| diff(o, &a, &b)).collect();
         if cache.enabled() {
             let busy = started.elapsed().as_nanos() as u64;
-            cache.store(&label, key, &cellcache::diverged_to_json(&diverged), busy);
+            cache.store(&label, &key, &cellcache::diverged_to_json(&diverged), busy);
         }
         CellResult { scheme, program: p, pair, diverged }
     });

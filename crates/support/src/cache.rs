@@ -10,11 +10,10 @@
 //!   seeds — whatever the caller serializes);
 //! * the **namespace** is a sim-core *fingerprint* directory (derived from
 //!   `levioso_uarch::CORE_REV`), so bumping the core revision invalidates
-//!   every cell at once without deleting anything — old-fingerprint cells
-//!   stay on disk and keep serving *cost estimates* for the scheduler;
+//!   every cell at once without deleting anything;
 //! * the **value** is a [`Json`] result document wrapped in an envelope
 //!   that stores the full input text, an integrity hash over
-//!   `input + result`, and the cell's measured compute cost
+//!   `input + result`, and the cell's measured compute time
 //!   (`busy_nanos`).
 //!
 //! Correctness properties (pinned by tests here and in `levioso-bench`):
@@ -34,10 +33,9 @@
 //!   miss labels: every lookup would add one, for the life of the process.
 
 use crate::json::Json;
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Envelope schema tag; bump if the on-disk layout changes.
 const SCHEMA: &str = "levioso-sweep-cell/1";
@@ -129,10 +127,6 @@ pub struct Cache {
     fingerprint: String,
     enabled: bool,
     counters: Arc<Counters>,
-    /// Lazily built filename → busy-nanos index over every *sibling*
-    /// fingerprint directory, shared by clones. Built at most once per
-    /// logical cache; see [`Cache::sibling_index`].
-    sibling_costs: Arc<OnceLock<HashMap<String, u64>>>,
 }
 
 impl Cache {
@@ -143,7 +137,6 @@ impl Cache {
             fingerprint: fingerprint.into(),
             enabled: true,
             counters: Arc::default(),
-            sibling_costs: Arc::new(OnceLock::new()),
         }
     }
 
@@ -156,13 +149,12 @@ impl Cache {
             fingerprint: String::from("disabled"),
             enabled: false,
             counters: Arc::default(),
-            sibling_costs: Arc::new(OnceLock::new()),
         }
     }
 
     /// Cache configured by the environment: rooted at
-    /// `LEVIOSO_SWEEP_CACHE_DIR` (default [`default_root`]), disabled
-    /// entirely when `LEVIOSO_SWEEP_CACHE` is `off`/`0`.
+    /// `LEVIOSO_SWEEP_CACHE_DIR` (default [`default_root`] when unset or
+    /// empty), disabled entirely when `LEVIOSO_SWEEP_CACHE` is `off`/`0`.
     ///
     /// # Panics
     ///
@@ -178,9 +170,7 @@ impl Cache {
                  \"off\"/\"0\""
             ),
         }
-        let root = std::env::var("LEVIOSO_SWEEP_CACHE_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| default_root());
+        let root = parse_root(std::env::var("LEVIOSO_SWEEP_CACHE_DIR").ok().as_deref());
         Cache::new(root, fingerprint)
     }
 
@@ -273,7 +263,8 @@ impl Cache {
     }
 
     /// Persists `result` for `input`, recording the cell's measured
-    /// compute cost. No-op when disabled; I/O errors are swallowed (a
+    /// compute time as `busy_nanos`, which only [`Cache::estimate_cost`]
+    /// reads back. No-op when disabled; I/O errors are swallowed (a
     /// cache that cannot write degrades to recomputation, it never fails
     /// the sweep).
     pub fn store(&self, label: &str, input: &str, result: &Json, busy_nanos: u64) {
@@ -306,79 +297,18 @@ impl Cache {
         }
     }
 
-    /// Estimated compute cost (busy nanoseconds) for `input`, from this
-    /// fingerprint's stored cell or — when the cell was invalidated by a
-    /// fingerprint bump — from any sibling fingerprint's cell with the
-    /// same key (cells keep their filename across fingerprints, so a prior
-    /// revision's measured cost still ranks the cell for scheduling).
-    ///
-    /// Advisory only: costs order work, they never touch results. The
-    /// sibling scan runs **once per process** (per logical cache): the
-    /// first cross-fingerprint estimate walks every sibling directory into
-    /// an in-memory index, and every later estimate is a map probe.
+    /// The busy nanoseconds stored with `input`'s cell under this
+    /// fingerprint, if any; the envelope is not validated. Nothing in the
+    /// workspace calls this; it stays only because the benchmark's traced
+    /// replay (`perfbench/src/replay.rs`) still does, and can go once that
+    /// replay stops.
     pub fn estimate_cost(&self, input: &str) -> Option<u64> {
         if !self.enabled {
             return None;
         }
-        let file = format!("{}.json", stable_hash_hex(input.as_bytes()));
-        if let Some(cost) = read_cost(&self.dir().join(&file)) {
-            return Some(cost);
-        }
-        self.sibling_index().get(&file).copied()
-    }
-
-    /// The filename → cost index over sibling fingerprint directories,
-    /// built on first use. Siblings are walked newest-looking first
-    /// (sorted descending) with first-wins per filename, matching the
-    /// pre-index scan order — deterministic, and exact order is irrelevant:
-    /// any measured cost beats none. A fingerprint directory created
-    /// *after* the index is built is invisible until the next process;
-    /// acceptable because costs are advisory.
-    fn sibling_index(&self) -> &HashMap<String, u64> {
-        self.sibling_costs.get_or_init(|| {
-            let mut siblings: Vec<PathBuf> = std::fs::read_dir(&self.root)
-                .into_iter()
-                .flatten()
-                .flatten()
-                .map(|e| e.path())
-                .filter(|p| {
-                    p.is_dir()
-                        && p.file_name().and_then(|n| n.to_str()) != Some(self.fingerprint.as_str())
-                })
-                .collect();
-            siblings.sort();
-            let mut index = HashMap::new();
-            for dir in siblings.iter().rev() {
-                let Ok(entries) = std::fs::read_dir(dir) else { continue };
-                for entry in entries.flatten() {
-                    let path = entry.path();
-                    if path.extension().is_none_or(|x| x != "json") {
-                        continue;
-                    }
-                    let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-                    if index.contains_key(name) {
-                        continue; // an earlier (newer-looking) sibling wins
-                    }
-                    if let Some(cost) = read_cost(&path) {
-                        index.insert(name.to_string(), cost);
-                    }
-                }
-            }
-            index
-        })
-    }
-
-    /// Number of cells currently persisted under this fingerprint (the
-    /// `--resume` report).
-    pub fn cell_count(&self) -> usize {
-        if !self.enabled {
-            return 0;
-        }
-        std::fs::read_dir(self.dir())
-            .map(|rd| {
-                rd.flatten().filter(|e| e.path().extension().is_some_and(|x| x == "json")).count()
-            })
-            .unwrap_or(0)
+        let text = std::fs::read_to_string(self.cell_path(input)).ok()?;
+        let nanos = Json::parse(&text).ok()?.get("busy_nanos")?.as_i64()?;
+        u64::try_from(nanos).ok()
     }
 
     /// Snapshot of the counters, miss labels sorted for deterministic
@@ -405,19 +335,21 @@ impl Cache {
     }
 }
 
-/// Reads the `busy_nanos` field of an envelope without validating the
-/// result payload (costs are advisory).
-fn read_cost(path: &Path) -> Option<u64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let doc = Json::parse(&text).ok()?;
-    let nanos = doc.get("busy_nanos")?.as_i64()?;
-    u64::try_from(nanos).ok()
-}
-
 /// The workspace's shared cache root: `target/sweep-cache/` at the repo
 /// root, regardless of working directory.
 pub fn default_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/sweep-cache")
+}
+
+/// Parses a `LEVIOSO_SWEEP_CACHE_DIR` value: unset or empty means
+/// [`default_root`], like every other `LEVIOSO_*` variable (an empty path
+/// would put the cells in the working directory); anything else is the
+/// root.
+fn parse_root(value: Option<&str>) -> PathBuf {
+    match value {
+        None | Some("") => default_root(),
+        Some(dir) => PathBuf::from(dir),
+    }
 }
 
 #[cfg(test)]
@@ -497,7 +429,7 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_bump_invalidates_everything_but_keeps_costs() {
+    fn fingerprint_bump_invalidates_everything() {
         let root = tmpdir("bump");
         let v1 = Cache::new(&root, "v1");
         for i in 0..4 {
@@ -514,9 +446,6 @@ mod tests {
             r.miss_labels,
             vec!["cell0".to_string(), "cell1".into(), "cell2".into(), "cell3".into()]
         );
-        // ...but the prior revision's measured costs still rank the cells.
-        assert_eq!(v2.estimate_cost("input-2"), Some(502));
-        assert_eq!(v2.estimate_cost("never-stored"), None);
     }
 
     #[test]
@@ -524,7 +453,6 @@ mod tests {
         let cache = Cache::disabled();
         cache.store("cell", "input", &result_doc(1), 0);
         assert_eq!(cache.lookup("cell", "input"), None);
-        assert_eq!(cache.cell_count(), 0);
         assert_eq!(cache.estimate_cost("input"), None);
         let r = cache.report();
         assert_eq!((r.hits, r.misses, r.stores), (0, 1, 0));
@@ -543,13 +471,11 @@ mod tests {
     }
 
     #[test]
-    fn cell_count_reflects_stores() {
+    fn an_overwrite_counts_as_a_store() {
         let cache = Cache::new(tmpdir("count"), "v1");
-        assert_eq!(cache.cell_count(), 0);
         cache.store("a", "input-a", &result_doc(1), 0);
         cache.store("b", "input-b", &result_doc(2), 0);
         cache.store("a", "input-a", &result_doc(1), 0); // overwrite, not a new cell
-        assert_eq!(cache.cell_count(), 2);
         assert_eq!(cache.report().stores, 3, "an overwrite still counts as a store");
     }
 
@@ -574,38 +500,19 @@ mod tests {
     }
 
     #[test]
-    fn sibling_cost_index_is_built_once() {
-        let root = tmpdir("sibling-index");
-        let v1 = Cache::new(&root, "v1");
-        v1.store("a", "input-a", &result_doc(1), 111);
-        v1.store("b", "input-b", &result_doc(2), 222);
-        let v2 = Cache::new(&root, "v2");
-        // First cross-fingerprint estimate builds the index...
-        assert_eq!(v2.estimate_cost("input-a"), Some(111));
-        // ...after which the sibling directory is never re-walked: delete
-        // it and the index keeps serving.
-        std::fs::remove_dir_all(root.join("v1")).unwrap();
-        assert_eq!(v2.estimate_cost("input-b"), Some(222));
-        assert_eq!(v2.estimate_cost("never-stored"), None);
-        // Clones share the built index.
-        assert_eq!(v2.clone().estimate_cost("input-a"), Some(111));
-    }
-
-    #[test]
-    fn sibling_cost_index_prefers_newest_looking_fingerprint() {
-        let root = tmpdir("sibling-order");
-        Cache::new(&root, "v1").store("a", "input-a", &result_doc(1), 100);
-        Cache::new(&root, "v3").store("a", "input-a", &result_doc(1), 300);
-        let v2 = Cache::new(&root, "v2");
-        assert_eq!(v2.estimate_cost("input-a"), Some(300), "descending sort: v3 beats v1");
-    }
-
-    #[test]
-    fn own_fingerprint_cost_beats_the_sibling_index() {
+    fn cost_comes_from_the_cells_own_envelope_only() {
         let root = tmpdir("own-cost");
         Cache::new(&root, "v1").store("a", "input-a", &result_doc(1), 100);
         let v2 = Cache::new(&root, "v2");
+        assert_eq!(v2.estimate_cost("input-a"), None, "another fingerprint's cell is not read");
         v2.store("a", "input-a", &result_doc(1), 900);
         assert_eq!(v2.estimate_cost("input-a"), Some(900));
+    }
+
+    #[test]
+    fn cache_dir_env_parsing_treats_empty_as_unset() {
+        assert_eq!(parse_root(None), default_root());
+        assert_eq!(parse_root(Some("")), default_root());
+        assert_eq!(parse_root(Some("cells")), PathBuf::from("cells"));
     }
 }

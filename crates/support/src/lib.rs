@@ -12,7 +12,7 @@
 //! | [`json`] | `serde`/`serde_json` | a small JSON value type with emit + parse |
 //! | [`check`] | `proptest` | seeded generators, an iteration budget, failing-input reports |
 //! | [`bench`] | `criterion` | a wall-clock benchmark runner with a compatible surface |
-//! | [`pool`] | `rayon` | a work-stealing worker pool with order-stable, panic-transparent fan-out |
+//! | [`pool`] | `rayon` | a scoped worker pool on one shared job cursor, with order-stable, panic-transparent fan-out |
 //! | [`cache`] | — | a content-addressed on-disk cell cache for incremental sweeps |
 //! | [`histogram`] | `hdrhistogram` | fixed-footprint log2-bucketed latency histograms |
 //!

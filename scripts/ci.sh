@@ -11,10 +11,11 @@
 #     format gate:        rustfmt --check against rustfmt.toml
 #     lint gate:          clippy on every workspace target, warnings denied
 #
-#   test (nine steps):
+#   test (eight steps):
 #     tier-1 verify:      cargo build --release && cargo test -q — first
 #                         and fast, so the basic contract fails early
-#     workspace tests:    unit, property, integration, and doc tests
+#     workspace tests:    unit, property, integration and doc tests, plus
+#                         one smoke run of every microbenchmark body
 #     benchmark tests:    perfbench's self-tests (its own workspace, so
 #                         the workspace tests above do not build it):
 #                         every workload at reduced sizes prints every
@@ -114,7 +115,6 @@ step_test()      { cargo test -q --offline; }
 step_fmt()       { cargo fmt --all --check; }
 step_clippy()    { cargo clippy --offline --workspace --all-targets -- -D warnings; }
 step_ws_tests()  { cargo test -q --offline --workspace; }
-step_doc_tests() { cargo test -q --offline --workspace --doc; }
 step_perfbench() { cargo test -q --offline --manifest-path perfbench/Cargo.toml; }
 
 step_golden_gate() {
@@ -165,7 +165,6 @@ if [[ "$mode" == "test" || "$mode" == "all" ]]; then
   run_step "tier-1: cargo build --release" step_build
   run_step "tier-1: cargo test -q" step_test
   run_step "full-workspace tests" step_ws_tests
-  run_step "doc tests" step_doc_tests
   run_step "benchmark self-tests: perfbench at reduced sizes" step_perfbench
   run_step "golden gate: paper- and smoke-tier sweeps vs results/golden/" step_golden_gate
   run_step "trace smoke: levitrace conservation + round-trip on one cell" step_trace_smoke
