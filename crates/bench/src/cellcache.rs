@@ -4,10 +4,9 @@
 //! module binds it to the bench domain:
 //!
 //! * one **process-global handle**, namespaced under
-//!   [`levioso_uarch::core_fingerprint`] and configured from the
-//!   environment by default (`LEVIOSO_SWEEP_CACHE=off` disables,
-//!   `LEVIOSO_SWEEP_CACHE_DIR` relocates; default
-//!   `target/sweep-cache/<fingerprint>/`);
+//!   [`levioso_uarch::core_fingerprint`] and rooted by the environment
+//!   by default (`LEVIOSO_SWEEP_CACHE_DIR` relocates it; default
+//!   `target/sweep-cache/<fingerprint>/`; `--no-cache` disables it);
 //! * the **cell key**: a serialized description of everything a
 //!   `(workload, scheme, config)` simulation's result depends on — the
 //!   program *text* (not the name: a regenerated workload with different

@@ -2,37 +2,10 @@
 //!
 //! Every fig/table binary includes `src/util.rs` as its own module for
 //! argument parsing; the pieces that must be *identical across binaries*
-//! (the `LEVIOSO_SCALE` parser, the results-directory anchor and the
-//! run-summary renderer) live here in the library so there is exactly one
-//! definition.
+//! (the results-directory anchor and the run-summary renderer) live here
+//! in the library so there is exactly one definition.
 
-use crate::Tier;
 use std::path::{Path, PathBuf};
-
-/// Parses a `LEVIOSO_SCALE` value: unset or empty means paper, and
-/// `smoke`/`paper` are accepted in any ASCII case. Anything else panics —
-/// a typo that silently ran the paper grid would change what a check
-/// measures (same contract as `LEVIOSO_SWEEP_CACHE` and `LEVIOSO_THREADS`).
-fn parse_scale(value: Option<&str>) -> Tier {
-    match value {
-        None | Some("") => Tier::Paper,
-        Some(v) if v.eq_ignore_ascii_case("smoke") => Tier::Smoke,
-        Some(v) if v.eq_ignore_ascii_case("paper") => Tier::Paper,
-        Some(other) => panic!(
-            "unknown LEVIOSO_SCALE value {other:?}: expected unset, empty, \"smoke\" or \"paper\""
-        ),
-    }
-}
-
-/// Tier selected by the `LEVIOSO_SCALE` environment variable (default
-/// `paper`), overridable by `--smoke`/`--paper`.
-///
-/// # Panics
-///
-/// Panics on any value but unset, empty, `smoke` or `paper` (any case).
-pub fn tier_from_env() -> Tier {
-    parse_scale(std::env::var("LEVIOSO_SCALE").ok().as_deref())
-}
 
 /// The `results/` directory every binary writes into: the repo root's by
 /// default (anchored at the crate manifest, so output lands in the repo
@@ -74,21 +47,6 @@ pub fn run_summary(wall_seconds: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scale_env_parsing_is_strict() {
-        assert_eq!(parse_scale(None), Tier::Paper);
-        assert_eq!(parse_scale(Some("")), Tier::Paper);
-        for smoke in ["smoke", "SMOKE", "Smoke", Tier::Smoke.name()] {
-            assert_eq!(parse_scale(Some(smoke)), Tier::Smoke, "{smoke:?}");
-        }
-        for paper in ["paper", "PAPER", "Paper", Tier::Paper.name()] {
-            assert_eq!(parse_scale(Some(paper)), Tier::Paper, "{paper:?}");
-        }
-        for bad in ["smok", "smoke ", "1", "full"] {
-            assert!(std::panic::catch_unwind(|| parse_scale(Some(bad))).is_err(), "{bad:?}");
-        }
-    }
 
     #[test]
     fn results_dir_env_parsing_treats_empty_as_unset() {

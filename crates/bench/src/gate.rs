@@ -558,12 +558,20 @@ mod tests {
 
     #[test]
     fn missing_snapshot_reports_drift_not_silence() {
-        let figures = vec![("fig2_overhead", fig(&[("a", 1.0)]))];
+        let figures = vec![("no_such_figure", fig(&[("a", 1.0)]))];
         let report = check_figures(&figures, Tier::Smoke);
-        // Whether or not goldens exist on disk, the report must account for
-        // the cell; with no snapshot recorded for a bogus location the gate
-        // fails loudly.
         assert_eq!(report.cells_checked, 1);
+        let missing = Tier::Smoke.golden_dir().join("no_such_figure.json");
+        assert!(!missing.exists());
+        match report.drifts.as_slice() {
+            [Drift::Structure { figure, detail }] => {
+                assert_eq!(figure, "no_such_figure");
+                assert!(detail.contains(&missing.display().to_string()), "{detail}");
+            }
+            other => {
+                panic!("expected one structural drift naming {}, got {other:?}", missing.display())
+            }
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl Opts {
     /// exits 2 on unknown or malformed arguments.
     pub fn parse(gate_flags: bool, attrib_flag: bool) -> Opts {
         let mut opts = Opts {
-            tier: levioso_bench::cli::tier_from_env(),
+            tier: Tier::Paper,
             threads: None,
             check: false,
             bless: false,
@@ -107,7 +107,7 @@ fn usage(gate_flags: bool, attrib_flag: bool) -> String {
     format!(
         "usage: [--smoke|--paper] [--threads N] [--quiet] [--no-cache]{gate}{attrib}\n\
          \n  --smoke        reduced problem sizes and sweep grids (the CI tier)\
-         \n  --paper        full evaluation settings (default; or LEVIOSO_SCALE env)\
+         \n  --paper        full evaluation settings (default)\
          \n  --threads N    worker threads (default: LEVIOSO_THREADS or all cores)\
          \n  --quiet, -q    suppress rendered reports on stdout\
          \n  --no-cache     recompute every sweep cell (results are identical either way)"

@@ -32,6 +32,14 @@ fn blame_is_conserved_and_invisible_on_every_smoke_cell() {
             "{} under {scheme}: kind counters do not partition the blame",
             w.name
         );
+        // Every policy block names a blocking slot: only the core's cache
+        // race retry has none.
+        let race_retries = attrib.rules.get("core:l1-race-retry").map_or(0, |r| r.cycles);
+        assert_eq!(
+            attrib.unattributed_cycles, race_retries,
+            "{} under {scheme}: a policy block named no blocking slot",
+            w.name
+        );
         (scheme, attrib)
     });
     // The protected schemes must blame something somewhere in the suite,
@@ -49,20 +57,18 @@ fn blame_is_conserved_and_invisible_on_every_smoke_cell() {
 
 #[test]
 fn attribution_rules_carry_the_scheme_vocabulary() {
-    let pairs = [
-        (Scheme::Levioso, "levioso:"),
-        (Scheme::Fence, "fence:"),
-        (Scheme::ExecuteDelay, "execute-delay:"),
-        (Scheme::CommitDelay, "commit-delay:"),
-        (Scheme::Stt, "stt:"),
-    ];
-    let schemes: Vec<Scheme> = pairs.iter().map(|&(s, _)| s).collect();
+    let schemes: Vec<Scheme> = Scheme::ALL.into_iter().filter(|&s| s != Scheme::Unsafe).collect();
     let report = levioso_bench::attribution_report(&Sweep::from_env(), Scale::Smoke, &schemes);
-    for ((scheme, attrib), (_, prefix)) in report.iter().zip(&pairs) {
+    for (scheme, attrib) in &report {
+        let prefix = format!("{scheme}:");
+        let rules: Vec<&String> = attrib.rules.keys().collect();
         assert!(
-            attrib.rules.keys().any(|r| r.starts_with(prefix)),
-            "{scheme}: expected a `{prefix}*` rule somewhere in the suite, got {:?}",
-            attrib.rules.keys().collect::<Vec<_>>()
+            rules.iter().any(|r| r.starts_with(&prefix)),
+            "{scheme}: expected a `{prefix}*` rule somewhere in the suite, got {rules:?}"
+        );
+        assert!(
+            rules.iter().all(|r| r.starts_with(&prefix) || *r == "core:l1-race-retry"),
+            "{scheme}: every rule must be `{prefix}*` or `core:l1-race-retry`, got {rules:?}"
         );
     }
 }

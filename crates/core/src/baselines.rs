@@ -1,10 +1,10 @@
 //! Baseline secure-speculation schemes the paper compares against.
 //!
-//! All baselines are *hardware-only*: they consult the conservative
+//! All baselines are *hardware-only*: they wait on the conservative
 //! speculation shadow (`DynInstr::shadow` — every older unresolved control
 //! instruction) or dynamic taint (`DynInstr::taint_roots`), never the
 //! compiler annotations. They differ in **what** they gate and **when**
-//! they release:
+//! they release, which is all each one declares (a [`Wait`] per gate):
 //!
 //! | scheme | gates | release | coverage |
 //! |---|---|---|---|
@@ -14,7 +14,7 @@
 //! | [`CommitDelay`] | transmits | branch **commit** | comprehensive (the paper's ≈51 % class) |
 //! | [`ExecuteDelay`] | transmits | branch **execute** | comprehensive (the paper's ≈43 % class) |
 
-use levioso_uarch::{DelayExplanation, DynInstr, Gate, LoadMode, SpecView, SpeculationPolicy};
+use levioso_uarch::{DynInstr, Release, SpeculationPolicy, Wait};
 
 /// Fence-after-every-branch: no instruction executes under an unresolved
 /// older control instruction. The classic software mitigation's cost
@@ -23,23 +23,9 @@ use levioso_uarch::{DelayExplanation, DynInstr, Gate, LoadMode, SpecView, Specul
 pub struct Fence;
 
 impl SpeculationPolicy for Fence {
-    fn name(&self) -> &'static str {
-        "fence"
-    }
-
-    fn may_execute(&self, instr: &DynInstr, view: &SpecView<'_>) -> Gate {
-        if view.any_unresolved(&instr.shadow) {
-            Gate::Delay
-        } else {
-            Gate::Allow
-        }
-    }
-
-    fn explain_execute_delay(&self, instr: &DynInstr, view: &SpecView<'_>) -> DelayExplanation {
-        DelayExplanation {
-            rule: "fence:unresolved-shadow",
-            blocking: view.unresolved_of(&instr.shadow),
-        }
+    fn execute_wait<'a>(&self, instr: &'a DynInstr) -> Option<Wait<'a>> {
+        let rule = "fence:unresolved-shadow";
+        Some(Wait { rule, deps: &instr.shadow, release: Release::Resolve })
     }
 }
 
@@ -52,40 +38,19 @@ impl SpeculationPolicy for Fence {
 pub struct DelayOnMiss;
 
 impl SpeculationPolicy for DelayOnMiss {
-    fn name(&self) -> &'static str {
-        "delay-on-miss"
+    fn transmit_wait<'a>(&self, instr: &'a DynInstr) -> Option<Wait<'a>> {
+        // Flushes perturb cache state unconditionally: they wait while
+        // speculative. Loads wait only on a miss (`hit_only_wait`).
+        if instr.instr.is_load() {
+            return None;
+        }
+        let rule = "delay-on-miss:speculative-flush";
+        Some(Wait { rule, deps: &instr.shadow, release: Release::Resolve })
     }
 
-    fn may_transmit(&self, instr: &DynInstr, view: &SpecView<'_>) -> Gate {
-        // Flushes perturb cache state unconditionally: delay while
-        // speculative. Loads are handled via `load_mode`.
-        if instr.instr.is_load() || !view.any_unresolved(&instr.shadow) {
-            Gate::Allow
-        } else {
-            Gate::Delay
-        }
-    }
-
-    fn load_mode(&self, instr: &DynInstr, view: &SpecView<'_>) -> LoadMode {
-        if view.any_unresolved(&instr.shadow) {
-            LoadMode::HitOnly
-        } else {
-            LoadMode::Normal
-        }
-    }
-
-    fn explain_transmit_delay(&self, instr: &DynInstr, view: &SpecView<'_>) -> DelayExplanation {
-        DelayExplanation {
-            rule: "delay-on-miss:speculative-flush",
-            blocking: view.unresolved_of(&instr.shadow),
-        }
-    }
-
-    fn explain_load_mode_delay(&self, instr: &DynInstr, view: &SpecView<'_>) -> DelayExplanation {
-        DelayExplanation {
-            rule: "delay-on-miss:l1-miss-under-shadow",
-            blocking: view.unresolved_of(&instr.shadow),
-        }
+    fn hit_only_wait<'a>(&self, instr: &'a DynInstr) -> Option<Wait<'a>> {
+        let rule = "delay-on-miss:l1-miss-under-shadow";
+        Some(Wait { rule, deps: &instr.shadow, release: Release::Resolve })
     }
 }
 
@@ -98,23 +63,9 @@ impl SpeculationPolicy for DelayOnMiss {
 pub struct Stt;
 
 impl SpeculationPolicy for Stt {
-    fn name(&self) -> &'static str {
-        "stt"
-    }
-
-    fn may_transmit(&self, instr: &DynInstr, view: &SpecView<'_>) -> Gate {
-        if view.any_taint_active(&instr.taint_roots) {
-            Gate::Delay
-        } else {
-            Gate::Allow
-        }
-    }
-
-    fn explain_transmit_delay(&self, instr: &DynInstr, view: &SpecView<'_>) -> DelayExplanation {
-        DelayExplanation {
-            rule: "stt:tainted-operand",
-            blocking: view.active_taints_of(&instr.taint_roots),
-        }
+    fn transmit_wait<'a>(&self, instr: &'a DynInstr) -> Option<Wait<'a>> {
+        let rule = "stt:tainted-operand";
+        Some(Wait { rule, deps: &instr.taint_roots, release: Release::Untaint })
     }
 }
 
@@ -125,23 +76,9 @@ impl SpeculationPolicy for Stt {
 pub struct CommitDelay;
 
 impl SpeculationPolicy for CommitDelay {
-    fn name(&self) -> &'static str {
-        "commit-delay"
-    }
-
-    fn may_transmit(&self, instr: &DynInstr, view: &SpecView<'_>) -> Gate {
-        if view.any_uncommitted(&instr.shadow) {
-            Gate::Delay
-        } else {
-            Gate::Allow
-        }
-    }
-
-    fn explain_transmit_delay(&self, instr: &DynInstr, view: &SpecView<'_>) -> DelayExplanation {
-        DelayExplanation {
-            rule: "commit-delay:uncommitted-shadow",
-            blocking: view.uncommitted_of(&instr.shadow),
-        }
+    fn transmit_wait<'a>(&self, instr: &'a DynInstr) -> Option<Wait<'a>> {
+        let rule = "commit-delay:uncommitted-shadow";
+        Some(Wait { rule, deps: &instr.shadow, release: Release::Commit })
     }
 }
 
@@ -152,22 +89,8 @@ impl SpeculationPolicy for CommitDelay {
 pub struct ExecuteDelay;
 
 impl SpeculationPolicy for ExecuteDelay {
-    fn name(&self) -> &'static str {
-        "execute-delay"
-    }
-
-    fn may_transmit(&self, instr: &DynInstr, view: &SpecView<'_>) -> Gate {
-        if view.any_unresolved(&instr.shadow) {
-            Gate::Delay
-        } else {
-            Gate::Allow
-        }
-    }
-
-    fn explain_transmit_delay(&self, instr: &DynInstr, view: &SpecView<'_>) -> DelayExplanation {
-        DelayExplanation {
-            rule: "execute-delay:unresolved-shadow",
-            blocking: view.unresolved_of(&instr.shadow),
-        }
+    fn transmit_wait<'a>(&self, instr: &'a DynInstr) -> Option<Wait<'a>> {
+        let rule = "execute-delay:unresolved-shadow";
+        Some(Wait { rule, deps: &instr.shadow, release: Release::Resolve })
     }
 }

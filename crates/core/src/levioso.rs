@@ -17,9 +17,9 @@
 //! resolves, either the dependents were on the correct path (and transmit
 //! reveals nothing transient) or they are being squashed.
 
-use levioso_uarch::{DelayExplanation, DynInstr, Gate, SpecView, SpeculationPolicy};
+use levioso_uarch::{DynInstr, Release, SpeculationPolicy, Wait};
 
-/// Which dependency set the scheme consults.
+/// Which dependency set the scheme waits on, and the rule it reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LeviosoVariant {
     /// Annotation instances **plus** hardware dataflow propagation
@@ -30,10 +30,13 @@ pub enum LeviosoVariant {
     ///
     /// Paired with statically-dataflow-closed annotations this is the
     /// "static Levioso" ablation (F3), sound for programs without
-    /// cross-function register flows. Paired with control-only annotations
+    /// cross-function register flows.
+    AnnotationOnly,
+    /// The same `ann_deps` wait as [`LeviosoVariant::AnnotationOnly`],
+    /// reported under its own rule. Paired with control-only annotations
     /// it is **deliberately unsound** and exists so the failure-injection
     /// tests can demonstrate why dataflow closure is necessary.
-    AnnotationOnly,
+    ControlOnly,
 }
 
 /// The Levioso policy (see module docs).
@@ -60,39 +63,20 @@ impl Levioso {
 }
 
 impl SpeculationPolicy for Levioso {
-    fn name(&self) -> &'static str {
-        match self.variant {
-            LeviosoVariant::Full => "levioso",
-            LeviosoVariant::AnnotationOnly => "levioso-static",
-        }
-    }
-
     fn needs_annotations(&self) -> bool {
         true
     }
 
-    fn may_transmit(&self, instr: &DynInstr, view: &SpecView<'_>) -> Gate {
-        let deps = match self.variant {
-            LeviosoVariant::Full => &instr.lev_deps,
-            LeviosoVariant::AnnotationOnly => &instr.ann_deps,
+    fn transmit_wait<'a>(&self, instr: &'a DynInstr) -> Option<Wait<'a>> {
+        let (rule, deps) = match self.variant {
+            LeviosoVariant::Full => ("levioso:true-dep-unresolved", &instr.lev_deps),
+            LeviosoVariant::AnnotationOnly => {
+                ("levioso-static:ann-dep-unresolved", &instr.ann_deps)
+            }
+            LeviosoVariant::ControlOnly => {
+                ("levioso-ctrl-only:ann-dep-unresolved", &instr.ann_deps)
+            }
         };
-        if view.any_unresolved(deps) {
-            Gate::Delay
-        } else {
-            Gate::Allow
-        }
-    }
-
-    fn explain_transmit_delay(&self, instr: &DynInstr, view: &SpecView<'_>) -> DelayExplanation {
-        match self.variant {
-            LeviosoVariant::Full => DelayExplanation {
-                rule: "levioso:true-dep-unresolved",
-                blocking: view.unresolved_of(&instr.lev_deps),
-            },
-            LeviosoVariant::AnnotationOnly => DelayExplanation {
-                rule: "levioso-static:ann-dep-unresolved",
-                blocking: view.unresolved_of(&instr.ann_deps),
-            },
-        }
+        Some(Wait { rule, deps, release: Release::Resolve })
     }
 }

@@ -97,9 +97,10 @@ impl Scheme {
             Scheme::CommitDelay => Box::new(CommitDelay),
             Scheme::ExecuteDelay => Box::new(ExecuteDelay),
             Scheme::Levioso => Box::new(Levioso::new()),
-            Scheme::LeviosoStatic | Scheme::LeviosoCtrlOnly => {
+            Scheme::LeviosoStatic => {
                 Box::new(Levioso::with_variant(LeviosoVariant::AnnotationOnly))
             }
+            Scheme::LeviosoCtrlOnly => Box::new(Levioso::with_variant(LeviosoVariant::ControlOnly)),
         }
     }
 

@@ -26,7 +26,7 @@
 //! * stores write to a unique temp file and `rename` into place, so
 //!   concurrent writers of the same key (two sweeps racing on a shared
 //!   cell) leave one complete envelope, never a torn one;
-//! * a disabled cache ([`Cache::disabled`], `LEVIOSO_SWEEP_CACHE=off`)
+//! * a disabled cache ([`Cache::disabled`], what `--no-cache` selects)
 //!   never touches the filesystem — every lookup is a miss and every store
 //!   a no-op — so cached and uncached runs of a deterministic sweep are
 //!   byte-identical by construction. It counts its misses but keeps no
@@ -152,24 +152,9 @@ impl Cache {
         }
     }
 
-    /// Cache configured by the environment: rooted at
-    /// `LEVIOSO_SWEEP_CACHE_DIR` (default [`default_root`] when unset or
-    /// empty), disabled entirely when `LEVIOSO_SWEEP_CACHE` is `off`/`0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized `LEVIOSO_SWEEP_CACHE` value — a typo that
-    /// silently left caching on (or off) would change what a CI run
-    /// measures.
+    /// Cache rooted at `LEVIOSO_SWEEP_CACHE_DIR` (default [`default_root`]
+    /// when unset or empty).
     pub fn from_env(fingerprint: impl Into<String>) -> Cache {
-        match std::env::var("LEVIOSO_SWEEP_CACHE").ok().as_deref() {
-            Some("off") | Some("0") => return Cache::disabled(),
-            None | Some("") | Some("on") | Some("1") => {}
-            Some(other) => panic!(
-                "unknown LEVIOSO_SWEEP_CACHE value {other:?}: expected unset, \"on\"/\"1\", or \
-                 \"off\"/\"0\""
-            ),
-        }
         let root = parse_root(std::env::var("LEVIOSO_SWEEP_CACHE_DIR").ok().as_deref());
         Cache::new(root, fingerprint)
     }

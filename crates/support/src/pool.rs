@@ -147,8 +147,7 @@ impl Default for Pool {
 /// Parses a `LEVIOSO_THREADS` value: unset or empty means "not set"
 /// (`None`), a positive integer is the worker count. Anything else
 /// panics — `0`, `-3` or `abc` silently using every core would change
-/// what a timed run measures (same contract as `LEVIOSO_SCALE` and
-/// `LEVIOSO_SWEEP_CACHE`).
+/// what a timed run measures.
 fn parse_threads(value: Option<&str>) -> Option<usize> {
     match value {
         None | Some("") => None,

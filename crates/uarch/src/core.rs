@@ -44,19 +44,19 @@
 //!   would repeat the quiet one, whose only effect is one more policy
 //!   delay cycle on each instruction it delayed.
 //!
-//! Both rest on the [`SpeculationPolicy`] contract: verdicts are pure, and
-//! `may_execute` never turns from `Allow` back to `Delay` for an in-flight
-//! instruction.
+//! Both rest on the [`SpeculationPolicy`] contract: a policy only declares
+//! what each gate waits on, so verdicts are pure and a gate that opened
+//! never closes for an in-flight instruction.
 
 use crate::cache::Hierarchy;
 use crate::config::CoreConfig;
 use crate::dyninstr::{DynInstr, OpState, Operand, RobRef, Seq, Stage};
-use crate::policy::{Gate, LoadMode, SpecView, SpeculationPolicy};
+use crate::policy::{SpecView, SpeculationPolicy, Wait};
 use crate::predictor::Predictor;
 use crate::refsets::{self, RefSets, ReferenceChecks};
 use crate::specmask::{SlotTable, SpecMask};
 use crate::stats::SimStats;
-use crate::trace::{Blame, BlamedKind, BlamedSlot, DelayExplanation, TraceSink};
+use crate::trace::{Blame, BlamedKind, BlamedSlot, TraceSink};
 use levioso_isa::{read_memory, write_memory, DepSet, Instr, MemWidth, Memory, Program, Reg};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
@@ -99,15 +99,16 @@ pub(crate) enum IssueAction {
     StoreAddr { idx: usize, addr: u64 },
 }
 
-/// Which gate produced a `Delay` verdict in phase A, so the blame pass
-/// can ask the policy the matching `explain_*_delay` question.
+/// Which gate held an instruction in phase A, so the blame pass can ask
+/// the policy for the same [`Wait`] again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DelayCause {
-    /// `may_execute` returned `Delay`.
+    /// [`SpeculationPolicy::execute_wait`] held.
     Execute,
-    /// `may_transmit` returned `Delay`.
+    /// [`SpeculationPolicy::transmit_wait`] held.
     Transmit,
-    /// A `LoadMode::HitOnly` load missed in the L1.
+    /// [`SpeculationPolicy::hit_only_wait`] held and the load missed in
+    /// the L1.
     LoadMiss,
 }
 
@@ -931,8 +932,7 @@ impl<'p> Simulator<'p> {
         decided.parked.clear();
 
         {
-            let view = SpecView { slots: &self.slots };
-            self.issue_scan(policy, &view, &mut decided);
+            self.issue_scan(policy, &mut decided);
             if let Some(refs) = &self.refsets {
                 if !self.serializers.is_empty() {
                     // Under a serializer, the full-ROB scan the barrier
@@ -947,7 +947,7 @@ impl<'p> Simulator<'p> {
                         &mut scanned,
                         &mut |idx, units, out| {
                             if !self.parked.iter().any(|p| p.load.seq == self.rob[idx].seq) {
-                                self.consider_issue(policy, &view, idx, units, out);
+                                self.consider_issue(policy, idx, units, out);
                             }
                         },
                     );
@@ -959,23 +959,16 @@ impl<'p> Simulator<'p> {
                 for p in &self.parked {
                     let idx = self.live(p.load).expect("parked loads are in flight");
                     let mut redecided = IssueDecisions::default();
-                    self.consider_issue(
-                        policy,
-                        &view,
-                        idx,
-                        &mut self.issue_units(),
-                        &mut redecided,
-                    );
+                    self.consider_issue(policy, idx, &mut self.issue_units(), &mut redecided);
                     refs.check_parked(self.cycle, idx, p, &redecided);
                 }
             }
         }
         let active = !decided.actions.is_empty() || !decided.first_ready.is_empty();
 
-        // Blame pass: with a sink attached, explain this cycle's policy
+        // Blame pass: with a sink attached, blame this cycle's policy
         // blocks *before* phase B mutates the state the verdicts were
-        // computed from (so the blocking masks the policy reports match
-        // the masks its gates actually saw).
+        // computed from (so each blame reads the state its gate read).
         if let Some(mut t) = self.tracer.take() {
             for &(idx, cause) in &decided.delayed {
                 t.on_policy_block(self.cycle, &self.rob[idx], &self.blame_for(policy, idx, cause));
@@ -1051,8 +1044,7 @@ impl<'p> Simulator<'p> {
                     self.begin_execution(idx, 2);
                     if let Some(refs) = self.refsets.as_deref_mut() {
                         let e = &self.rob[idx];
-                        let view = SpecView { slots: &self.slots };
-                        refs.on_forward(e.seq, store_seq, e, &self.slots, &view);
+                        refs.on_forward(e.seq, store_seq, e, &self.slots);
                     }
                     if let Some(t) = self.tracer.as_deref_mut() {
                         t.on_forward(self.cycle, &self.rob[idx], store_seq);
@@ -1126,17 +1118,31 @@ impl<'p> Simulator<'p> {
         active
     }
 
-    /// The blame for the instruction at `idx`, which a policy gate delayed
-    /// with `cause` in the current state.
+    /// The blame for the instruction at `idx`, which the policy gate
+    /// `cause` held in the current state: the gate's rule, and the *oldest*
+    /// member of its wait still holding it (the one that must see its
+    /// release event first before the block can lift).
     fn blame_for(&self, policy: &dyn SpeculationPolicy, idx: usize, cause: DelayCause) -> Blame {
-        let view = SpecView { slots: &self.slots };
         let e = &self.rob[idx];
-        let expl = match cause {
-            DelayCause::Execute => policy.explain_execute_delay(e, &view),
-            DelayCause::Transmit => policy.explain_transmit_delay(e, &view),
-            DelayCause::LoadMiss => policy.explain_load_mode_delay(e, &view),
-        };
-        self.blame_of(&expl)
+        let wait = match cause {
+            DelayCause::Execute => policy.execute_wait(e),
+            DelayCause::Transmit => policy.transmit_wait(e),
+            DelayCause::LoadMiss => policy.hit_only_wait(e),
+        }
+        .expect("a gate that held declared a wait");
+        let blocking = SpecView { slots: &self.slots }.blocking(&wait);
+        let oldest = blocking.iter().min_by_key(|&slot| self.slots.seq_of(slot));
+        let blamed = oldest.map(|slot| {
+            let kind = if self.slots.live_load.contains(slot) {
+                BlamedKind::Load
+            } else if self.slots.indirect.contains(slot) {
+                BlamedKind::Indirect
+            } else {
+                BlamedKind::Branch
+            };
+            BlamedSlot { kind, seq: self.slots.seq_of(slot), pc: self.slots.pc_of(slot) }
+        });
+        Blame { rule: wait.rule, blamed }
     }
 
     /// A full execution-unit budget for one cycle.
@@ -1157,12 +1163,7 @@ impl<'p> Simulator<'p> {
     /// completed — and then considers the barrier itself. A serializer
     /// issues only once every older instruction is done, and blocks every
     /// younger one until it completes.
-    fn issue_scan(
-        &self,
-        policy: &dyn SpeculationPolicy,
-        view: &SpecView<'_>,
-        out: &mut IssueDecisions,
-    ) {
+    fn issue_scan(&self, policy: &dyn SpeculationPolicy, out: &mut IssueDecisions) {
         let mut units = self.issue_units();
         // Serializers issue in age order (each waits for every older
         // instruction), so the completed ones form a prefix of the queue.
@@ -1177,7 +1178,7 @@ impl<'p> Simulator<'p> {
             }
             let idx = self.live(r).expect("ready entries are live");
             debug_assert_eq!(self.rob[idx].stage, Stage::Dispatched);
-            self.consider_issue(policy, view, idx, &mut units, out);
+            self.consider_issue(policy, idx, &mut units, out);
         }
         let Some((_, idx)) = barrier else { return };
         let e = &self.rob[idx];
@@ -1199,12 +1200,13 @@ impl<'p> Simulator<'p> {
     fn consider_issue(
         &self,
         policy: &dyn SpeculationPolicy,
-        view: &SpecView<'_>,
         idx: usize,
         units: &mut IssueUnits,
         out: &mut IssueDecisions,
     ) {
         let e = &self.rob[idx];
+        let view = SpecView { slots: &self.slots };
+        let holds = |wait: Option<Wait<'_>>| wait.is_some_and(|w| view.holds(&w));
         // Store address generation needs only the base operand.
         let is_store = e.instr.is_store();
         let base_ready = !is_store || e.srcs[0].state.value().is_some();
@@ -1216,13 +1218,13 @@ impl<'p> Simulator<'p> {
         if e.operands_ready() && e.ready_while_shadowed.is_none() {
             out.first_ready.push((
                 idx,
-                view.any_unresolved(&e.shadow),
-                view.any_unresolved(&e.lev_deps),
+                e.shadow.intersects(&self.slots.unresolved),
+                e.lev_deps.intersects(&self.slots.unresolved),
             ));
         }
 
         // Universal execute gate.
-        if policy.may_execute(e, view) == Gate::Delay {
+        if holds(policy.execute_wait(e)) {
             out.delayed.push((idx, DelayCause::Execute));
             return;
         }
@@ -1312,7 +1314,7 @@ impl<'p> Simulator<'p> {
                 if units.ld_ports == 0 {
                     return;
                 }
-                if policy.may_transmit(e, view) == Gate::Delay {
+                if holds(policy.transmit_wait(e)) {
                     out.delayed.push((idx, DelayCause::Transmit));
                     return;
                 }
@@ -1330,7 +1332,7 @@ impl<'p> Simulator<'p> {
                 match self.lsq_check(idx, addr, width) {
                     LsqVerdict::Blocked { store, wake } => out.parked.push((idx, store, wake)),
                     LsqVerdict::Forward(store_idx) => {
-                        if policy.may_transmit(e, view) == Gate::Delay {
+                        if holds(policy.transmit_wait(e)) {
                             out.delayed.push((idx, DelayCause::Transmit));
                             return;
                         }
@@ -1339,11 +1341,11 @@ impl<'p> Simulator<'p> {
                         units.issued += 1;
                     }
                     LsqVerdict::Memory => {
-                        if policy.may_transmit(e, view) == Gate::Delay {
+                        if holds(policy.transmit_wait(e)) {
                             out.delayed.push((idx, DelayCause::Transmit));
                             return;
                         }
-                        let hit_only = policy.load_mode(e, view) == LoadMode::HitOnly;
+                        let hit_only = holds(policy.hit_only_wait(e));
                         let is_l1_hit = self.hierarchy.l1d.contains(addr);
                         if hit_only && !is_l1_hit {
                             // Delay-on-Miss: must wait instead of filling
@@ -1383,30 +1385,6 @@ impl<'p> Simulator<'p> {
                 units.issued += 1;
             }
         }
-    }
-
-    /// Converts a policy's [`DelayExplanation`] into a concrete [`Blame`]:
-    /// the *oldest* slot in the blocking mask is the one whose resolution
-    /// the block is actually waiting on; the slot table records its pc.
-    fn blame_of(&self, expl: &DelayExplanation) -> Blame {
-        let mut oldest: Option<(Seq, u16)> = None;
-        for slot in expl.blocking.iter() {
-            let seq = self.slots.seq_of(slot);
-            if oldest.is_none_or(|(s, _)| seq < s) {
-                oldest = Some((seq, slot));
-            }
-        }
-        let blamed = oldest.map(|(seq, slot)| {
-            let kind = if self.slots.live_load.contains(slot) {
-                BlamedKind::Load
-            } else if self.slots.indirect.contains(slot) {
-                BlamedKind::Indirect
-            } else {
-                BlamedKind::Branch
-            };
-            BlamedSlot { kind, seq, pc: self.slots.pc_of(slot) }
-        });
-        Blame { rule: expl.rule, blamed }
     }
 
     /// Memory-ordering verdict for a load at ROB index `idx`.
@@ -1602,8 +1580,7 @@ impl<'p> Simulator<'p> {
 
             let e = &self.rob[idx];
             if let Some(refs) = self.refsets.as_deref_mut() {
-                let view = SpecView { slots: &self.slots };
-                refs.on_dispatch(e, ann, &inherit, &self.slots, &view);
+                refs.on_dispatch(e, ann, &inherit, &self.slots);
             }
             if let Some(t) = self.tracer.as_deref_mut() {
                 t.on_dispatch(self.cycle, e);

@@ -11,8 +11,10 @@
 //! core computes, for every in-flight instruction, the conservative
 //! speculation shadow, the Levioso true-dependency set (static annotation
 //! instances closed over dynamic dataflow), and STT-style taint roots; a
-//! policy is a set of pure predicates over that state. All schemes in
-//! `levioso-core` are compared on this identical dynamic state.
+//! policy declares, per gate, which of those sets it waits on and until
+//! which event (a [`Wait`]), and the core decides and blames every gate
+//! from that declaration. All schemes in `levioso-core` are compared on
+//! this identical dynamic state.
 //!
 //! [Levioso (DAC '24)]: https://doi.org/10.1145/3649329.3655632
 
@@ -37,7 +39,7 @@ pub use crate::refsets::ReferenceChecks;
 /// Semantic revision of the simulator core and its policy surface.
 ///
 /// **Bump this whenever a change can alter simulated results** — pipeline
-/// timing, cache/predictor behavior, policy predicates, stats accounting,
+/// timing, cache/predictor behavior, policy waits, stats accounting,
 /// workload generation feeding the sweeps. The constant namespaces the
 /// on-disk sweep cache (`target/sweep-cache/<fingerprint>/`) and is
 /// recorded in `results/golden/core_rev.json` at bless time: re-blessing
@@ -60,8 +62,8 @@ pub fn core_fingerprint() -> String {
 pub use cache::{CacheStats, Hierarchy, SetAssocCache};
 pub use config::{CacheConfig, CoreConfig, HierarchyConfig, PredictorConfig, MAX_ROB_SIZE};
 pub use dyninstr::{DynInstr, OpState, Operand, Operands, RobRef, Seq, Stage};
-pub use policy::{Gate, LoadMode, SpecView, SpeculationPolicy, UnsafeBaseline};
+pub use policy::{Release, SpeculationPolicy, UnsafeBaseline, Wait};
 pub use predictor::Predictor;
 pub use specmask::SpecMask;
 pub use stats::SimStats;
-pub use trace::{Blame, BlamedKind, BlamedSlot, DelayExplanation, NullSink, Tee, TraceSink};
+pub use trace::{Blame, BlamedKind, BlamedSlot, NullSink, Tee, TraceSink};

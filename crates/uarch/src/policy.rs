@@ -1,15 +1,18 @@
 //! The secure-speculation policy interface.
 //!
 //! The simulator computes identical speculation-tracking state for every
-//! scheme (see [`DynInstr`]); a policy is a set of pure predicates over
-//! that state deciding, each cycle, whether an instruction may begin
-//! execution and how a load may touch the cache (see the contract on
-//! [`SpeculationPolicy`]). Policies therefore differ
-//! *only* in what they restrict — exactly the comparison the paper makes.
+//! scheme (see [`DynInstr`]); a policy only *declares*, for each of its
+//! gates, which of an instruction's speculation sets it waits on and which
+//! event releases each member: a [`Wait`]. The core decides every gate
+//! from that declaration against its own slot state, and blames every
+//! delayed cycle on the same declaration (see the contract on
+//! [`SpeculationPolicy`]). Policies therefore differ *only* in what they
+//! wait on and until when — exactly the comparison the paper makes.
 //!
 //! Dependency sets are [`SpecMask`] bitmasks over in-flight slots (see
-//! [`crate::specmask`]), so every predicate here is a handful of word-wise
-//! ANDs rather than a per-element map probe.
+//! [`crate::specmask`]), so deciding a [`Release::Resolve`] or
+//! [`Release::Commit`] wait is a handful of word-wise ANDs rather than a
+//! per-element map probe.
 //!
 //! Concrete policies (the Levioso scheme and all baselines) live in
 //! `levioso-core`; this crate only defines the contract plus the trivial
@@ -17,180 +20,152 @@
 
 use crate::dyninstr::DynInstr;
 use crate::specmask::{SlotTable, SpecMask};
-use crate::trace::DelayExplanation;
 
-/// Verdict for an execution attempt this cycle.
+/// The event that releases one member of a [`Wait`]'s dependency set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gate {
-    /// May proceed.
-    Allow,
-    /// Must wait; the core retries next cycle.
-    Delay,
+pub enum Release {
+    /// A control instruction stops holding the wait when it resolves
+    /// (executes) or is squashed.
+    Resolve,
+    /// A control instruction stops holding the wait when it commits or is
+    /// squashed.
+    Commit,
+    /// A taint root (a load) stops holding the wait once it has executed
+    /// and every control instruction in its own shadow has resolved, or
+    /// when it commits or is squashed (STT's "no longer speculative").
+    Untaint,
 }
 
-/// How a permitted load may access the cache hierarchy.
+/// What one gate waits on: the instruction is held at the gate while any
+/// member of `deps` has not yet seen its `release` event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadMode {
-    /// Normal demand access: fills and updates replacement state.
-    Normal,
-    /// Delay-on-Miss style: serve L1 hits without updating replacement
-    /// state; on a miss the load waits instead of filling.
-    HitOnly,
+pub struct Wait<'a> {
+    /// Stable rule identifier reported for every cycle the wait holds the
+    /// instruction (see [`crate::Blame::rule`]).
+    pub rule: &'static str,
+    /// One of the instruction's speculation sets ([`DynInstr::shadow`],
+    /// [`DynInstr::ann_deps`], [`DynInstr::lev_deps`] or
+    /// [`DynInstr::taint_roots`]).
+    pub deps: &'a SpecMask,
+    /// The event that frees each member of `deps`.
+    pub release: Release,
 }
 
-/// Read-only view of the core's speculation state, passed to policies.
+/// The core's speculation state as the gates read it.
 #[derive(Debug)]
-pub struct SpecView<'a> {
+pub(crate) struct SpecView<'a> {
     pub(crate) slots: &'a SlotTable,
 }
 
-impl<'a> SpecView<'a> {
-    /// Whether any control instruction in `deps` is still unresolved (it
-    /// has not yet executed). Resolved or squashed dependencies drop out.
-    pub fn any_unresolved(&self, deps: &SpecMask) -> bool {
-        deps.intersects(&self.slots.unresolved)
+impl SpecView<'_> {
+    /// Whether `wait` holds its instruction now: some member of its set
+    /// has not yet seen its release event.
+    pub(crate) fn holds(&self, wait: &Wait<'_>) -> bool {
+        match wait.release {
+            Release::Resolve => wait.deps.intersects(&self.slots.unresolved),
+            Release::Commit => wait.deps.intersects(&self.slots.live_ctrl),
+            Release::Untaint => self.taint_active(wait.deps),
+        }
     }
 
-    /// Whether any control instruction in `deps` has not yet *committed*
-    /// (commit-release schemes). True while the dependency is still in the
-    /// ROB.
-    pub fn any_uncommitted(&self, deps: &SpecMask) -> bool {
-        deps.intersects(&self.slots.live_ctrl)
+    /// The members of `wait`'s set still holding it: empty exactly when
+    /// [`SpecView::holds`] is false.
+    pub(crate) fn blocking(&self, wait: &Wait<'_>) -> SpecMask {
+        match wait.release {
+            Release::Resolve => wait.deps.and(&self.slots.unresolved),
+            Release::Commit => wait.deps.and(&self.slots.live_ctrl),
+            Release::Untaint => {
+                let live = wait.deps.and(&self.slots.live_load);
+                let mut out = live.and_not(&self.slots.load_done);
+                for slot in live.and(&self.slots.load_done).iter() {
+                    if self.slots.shadow_of(slot).intersects(&self.slots.unresolved) {
+                        out.set(slot);
+                    }
+                }
+                out
+            }
+        }
     }
 
-    /// STT taint liveness: a taint root (a load) is *active* while it is
-    /// still in flight and itself speculative (some older control
-    /// instruction in its shadow is unresolved) — or while it has not even
-    /// executed yet (its value, once produced, will be speculative).
-    /// Committed or squashed roots are inactive.
-    pub fn any_taint_active(&self, roots: &SpecMask) -> bool {
+    /// STT taint liveness: a root is *active* while it is in flight and
+    /// has not finished executing, or has finished but is itself still
+    /// speculative (some control instruction in its shadow is unresolved).
+    pub(crate) fn taint_active(&self, roots: &SpecMask) -> bool {
         let live = roots.and(&self.slots.live_load);
         if live.is_empty() {
             return false;
         }
-        // A live root that has not finished executing is active.
         if !live.and_not(&self.slots.load_done).is_empty() {
             return true;
         }
-        // A done root stays active while its own shadow is unresolved.
         live.iter().any(|slot| self.slots.shadow_of(slot).intersects(&self.slots.unresolved))
-    }
-
-    /// The subset of `deps` that is still unresolved — the mask behind
-    /// [`SpecView::any_unresolved`], for blame reporting.
-    pub fn unresolved_of(&self, deps: &SpecMask) -> SpecMask {
-        deps.and(&self.slots.unresolved)
-    }
-
-    /// The subset of `deps` that has not yet committed — the mask behind
-    /// [`SpecView::any_uncommitted`], for blame reporting.
-    pub fn uncommitted_of(&self, deps: &SpecMask) -> SpecMask {
-        deps.and(&self.slots.live_ctrl)
-    }
-
-    /// The subset of `roots` that is currently taint-active — the mask
-    /// behind [`SpecView::any_taint_active`], for blame reporting.
-    pub fn active_taints_of(&self, roots: &SpecMask) -> SpecMask {
-        let live = roots.and(&self.slots.live_load);
-        let mut out = SpecMask::EMPTY;
-        for slot in live.iter() {
-            if !self.slots.load_done.contains(slot)
-                || self.slots.shadow_of(slot).intersects(&self.slots.unresolved)
-            {
-                out.set(slot);
-            }
-        }
-        out
     }
 }
 
-/// A secure-speculation scheme: pure gating predicates over per-instruction
-/// speculation state.
+/// A secure-speculation scheme: what each gate waits on, per instruction.
+///
+/// A gate that declares `None` never holds; a gate that declares a
+/// [`Wait`] holds while the wait does. The gates, in the order the core
+/// asks them:
+///
+/// 1. [`SpeculationPolicy::execute_wait`], before **every** instruction
+///    may begin execution;
+/// 2. [`SpeculationPolicy::transmit_wait`], additionally before a
+///    *transmit* (a load or flush: an instruction whose execution
+///    perturbs microarchitectural state as a function of its operands);
+/// 3. [`SpeculationPolicy::hit_only_wait`], for a load both gates let
+///    through: while it holds, the load is served only from an L1 hit,
+///    without updating replacement state, and a miss waits instead of
+///    filling.
+///
+/// Every cycle a gate holds an instruction is one policy delay cycle,
+/// blamed on the gate's rule and on the oldest member of its set that
+/// still holds it.
 ///
 /// # Contract
 ///
-/// The core skips work on the strength of two promises, and every policy
-/// must keep them:
+/// A policy cannot read the speculation state; the core decides each wait
+/// against it. The core skips work on the strength of two properties that
+/// follow, provided each declaration is a function of the instruction's
+/// speculation sets and opcode only (never of the cycle, of per-cycle
+/// counters such as [`DynInstr::policy_delay_cycles`], or of state the
+/// policy keeps itself):
 ///
-/// * **Policies are pure.** Every verdict is a function of the
-///   instruction's speculation sets ([`DynInstr::shadow`],
-///   [`DynInstr::ann_deps`], [`DynInstr::lev_deps`],
-///   [`DynInstr::taint_roots`], its opcode) and the [`SpecView`] — never
-///   of the cycle, of per-cycle counters such as
-///   [`DynInstr::policy_delay_cycles`], or of state the policy keeps
-///   itself. So a cycle in which nothing happens repeats until something
-///   does, and the core jumps over the repeats.
-/// * **`may_execute` never turns from `Allow` back to `Delay`** for an
-///   in-flight instruction. What a [`SpecView`] reports about an in-flight
-///   instruction's dependencies only moves one way (branches resolve and
-///   commit, loads complete and commit; none of its slots is reused while
-///   it is in flight), so a predicate that delays while some dependency is
-///   still pending keeps this for free. So a load the memory-ordering
-///   check blocks after `may_execute` allowed it can wait, undecided, for
-///   the store it is blocked on.
+/// * **Verdicts are pure.** A gate's verdict changes only when a release
+///   event happens, so a cycle in which nothing happens repeats until
+///   something does, and the core jumps over the repeats.
+/// * **A gate that opened never closes** for an in-flight instruction.
+///   Every release event happens once per slot, and none of the
+///   instruction's slots is reused while it is in flight. So a load the
+///   memory-ordering check blocks after its execute gate opened can wait,
+///   undecided, for the store it is blocked on.
+///
+/// The core asks a gate again, unchanged, to blame each cycle it held, so
+/// no blame can name another rule or set than its verdict read.
 pub trait SpeculationPolicy: std::fmt::Debug {
-    /// Short scheme name used in reports (e.g. `"levioso"`).
-    fn name(&self) -> &'static str;
-
     /// Whether the scheme requires compiler annotations on the program.
     fn needs_annotations(&self) -> bool {
         false
     }
 
-    /// Gate applied to **every** instruction before it may begin execution.
-    fn may_execute(&self, _instr: &DynInstr, _view: &SpecView<'_>) -> Gate {
-        Gate::Allow
+    /// What every instruction waits on before it may begin execution.
+    fn execute_wait<'a>(&self, _instr: &'a DynInstr) -> Option<Wait<'a>> {
+        None
     }
 
-    /// Additional gate applied to *transmit* instructions (loads and
-    /// flushes) — the instructions whose execution perturbs
-    /// microarchitectural state as a function of their operands.
-    fn may_transmit(&self, _instr: &DynInstr, _view: &SpecView<'_>) -> Gate {
-        Gate::Allow
+    /// What a transmit instruction (load or flush) additionally waits on.
+    fn transmit_wait<'a>(&self, _instr: &'a DynInstr) -> Option<Wait<'a>> {
+        None
     }
 
-    /// How a transmit-permitted load may access the cache.
-    fn load_mode(&self, _instr: &DynInstr, _view: &SpecView<'_>) -> LoadMode {
-        LoadMode::Normal
-    }
-
-    /// Explains a `Delay` verdict [`SpeculationPolicy::may_execute`] just
-    /// issued for `instr` (see [`crate::trace`]). Only called by the core
-    /// when a trace sink is attached, in the same cycle as the verdict and
-    /// before any state changes, so the returned mask reflects exactly
-    /// the state the verdict was computed from. Policies overriding
-    /// `may_execute` with a `Delay` path should override this to name
-    /// their rule; the default reports the conservative shadow.
-    fn explain_execute_delay(&self, instr: &DynInstr, view: &SpecView<'_>) -> DelayExplanation {
-        DelayExplanation {
-            rule: "policy:execute-gate",
-            blocking: view.unresolved_of(&instr.shadow),
-        }
-    }
-
-    /// Explains a `Delay` verdict from [`SpeculationPolicy::may_transmit`]
-    /// (same contract as [`SpeculationPolicy::explain_execute_delay`]).
-    fn explain_transmit_delay(&self, instr: &DynInstr, view: &SpecView<'_>) -> DelayExplanation {
-        DelayExplanation {
-            rule: "policy:transmit-gate",
-            blocking: view.unresolved_of(&instr.shadow),
-        }
-    }
-
-    /// Explains a blocked cycle caused by a `LoadMode::HitOnly` load
-    /// missing in the L1 (same contract as
-    /// [`SpeculationPolicy::explain_execute_delay`]). The default rule
-    /// fits any hit-only scheme; the blocking set is the unresolved
-    /// shadow that put the load under speculation.
-    fn explain_load_mode_delay(&self, instr: &DynInstr, view: &SpecView<'_>) -> DelayExplanation {
-        DelayExplanation {
-            rule: "policy:miss-under-speculation",
-            blocking: view.unresolved_of(&instr.shadow),
-        }
+    /// While this holds, a load the other gates let through is served
+    /// hit-only (Delay-on-Miss style), and an L1 miss is a delay.
+    fn hit_only_wait<'a>(&self, _instr: &'a DynInstr) -> Option<Wait<'a>> {
+        None
     }
 }
 
-/// The unprotected out-of-order baseline: everything allowed.
+/// The unprotected out-of-order baseline: no gate ever holds.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UnsafeBaseline;
 
@@ -201,8 +176,44 @@ impl UnsafeBaseline {
     }
 }
 
-impl SpeculationPolicy for UnsafeBaseline {
-    fn name(&self) -> &'static str {
-        "unsafe"
+impl SpeculationPolicy for UnsafeBaseline {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn mask(slots: &[u16]) -> SpecMask {
+        let mut m = SpecMask::EMPTY;
+        for &s in slots {
+            m.set(s);
+        }
+        m
+    }
+
+    /// A wait holds exactly when it names a blocker, for every release
+    /// and at every step of its members' lives.
+    #[test]
+    fn a_wait_holds_exactly_when_it_has_a_blocker() {
+        let mut t = SlotTable::new(8);
+        let branch = t.alloc_ctrl(1, 10, false, None);
+        let load = t.alloc_load(2, 11, mask(&[branch]), Some(1));
+        let deps = mask(&[branch, load]);
+        let check = |t: &SlotTable, expect: [bool; 3]| {
+            let view = SpecView { slots: t };
+            for (release, held) in
+                [Release::Resolve, Release::Commit, Release::Untaint].into_iter().zip(expect)
+            {
+                let wait = Wait { rule: "test:wait", deps: &deps, release };
+                assert_eq!(view.holds(&wait), held, "{release:?}");
+                assert_eq!(!view.blocking(&wait).is_empty(), held, "{release:?}");
+            }
+        };
+        check(&t, [true, true, true]);
+        t.mark_load_done(load);
+        check(&t, [true, true, true]);
+        t.resolve(branch, 5);
+        check(&t, [false, true, false]);
+        t.free_commit(branch, 3);
+        check(&t, [false, false, false]);
     }
 }

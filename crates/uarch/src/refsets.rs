@@ -26,7 +26,7 @@
 //!   store-forwarding merge (their wait contribution moves to the
 //!   `fwd_true_wait` scalar), so the mask set must be a subset of the
 //!   reference with every dropped element resolved, and must agree exactly
-//!   on the still-unresolved part — the part every policy predicate reads;
+//!   on the still-unresolved part — the part every wait on it reads;
 //! * `taint_roots` may drop roots that are no longer live loads (a dead
 //!   root is permanently inactive), so the mask set must be a subset with
 //!   every dropped element dead, and the STT activity *verdict* must agree;
@@ -248,7 +248,6 @@ impl RefSets {
         e: &DynInstr,
         ref_taint: &[Seq],
         slots: &SlotTable,
-        view: &SpecView<'_>,
     ) {
         let mask_taint = slots.mask_seqs(&e.taint_roots);
         for s in &mask_taint {
@@ -269,7 +268,7 @@ impl RefSets {
             }
         }
         let ref_active = ref_taint.iter().any(|&r| self.taint_active(r));
-        let mask_active = view.any_taint_active(&e.taint_roots);
+        let mask_active = SpecView { slots }.taint_active(&e.taint_roots);
         assert_eq!(
             ref_active, mask_active,
             "{what} seq={}: STT activity verdict diverged (ref {ref_taint:?}, mask {mask_taint:?})",
@@ -319,7 +318,6 @@ impl RefSets {
         ann: Option<&DepSet>,
         inherit: &[Option<Seq>; 2],
         slots: &SlotTable,
-        view: &SpecView<'_>,
     ) {
         // Recompute the sets the way the old implementation did.
         let shadow: Vec<Seq> = self.unresolved.keys().copied().collect();
@@ -364,7 +362,7 @@ impl RefSets {
             "dispatch seq={}: lev_deps diverged",
             e.seq
         );
-        self.assert_taint_equivalent("dispatch", e, &taint_roots, slots, view);
+        self.assert_taint_equivalent("dispatch", e, &taint_roots, slots);
         self.events_checked += 1;
 
         self.instrs.insert(
@@ -384,7 +382,6 @@ impl RefSets {
         store_seq: Seq,
         e: &DynInstr,
         slots: &SlotTable,
-        view: &SpecView<'_>,
     ) {
         let (s_lev, s_taint) = {
             let s = self.instrs.get(&store_seq).expect("forwarding store is in flight");
@@ -397,7 +394,7 @@ impl RefSets {
             (l.lev_deps.clone(), l.taint_roots.clone())
         };
         self.assert_lev_equivalent("forward", e, &ref_lev, slots);
-        self.assert_taint_equivalent("forward", e, &ref_taint, slots, view);
+        self.assert_taint_equivalent("forward", e, &ref_taint, slots);
         self.events_checked += 1;
     }
 

@@ -7,10 +7,10 @@
 //! fixed-width bitmask over **slots** handed out by [`SlotTable`]: every
 //! control instruction (branch / indirect jump) and every load receives a
 //! slot at dispatch and releases it when it leaves the ROB. Set union is a
-//! word-wise OR, and the policy predicates (`any_unresolved`,
-//! `any_uncommitted`, `any_taint_active`) become an AND against a global
-//! state mask — replacing the sorted-`Vec<Seq>` merges and per-element map
-//! probes of the scan-based implementation, with bit-identical semantics
+//! word-wise OR, and deciding a policy's wait on a set (a
+//! [`crate::Wait`]) becomes an AND against a global state mask —
+//! replacing the sorted-`Vec<Seq>` merges and per-element map probes of
+//! the scan-based implementation, with bit-identical semantics
 //! (enforced by `results/golden/` and the differential test in
 //! `tests/differential.rs`).
 //!
@@ -170,7 +170,7 @@ impl fmt::Debug for SpecMask {
 }
 
 /// Per-slot bookkeeping for every in-flight control instruction and load,
-/// plus the global state masks the policy predicates AND against.
+/// plus the global state masks policy waits are decided against.
 ///
 /// Owned by the simulator; see the module docs for the reclamation rules.
 #[derive(Debug, Clone)]
@@ -189,7 +189,7 @@ pub(crate) struct SlotTable {
     /// `resolve_cycle: HashMap<Seq, u64>`.
     resolve_cycle: Vec<u64>,
     /// For load slots: the owner's speculation shadow at dispatch (drives
-    /// the STT taint-liveness predicate).
+    /// STT taint liveness, `Release::Untaint`).
     shadow: Vec<SpecMask>,
 
     /// Control slots whose owner has not yet resolved.

@@ -13,15 +13,14 @@
 //! The one event that is *not* free to reconstruct after the fact is the
 //! policy block: when the active [`crate::SpeculationPolicy`] delays an
 //! instruction, the sink is told **why** via a [`Blame`] — which rule
-//! fired and which still-unresolved slot (branch / indirect / load) is the
-//! oldest blocker. Policies produce this through their
-//! `explain_*_delay` methods ([`DelayExplanation`]); the core converts the
-//! blocking mask into a concrete slot. Consumers (the attribution sink in
-//! `levioso-bench`) aggregate blames into per-rule counters and
-//! histograms whose total provably equals `SimStats::policy_delay_cycles`.
+//! fired and which slot (branch / indirect / load) is the oldest blocker.
+//! The core builds it from the same [`crate::Wait`] the gate was decided
+//! on: the wait's rule, and the oldest member of its set that still holds
+//! the instruction. Consumers (the attribution sink in `levioso-bench`)
+//! aggregate blames into per-rule counters and histograms whose total
+//! provably equals `SimStats::policy_delay_cycles`.
 
 use crate::dyninstr::{DynInstr, Seq};
-use crate::specmask::SpecMask;
 use levioso_isa::Instr;
 use std::any::Any;
 
@@ -60,29 +59,16 @@ pub struct BlamedSlot {
     pub pc: u32,
 }
 
-/// One blocked cycle, attributed: the policy rule that fired plus the
-/// oldest blocking slot (`None` when the rule has no single blocking
-/// instruction, e.g. the hit-only cache race retry).
+/// One blocked cycle, attributed: the rule that fired plus the oldest
+/// blocking slot. A policy block always names one; only the core's
+/// hit-only cache race retry (`core:l1-race-retry`) has none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Blame {
-    /// Stable rule identifier, e.g. `"levioso:true-dep"`. Always of the
-    /// form `scheme:condition`.
+    /// Stable rule identifier, e.g. `"levioso:true-dep-unresolved"`.
+    /// Always of the form `scheme:condition`.
     pub rule: &'static str,
     /// The oldest slot in the blocking set, if any.
     pub blamed: Option<BlamedSlot>,
-}
-
-/// A policy's explanation for a `Delay` verdict it just issued: the rule
-/// name and the mask of slots whose resolution the instruction is waiting
-/// on. Returned by the `explain_*_delay` methods on
-/// [`crate::SpeculationPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DelayExplanation {
-    /// Stable rule identifier (see [`Blame::rule`]).
-    pub rule: &'static str,
-    /// Slots still blocking the instruction (already intersected with the
-    /// relevant liveness mask, so squashed/resolved slots are absent).
-    pub blocking: SpecMask,
 }
 
 /// Receiver for pipeline events. Every hook has an empty default body, so

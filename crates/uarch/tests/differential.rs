@@ -25,9 +25,11 @@
 use levioso_isa::reg::*;
 use levioso_isa::{AluOp, Annotations, BranchCond, DepSet, Instr, Machine, MemWidth, Program, Reg};
 use levioso_support::{check, Gen, Rng};
-use levioso_uarch::policy::{Gate, LoadMode, SpecView, SpeculationPolicy, UnsafeBaseline};
 use levioso_uarch::specmask::SPEC_MASK_BITS;
-use levioso_uarch::{CoreConfig, DynInstr, ReferenceChecks, SimStats, Simulator, MAX_ROB_SIZE};
+use levioso_uarch::{
+    CoreConfig, DynInstr, ReferenceChecks, Release, SimStats, Simulator, SpeculationPolicy,
+    UnsafeBaseline, Wait, MAX_ROB_SIZE,
+};
 use std::cell::Cell;
 
 /// Delays transmits on the conservative shadow (execute-delay shape).
@@ -35,36 +37,20 @@ use std::cell::Cell;
 struct ShadowDelay;
 
 impl SpeculationPolicy for ShadowDelay {
-    fn name(&self) -> &'static str {
-        "shadow-delay"
-    }
-
-    fn may_transmit(&self, instr: &DynInstr, view: &SpecView<'_>) -> Gate {
-        if view.any_unresolved(&instr.shadow) {
-            Gate::Delay
-        } else {
-            Gate::Allow
-        }
+    fn transmit_wait<'a>(&self, instr: &'a DynInstr) -> Option<Wait<'a>> {
+        Some(Wait { rule: "test:shadow", deps: &instr.shadow, release: Release::Resolve })
     }
 }
 
 /// Delays transmits until every shadowing control instruction *commits*
-/// (commit-delay shape; exercises `any_uncommitted` and thus the live
+/// (commit-delay shape; exercises `Release::Commit` and thus the live
 /// control-slot mask).
 #[derive(Debug)]
 struct CommitShadowDelay;
 
 impl SpeculationPolicy for CommitShadowDelay {
-    fn name(&self) -> &'static str {
-        "commit-shadow-delay"
-    }
-
-    fn may_transmit(&self, instr: &DynInstr, view: &SpecView<'_>) -> Gate {
-        if view.any_uncommitted(&instr.shadow) {
-            Gate::Delay
-        } else {
-            Gate::Allow
-        }
+    fn transmit_wait<'a>(&self, instr: &'a DynInstr) -> Option<Wait<'a>> {
+        Some(Wait { rule: "test:commit-shadow", deps: &instr.shadow, release: Release::Commit })
     }
 }
 
@@ -74,16 +60,8 @@ impl SpeculationPolicy for CommitShadowDelay {
 struct TaintDelay;
 
 impl SpeculationPolicy for TaintDelay {
-    fn name(&self) -> &'static str {
-        "taint-delay"
-    }
-
-    fn may_transmit(&self, instr: &DynInstr, view: &SpecView<'_>) -> Gate {
-        if view.any_taint_active(&instr.taint_roots) {
-            Gate::Delay
-        } else {
-            Gate::Allow
-        }
+    fn transmit_wait<'a>(&self, instr: &'a DynInstr) -> Option<Wait<'a>> {
+        Some(Wait { rule: "test:taint", deps: &instr.taint_roots, release: Release::Untaint })
     }
 }
 
@@ -95,24 +73,12 @@ impl SpeculationPolicy for TaintDelay {
 struct LevDelay;
 
 impl SpeculationPolicy for LevDelay {
-    fn name(&self) -> &'static str {
-        "lev-delay"
+    fn transmit_wait<'a>(&self, instr: &'a DynInstr) -> Option<Wait<'a>> {
+        Some(Wait { rule: "test:lev", deps: &instr.lev_deps, release: Release::Resolve })
     }
 
-    fn may_transmit(&self, instr: &DynInstr, view: &SpecView<'_>) -> Gate {
-        if view.any_unresolved(&instr.lev_deps) {
-            Gate::Delay
-        } else {
-            Gate::Allow
-        }
-    }
-
-    fn load_mode(&self, instr: &DynInstr, view: &SpecView<'_>) -> LoadMode {
-        if view.any_unresolved(&instr.ann_deps) {
-            LoadMode::HitOnly
-        } else {
-            LoadMode::Normal
-        }
+    fn hit_only_wait<'a>(&self, instr: &'a DynInstr) -> Option<Wait<'a>> {
+        Some(Wait { rule: "test:lev-hit-only", deps: &instr.ann_deps, release: Release::Resolve })
     }
 }
 
@@ -304,7 +270,7 @@ fn run_once(
     }
     seed_regs(&mut sim, seed);
     let stats =
-        sim.run(policy).unwrap_or_else(|e| panic!("{}: {e}\n{}", policy.name(), p.to_asm_string()));
+        sim.run(policy).unwrap_or_else(|e| panic!("{policy:?}: {e}\n{}", p.to_asm_string()));
     (stats, sim.arch_fingerprint(), sim.reference_checks())
 }
 
@@ -352,16 +318,11 @@ fn bitmask_sets_match_vec_reference() {
             for policy in policies {
                 let (plain_stats, plain_fp, _) = run_once(&p, seed, policy, config, false);
                 let (ref_stats, ref_fp, checks) = run_once(&p, seed, policy, config, true);
-                assert!(checks.sets > 0, "{}: oracle observed no set events", policy.name());
-                assert!(checks.lookups > 0, "{}: oracle checked no lookups", policy.name());
-                assert_eq!(plain_fp, golden, "{}: wrong architectural state", policy.name());
-                assert_eq!(ref_fp, golden, "{}: oracle perturbed results", policy.name());
-                assert_eq!(
-                    plain_stats,
-                    ref_stats,
-                    "{}: oracle perturbed statistics",
-                    policy.name()
-                );
+                assert!(checks.sets > 0, "{policy:?}: oracle observed no set events");
+                assert!(checks.lookups > 0, "{policy:?}: oracle checked no lookups");
+                assert_eq!(plain_fp, golden, "{policy:?}: wrong architectural state");
+                assert_eq!(ref_fp, golden, "{policy:?}: oracle perturbed results");
+                assert_eq!(plain_stats, ref_stats, "{policy:?}: oracle perturbed statistics");
                 let mut t = total.get();
                 t += checks;
                 total.set(t);

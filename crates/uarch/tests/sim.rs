@@ -4,8 +4,8 @@
 
 use levioso_isa::{assemble, reg::*, Instr, Machine, Program};
 use levioso_uarch::{
-    Blame, CoreConfig, DynInstr, Gate, ReferenceChecks, Seq, SimError, SimStats, Simulator,
-    SpecView, SpeculationPolicy, TraceSink, UnsafeBaseline,
+    Blame, CoreConfig, DynInstr, ReferenceChecks, Release, Seq, SimError, SimStats, Simulator,
+    SpeculationPolicy, TraceSink, UnsafeBaseline, Wait,
 };
 use std::any::Any;
 
@@ -399,16 +399,8 @@ fn mshr_limit_bounds_memory_level_parallelism() {
 struct FenceStyle;
 
 impl SpeculationPolicy for FenceStyle {
-    fn name(&self) -> &'static str {
-        "fence-style"
-    }
-
-    fn may_execute(&self, instr: &DynInstr, view: &SpecView<'_>) -> Gate {
-        if view.any_unresolved(&instr.shadow) {
-            Gate::Delay
-        } else {
-            Gate::Allow
-        }
+    fn execute_wait<'a>(&self, instr: &'a DynInstr) -> Option<Wait<'a>> {
+        Some(Wait { rule: "test:fence-style", deps: &instr.shadow, release: Release::Resolve })
     }
 }
 

@@ -8,8 +8,9 @@
 use levioso_isa::reg::*;
 use levioso_isa::{AluOp, BranchCond, Instr, Machine, MemWidth, Program, Reg};
 use levioso_support::{Gen, Rng};
-use levioso_uarch::policy::{Gate, LoadMode, SpecView, SpeculationPolicy, UnsafeBaseline};
-use levioso_uarch::{CoreConfig, DynInstr, Simulator};
+use levioso_uarch::{
+    CoreConfig, DynInstr, Release, Simulator, SpeculationPolicy, UnsafeBaseline, Wait,
+};
 
 /// A conservative hardware-only policy implemented directly against the
 /// uarch crate (equivalent to levioso-core's ExecuteDelay; defined here so
@@ -18,16 +19,8 @@ use levioso_uarch::{CoreConfig, DynInstr, Simulator};
 struct DelayTransmit;
 
 impl SpeculationPolicy for DelayTransmit {
-    fn name(&self) -> &'static str {
-        "delay-transmit"
-    }
-
-    fn may_transmit(&self, instr: &DynInstr, view: &SpecView<'_>) -> Gate {
-        if view.any_unresolved(&instr.shadow) {
-            Gate::Delay
-        } else {
-            Gate::Allow
-        }
+    fn transmit_wait<'a>(&self, instr: &'a DynInstr) -> Option<Wait<'a>> {
+        Some(Wait { rule: "test:delay-transmit", deps: &instr.shadow, release: Release::Resolve })
     }
 }
 
@@ -36,16 +29,8 @@ impl SpeculationPolicy for DelayTransmit {
 struct HitOnlyWhileSpec;
 
 impl SpeculationPolicy for HitOnlyWhileSpec {
-    fn name(&self) -> &'static str {
-        "hit-only"
-    }
-
-    fn load_mode(&self, instr: &DynInstr, view: &SpecView<'_>) -> LoadMode {
-        if view.any_unresolved(&instr.shadow) {
-            LoadMode::HitOnly
-        } else {
-            LoadMode::Normal
-        }
+    fn hit_only_wait<'a>(&self, instr: &'a DynInstr) -> Option<Wait<'a>> {
+        Some(Wait { rule: "test:hit-only", deps: &instr.shadow, release: Release::Resolve })
     }
 }
 
@@ -136,7 +121,7 @@ fn run_sim(p: &Program, seed: i64, policy: &dyn SpeculationPolicy, config: &Core
     for r in 10..18 {
         sim.set_reg(Reg::new(r), seed.wrapping_mul(r as i64 + 3));
     }
-    sim.run(policy).unwrap_or_else(|e| panic!("{}: {e}\n{}", policy.name(), p.to_asm_string()));
+    sim.run(policy).unwrap_or_else(|e| panic!("{policy:?}: {e}\n{}", p.to_asm_string()));
     sim.arch_fingerprint()
 }
 

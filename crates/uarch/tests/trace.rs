@@ -8,8 +8,8 @@
 
 use levioso_isa::{assemble, Instr, Program};
 use levioso_uarch::{
-    Blame, CoreConfig, DynInstr, Gate, NullSink, Seq, SimStats, Simulator, SpecView,
-    SpeculationPolicy, TraceSink, UnsafeBaseline,
+    Blame, CoreConfig, DynInstr, NullSink, Release, Seq, SimStats, Simulator, SpeculationPolicy,
+    TraceSink, UnsafeBaseline, Wait,
 };
 
 /// A Fence-like in-test policy so the block/blame hooks actually fire.
@@ -17,16 +17,12 @@ use levioso_uarch::{
 struct DelayUnderShadow;
 
 impl SpeculationPolicy for DelayUnderShadow {
-    fn name(&self) -> &'static str {
-        "test-delay"
-    }
-
-    fn may_execute(&self, instr: &DynInstr, view: &SpecView<'_>) -> Gate {
-        if view.any_unresolved(&instr.shadow) {
-            Gate::Delay
-        } else {
-            Gate::Allow
-        }
+    fn execute_wait<'a>(&self, instr: &'a DynInstr) -> Option<Wait<'a>> {
+        Some(Wait {
+            rule: "test:delay-under-shadow",
+            deps: &instr.shadow,
+            release: Release::Resolve,
+        })
     }
 }
 
@@ -138,10 +134,10 @@ fn sinks_never_perturb_the_simulation() {
         let (bare, bare_fp, _) = run(policy, None);
         let (null, null_fp, _) = run(policy, Some(Box::new(NullSink)));
         let (rec, rec_fp, _) = run(policy, Some(Box::<Recorder>::default()));
-        assert_eq!(bare, null, "{}: NullSink changed the statistics", policy.name());
-        assert_eq!(bare, rec, "{}: recording sink changed the statistics", policy.name());
-        assert_eq!(bare_fp, null_fp, "{}: NullSink changed architectural state", policy.name());
-        assert_eq!(bare_fp, rec_fp, "{}: recorder changed architectural state", policy.name());
+        assert_eq!(bare, null, "{policy:?}: NullSink changed the statistics");
+        assert_eq!(bare, rec, "{policy:?}: recording sink changed the statistics");
+        assert_eq!(bare_fp, null_fp, "{policy:?}: NullSink changed architectural state");
+        assert_eq!(bare_fp, rec_fp, "{policy:?}: recorder changed architectural state");
     }
 }
 

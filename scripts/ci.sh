@@ -25,29 +25,34 @@
 #     golden gate:        the paper-tier and then the smoke-tier bench
 #                         sweep checked against results/golden/paper/ and
 #                         results/golden/smoke/ — exits nonzero with a
-#                         per-cell diff on any drift; run with --no-cache
-#                         so every cell is simulated by the core under
-#                         test (a speed-up with bit-identical results
-#                         keeps CORE_REV, so cells cached by the previous
-#                         core would otherwise replay unchecked; cold, the
-#                         316 smoke cells take ~2 s). Only the paper tier's
-#                         F4 sweep simulates the largest ROB the core
-#                         accepts (MAX_ROB_SIZE), which sizes its
-#                         speculation masks
+#                         per-cell diff on any drift; run on a cache
+#                         directory emptied first (target/ci_golden_cache,
+#                         outside target/sweep-cache), so every cell is
+#                         simulated by the core under test (a speed-up
+#                         with bit-identical results keeps CORE_REV, so
+#                         cells cached by the previous core would
+#                         otherwise replay unchecked), and each distinct
+#                         cell once: a cell several figures share is a
+#                         hit after its first simulation, where
+#                         --no-cache simulated it once per figure. Only
+#                         the paper tier's F4 sweep simulates the largest
+#                         ROB the core accepts (MAX_ROB_SIZE), which
+#                         sizes its speculation masks
 #     trace smoke:        levitrace traces one smoke cell, proving blame
 #                         conservation + JSON round-trip
 #     noninterference:    table4_noninterference fuzzes every scheme with
 #                         two-run secret pairs at the smoke tier, with
-#                         --no-cache for the same reason as the golden
-#                         gate; then at the paper tier into target/ci_t4/,
+#                         --no-cache (every cell is distinct, so a cold
+#                         cache would only add keying and file writes);
+#                         then at the paper tier into target/ci_t4/,
 #                         whose two reports must equal the committed
 #                         results/table4_noninterference.{txt,json} byte
 #                         for byte, so a faster campaign cannot move a
 #                         verdict or a divergence string unnoticed
 #     cache split:        asserts the golden gate printed its sweep-cache
-#                         hit/miss lines (all misses under --no-cache) — a
-#                         run that silently stopped reporting the split
-#                         would hide cache rot
+#                         hit/miss line for both tiers, each with 0
+#                         poisoned cells — a run that silently stopped
+#                         reporting the split would hide cache rot
 #
 # No step measures host performance: that is the benchmark's job
 # (perfbench/, declared by BENCHMARK.json; see perfbench/README.md). The
@@ -118,11 +123,14 @@ step_ws_tests()  { cargo test -q --offline --workspace; }
 step_perfbench() { cargo test -q --offline --manifest-path perfbench/Cargo.toml; }
 
 step_golden_gate() {
+  # An emptied cache directory of its own: the gate reads no cell written
+  # before this run (the CI workflow caches target/, sweep cache included).
+  rm -rf target/ci_golden_cache
   # Tee'd so the cache-split step below can assert on what was reported.
-  cargo run -q --release --offline -p levioso-bench --bin all -- --paper --check --no-cache \
-    | tee target/ci_golden_gate.log
-  cargo run -q --release --offline -p levioso-bench --bin all -- --smoke --check --no-cache \
-    | tee -a target/ci_golden_gate.log
+  LEVIOSO_SWEEP_CACHE_DIR=target/ci_golden_cache cargo run -q --release --offline \
+    -p levioso-bench --bin all -- --paper --check | tee target/ci_golden_gate.log
+  LEVIOSO_SWEEP_CACHE_DIR=target/ci_golden_cache cargo run -q --release --offline \
+    -p levioso-bench --bin all -- --smoke --check | tee -a target/ci_golden_gate.log
 }
 
 step_trace_smoke() {
@@ -154,6 +162,10 @@ step_cache_split() {
     exit 1
   fi
   sed 's/^/    golden gate reported: /' <<< "$lines"
+  if grep -vqE ' misses, 0 poisoned ' <<< "$lines"; then
+    echo "ERROR: golden gate read poisoned sweep cells from its own fresh cache" >&2
+    exit 1
+  fi
 }
 
 if [[ "$mode" == "lint" || "$mode" == "all" ]]; then
