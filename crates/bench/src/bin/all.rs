@@ -116,7 +116,7 @@ fn gate_mode(sweep: &Sweep, tier: Tier, check: bool, start: Instant) -> i32 {
             0
         }
         Err(e) => {
-            eprintln!("bless refused or failed: {e}");
+            eprintln!("bless failed: {e}");
             1
         }
     }

@@ -37,6 +37,11 @@ use std::sync::{OnceLock, RwLock};
 /// Version of the cell-key/result layout below. Part of every key, so a
 /// change here (new stats field, different serialization) makes all old
 /// cells plain misses instead of parse errors.
+///
+/// Bump it when `run_cell` (`lib.rs`) or [`stats_to_json`] changes what a
+/// perf cell stores: both lie outside the source trees whose digest names
+/// the cache namespace ([`levioso_uarch::core_fingerprint`]), so this is
+/// the one version a person keeps by hand.
 const CELL_FORMAT: u32 = 1;
 
 fn handle() -> &'static RwLock<Cache> {
@@ -53,11 +58,6 @@ pub fn configure(cache: Cache) {
 /// Runs `f` against the process-global cache.
 pub fn with<R>(f: impl FnOnce(&Cache) -> R) -> R {
     f(&handle().read().expect("cell cache lock"))
-}
-
-/// Whether the global cache can hit at all.
-pub fn enabled() -> bool {
-    with(|c| c.enabled())
 }
 
 /// Counter snapshot of the global cache.

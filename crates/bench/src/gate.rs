@@ -84,9 +84,8 @@ impl Tier {
     }
 }
 
-/// The stable snapshot ids of every shape figure, in report order. The
-/// golden manifest's tier digests (see [`crate::corerev`]) hash the files
-/// in exactly this order.
+/// The stable snapshot ids of every shape figure, in report order: each
+/// names its golden file, `results/golden/<tier>/<id>.json`.
 pub const SHAPE_IDS: [&str; 7] = [
     "fig1_motivation",
     "fig2_overhead",
@@ -311,22 +310,16 @@ pub fn check_figures(figures: &[(&'static str, Figure)], tier: Tier) -> CheckRep
 }
 
 /// Writes the figures as the tier's new golden snapshots; returns the
-/// paths written.
-///
-/// Guarded by the `CORE_REV` manifest (see [`crate::corerev`]): if the new
-/// content differs from the recorded bless and `levioso_uarch::CORE_REV`
-/// was not bumped, the bless is refused — changed simulated numbers mean
-/// changed core semantics, and the cached sweep cells of the old revision
-/// must be invalidated by the bump, not silently kept. A successful bless
-/// records the tier's new digest + revision in
-/// `results/golden/core_rev.json`.
+/// paths written. `all --bless` refuses figures with a
+/// [`shape_violations`] entry before calling this. Nothing else guards a
+/// bless: a golden edited by hand or left un-re-blessed fails
+/// [`check_figures`] itself, and cells cached by another simulator are
+/// never read, since their namespace is its source digest
+/// ([`levioso_uarch::core_fingerprint`]).
 pub fn bless_figures(
     figures: &[(&'static str, Figure)],
     tier: Tier,
 ) -> std::io::Result<Vec<PathBuf>> {
-    let digest = crate::corerev::figures_digest(figures);
-    crate::corerev::guard_bless(tier, &digest)
-        .map_err(|msg| std::io::Error::new(std::io::ErrorKind::PermissionDenied, msg))?;
     let dir = tier.golden_dir();
     std::fs::create_dir_all(&dir)?;
     let mut written = Vec::new();
@@ -335,8 +328,6 @@ pub fn bless_figures(
         std::fs::write(&path, figure.to_json())?;
         written.push(path);
     }
-    crate::corerev::record_bless(tier, &digest)?;
-    written.push(crate::corerev::manifest_path());
     Ok(written)
 }
 

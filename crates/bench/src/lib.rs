@@ -40,7 +40,6 @@ use std::collections::HashMap;
 pub mod attrib;
 pub mod cellcache;
 pub mod cli;
-pub mod corerev;
 pub mod gate;
 pub mod throughput;
 pub mod trace_export;

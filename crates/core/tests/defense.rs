@@ -5,7 +5,7 @@
 
 use levioso_core::{run_scheme, Scheme};
 use levioso_isa::{assemble, Machine};
-use levioso_uarch::CoreConfig;
+use levioso_uarch::{CoreConfig, SimError, Simulator};
 
 const ARRAY: u64 = 0x10_0000;
 const N: usize = 4096;
@@ -183,6 +183,31 @@ fn control_dependent_transient_load_is_gated() {
             "{scheme} must block the control-dependent transient load"
         );
     }
+}
+
+#[test]
+fn schemes_that_read_annotations_refuse_an_unannotated_program() {
+    // Straight into `Simulator::run`: `Scheme::prepare` and `run_scheme`
+    // would annotate the program first. Without the refusal, Levioso would
+    // read the missing annotations as `AllOlder` and time the program as
+    // execute-delay.
+    let g = ctrl_dep_gadget();
+    assert!(g.annotations.is_none(), "assembled programs carry no annotations");
+    let mut refused = 0;
+    for scheme in Scheme::ALL {
+        let mut sim = Simulator::new(&g, CoreConfig::default());
+        sim.mem.write_i64(COND, 1);
+        let result = sim.run(scheme.policy().as_ref());
+        if matches!(scheme, Scheme::Levioso | Scheme::LeviosoStatic | Scheme::LeviosoCtrlOnly) {
+            assert_eq!(result, Err(SimError::MissingAnnotations), "{scheme}");
+            assert_eq!(sim.stats().cycles, 0, "{scheme} refused before simulating");
+            refused += 1;
+        } else {
+            let stats = result.unwrap_or_else(|e| panic!("{scheme} reads no annotations: {e}"));
+            assert!(stats.committed > 0, "{scheme} halted");
+        }
+    }
+    assert!(refused > 0, "no scheme refused");
 }
 
 /// Gadget: the transmit is *post-reconvergence* but **data**-dependent on

@@ -47,11 +47,6 @@ pub fn with<R>(f: impl FnOnce(&Cache) -> R) -> R {
     f(&handle().read().expect("nisec cell cache lock"))
 }
 
-/// Whether the global cache can hit at all.
-pub fn enabled() -> bool {
-    with(|c| c.enabled())
-}
-
 /// Counter snapshot of the global cache.
 pub fn report() -> CacheReport {
     with(|c| c.report())

@@ -8,9 +8,10 @@
 //! * the **key** is a stable 128-bit content hash of the cell's full input
 //!   description (workload program text, memory image, scheme, config,
 //!   seeds — whatever the caller serializes);
-//! * the **namespace** is a sim-core *fingerprint* directory (derived from
-//!   `levioso_uarch::CORE_REV`), so bumping the core revision invalidates
-//!   every cell at once without deleting anything;
+//! * the **namespace** is a sim-core *fingerprint* directory
+//!   (`levioso_uarch::core_fingerprint`, a digest of the simulator's
+//!   source), so any edit to the simulator invalidates every cell at once
+//!   without deleting anything, and reverting it finds the old cells;
 //! * the **value** is a [`Json`] result document wrapped in an envelope
 //!   that stores the full input text, an integrity hash over
 //!   `input + result`, and the cell's measured compute time

@@ -25,6 +25,8 @@ pub mod cache;
 pub mod config;
 mod core;
 pub mod dyninstr;
+#[cfg(test)]
+mod fingerprint;
 pub mod policy;
 pub mod predictor;
 mod refsets;
@@ -36,29 +38,19 @@ pub use crate::core::{SimError, Simulator};
 #[doc(hidden)]
 pub use crate::refsets::ReferenceChecks;
 
-/// Semantic revision of the simulator core and its policy surface.
-///
-/// **Bump this whenever a change can alter simulated results** — pipeline
-/// timing, cache/predictor behavior, policy waits, stats accounting,
-/// workload generation feeding the sweeps. The constant namespaces the
-/// on-disk sweep cache (`target/sweep-cache/<fingerprint>/`) and is
-/// recorded in `results/golden/core_rev.json` at bless time: re-blessing
-/// changed golden content without bumping this is refused by the bless
-/// guard and caught by the manifest consistency test, so a stale cached
-/// cell can never masquerade as a current result.
-///
-/// Pure refactors and bench/CI plumbing do **not** need a bump — if the
-/// golden content doesn't move, the old cells are still valid. Anything
-/// that moves the blessed golden bytes (changed numbers, or a changed
-/// figure definition) does.
-pub const CORE_REV: u32 = 1;
-
-/// The sim-core fingerprint derived from [`CORE_REV`]: the namespace
-/// directory for cached sweep cells and the revision string recorded in
-/// the golden manifest.
+/// The namespace every cached sweep cell is stored under
+/// (`target/sweep-cache/<fingerprint>/`): `core-` and a 32-hex digest of
+/// the simulator's source, which `build.rs` computes from every `.rs` file
+/// under `crates/{isa,compiler,uarch,core,nisec}/src`. An edit there names
+/// a new namespace, so no cell an earlier simulator computed is read, and
+/// reverting it finds the old cells again. The code outside those trees
+/// that decides what a perf cell stores (`run_cell` and `stats_to_json` in
+/// `levioso_bench`) is versioned by hand, by `CELL_FORMAT` in
+/// `levioso_bench::cellcache`.
 pub fn core_fingerprint() -> String {
-    format!("core-v{CORE_REV}")
+    concat!("core-", env!("LEVIOSO_CORE_DIGEST")).to_string()
 }
+
 pub use cache::{CacheStats, Hierarchy, SetAssocCache};
 pub use config::{CacheConfig, CoreConfig, HierarchyConfig, PredictorConfig, MAX_ROB_SIZE};
 pub use dyninstr::{DynInstr, OpState, Operand, Operands, RobRef, Seq, Stage};

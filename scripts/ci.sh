@@ -4,6 +4,10 @@
 # The workspace is hermetic by policy (see README.md "Hermetic build
 # policy"): every dependency is an in-tree path crate, so everything here
 # runs with --offline and must pass on a machine with no registry access.
+# Every cargo build, test, clippy and run call also passes --locked: a
+# step that would rewrite Cargo.lock or perfbench/Cargo.lock fails instead
+# (a new dependency edge in a crate perfbench builds would otherwise
+# rewrite perfbench's lockfile and still pass).
 #
 # Steps, grouped by subcommand:
 #
@@ -27,14 +31,17 @@
 #                         results/golden/smoke/ — exits nonzero with a
 #                         per-cell diff on any drift; run on a cache
 #                         directory emptied first (target/ci_golden_cache,
-#                         outside target/sweep-cache), so every cell is
-#                         simulated by the core under test (a speed-up
-#                         with bit-identical results keeps CORE_REV, so
-#                         cells cached by the previous core would
-#                         otherwise replay unchecked), and each distinct
-#                         cell once: a cell several figures share is a
-#                         hit after its first simulation, where
-#                         --no-cache simulated it once per figure. Only
+#                         outside target/sweep-cache), so it reads no
+#                         cell from an earlier CI run: the workflow
+#                         restores target/ from its cache, and cells
+#                         there replay without running the simulator
+#                         (the cache namespace names the simulator's
+#                         source, not the toolchain, nor bench's cell
+#                         code, which only CELL_FORMAT versions). Each
+#                         distinct cell is simulated once: a cell several
+#                         figures share is a hit after its first
+#                         simulation, where --no-cache simulated it once
+#                         per figure. Only
 #                         the paper tier's F4 sweep simulates the largest
 #                         ROB the core accepts (MAX_ROB_SIZE), which
 #                         sizes its speculation masks
@@ -115,34 +122,34 @@ write_timing() {
 }
 trap write_timing EXIT
 
-step_build()     { cargo build --release --offline; }
-step_test()      { cargo test -q --offline; }
+step_build()     { cargo build --release --offline --locked; }
+step_test()      { cargo test -q --offline --locked; }
 step_fmt()       { cargo fmt --all --check; }
-step_clippy()    { cargo clippy --offline --workspace --all-targets -- -D warnings; }
-step_ws_tests()  { cargo test -q --offline --workspace; }
-step_perfbench() { cargo test -q --offline --manifest-path perfbench/Cargo.toml; }
+step_clippy()    { cargo clippy --offline --locked --workspace --all-targets -- -D warnings; }
+step_ws_tests()  { cargo test -q --offline --locked --workspace; }
+step_perfbench() { cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml; }
 
 step_golden_gate() {
   # An emptied cache directory of its own: the gate reads no cell written
   # before this run (the CI workflow caches target/, sweep cache included).
   rm -rf target/ci_golden_cache
   # Tee'd so the cache-split step below can assert on what was reported.
-  LEVIOSO_SWEEP_CACHE_DIR=target/ci_golden_cache cargo run -q --release --offline \
+  LEVIOSO_SWEEP_CACHE_DIR=target/ci_golden_cache cargo run -q --release --offline --locked \
     -p levioso-bench --bin all -- --paper --check | tee target/ci_golden_gate.log
-  LEVIOSO_SWEEP_CACHE_DIR=target/ci_golden_cache cargo run -q --release --offline \
+  LEVIOSO_SWEEP_CACHE_DIR=target/ci_golden_cache cargo run -q --release --offline --locked \
     -p levioso-bench --bin all -- --smoke --check | tee -a target/ci_golden_gate.log
 }
 
 step_trace_smoke() {
-  cargo run -q --release --offline -p levioso-bench --bin levitrace -- \
+  cargo run -q --release --offline --locked -p levioso-bench --bin levitrace -- \
     --smoke --workload filter_scan --scheme levioso --out target/ci_trace.json --quiet
 }
 
 step_noninterference() {
-  cargo run -q --release --offline -p levioso-bench --bin table4_noninterference -- \
+  cargo run -q --release --offline --locked -p levioso-bench --bin table4_noninterference -- \
     --smoke --quiet --no-cache
   rm -rf target/ci_t4
-  LEVIOSO_RESULTS_DIR=target/ci_t4 cargo run -q --release --offline -p levioso-bench \
+  LEVIOSO_RESULTS_DIR=target/ci_t4 cargo run -q --release --offline --locked -p levioso-bench \
     --bin table4_noninterference -- --paper --quiet --no-cache
   local f
   for f in table4_noninterference.txt table4_noninterference.json; do
