@@ -1,8 +1,7 @@
 //! # levioso-bench — experiment harnesses for every figure and table
 //!
 //! One function per experiment of the evaluation (see DESIGN.md §4 for the
-//! reconstructed index), shared between the `fig*`/`table*` binaries and
-//! the `levioso-support` wall-clock microbenchmarks (`benches/microbench.rs`):
+//! reconstructed index), shared by the `fig*`/`table*` binaries and `all`:
 //!
 //! | id | function | binary |
 //! |----|----------|--------|
@@ -571,15 +570,6 @@ pub fn geomean_of(figure: &Figure, scheme: Scheme) -> Option<f64> {
         .iter()
         .find(|(x, _)| x == "geomean")
         .map(|(_, v)| *v)
-}
-
-/// Convenience wrapper used by examples/tests: overhead (slowdown − 1) of
-/// one scheme on one workload at the given scale.
-pub fn single_overhead(name: &str, scheme: Scheme, scale: Scale) -> f64 {
-    let w = suite(scale).into_iter().find(|w| w.name == name).expect("known workload");
-    let base = run_workload(&w, Scheme::Unsafe, &CoreConfig::default()).cycles as f64;
-    let s = run_workload(&w, scheme, &CoreConfig::default()).cycles as f64;
-    s / base - 1.0
 }
 
 #[cfg(test)]

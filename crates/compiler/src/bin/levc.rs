@@ -7,7 +7,7 @@
 //! levc program.levi                  # annotated listing (default)
 //! levc program.levi --static         # static-dataflow annotation flavour
 //! levc program.s --emit cost         # annotation cost summary only
-//! levc program.levi --emit binary    # hex words of the binary image
+//! levc program.levi --emit asm       # assembly text `levc` and `levrun` read back
 //! ```
 
 use levioso_compiler::{annotate_with, Analysis, AnnotateConfig};
@@ -15,7 +15,7 @@ use levioso_isa::DepSet;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: levc <file.levi|file.s> [--static] [--emit listing|cost|binary|asm]");
+    eprintln!("usage: levc <file.levi|file.s> [--static] [--emit listing|cost|asm]");
     ExitCode::from(2)
 }
 
@@ -78,17 +78,6 @@ fn main() -> ExitCode {
             println!("largest set:            {}", c.max_deps);
             println!("conservative fallbacks: {}", c.all_older);
         }
-        "binary" => match levioso_isa::encode_program(&program) {
-            Ok(words) => {
-                for w in words {
-                    println!("{w:016x}");
-                }
-            }
-            Err(e) => {
-                eprintln!("levc: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
         "listing" => {
             let analysis = Analysis::of(&program);
             for (i, instr) in program.instrs.iter().enumerate() {

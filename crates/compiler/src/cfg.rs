@@ -107,16 +107,6 @@ pub struct ProgramCfg {
     pub function_of: Vec<Option<usize>>,
 }
 
-impl ProgramCfg {
-    /// The function owning instruction `instr` together with its CFG, if
-    /// the instruction was claimed and the function is analyzable.
-    pub fn analyzable_function_of(&self, instr: u32) -> Option<&FunctionCfg> {
-        let f = self.function_of.get(instr as usize).copied().flatten()?;
-        let cfg = &self.functions[f];
-        cfg.analyzable.then_some(cfg)
-    }
-}
-
 /// Where control can go after one instruction, function-locally.
 enum Flow {
     Fallthrough,

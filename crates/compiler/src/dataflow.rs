@@ -104,11 +104,6 @@ impl ReachingDefs {
         ReachingDefs { defs, def_of_instr, block_in }
     }
 
-    /// Definition id of the value produced by `instr`, if any.
-    pub fn def_of(&self, instr: u32) -> Option<usize> {
-        self.def_of_instr.get(&instr).copied()
-    }
-
     /// Definition ids that may reach the use of `reg` at `instr`.
     ///
     /// # Panics

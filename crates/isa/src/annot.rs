@@ -36,14 +36,6 @@ impl DepSet {
         matches!(self, DepSet::Exact(v) if v.is_empty())
     }
 
-    /// Number of exact dependencies, or `None` for [`DepSet::AllOlder`].
-    pub fn exact_len(&self) -> Option<usize> {
-        match self {
-            DepSet::Exact(v) => Some(v.len()),
-            DepSet::AllOlder => None,
-        }
-    }
-
     /// Whether the set (interpreted at instruction `idx`) includes the
     /// static branch at `branch_idx`.
     pub fn contains(&self, branch_idx: u32) -> bool {

@@ -170,22 +170,6 @@ fn parse_instr(lineno: usize, text: &str) -> Result<PendingInstr, AsmError> {
         Target::Label(s.to_string())
     };
 
-    let alu_rr = |op: AluOp, ops: &[&str]| -> Result<PendingInstr, AsmError> {
-        Ok(PendingInstr::Ready(Instr::Alu {
-            op,
-            rd: reg(ops[0])?,
-            rs1: reg(ops[1])?,
-            rs2: reg(ops[2])?,
-        }))
-    };
-    let alu_ri = |op: AluOp, ops: &[&str]| -> Result<PendingInstr, AsmError> {
-        Ok(PendingInstr::Ready(Instr::AluImm {
-            op,
-            rd: reg(ops[0])?,
-            rs1: reg(ops[1])?,
-            imm: imm(ops[2])?,
-        }))
-    };
     let load = |w: MemWidth, signed: bool, ops: &[&str]| -> Result<PendingInstr, AsmError> {
         let (offset, base) = mem(ops[1])?;
         Ok(PendingInstr::Ready(Instr::Load { width: w, signed, rd: reg(ops[0])?, base, offset }))
@@ -208,46 +192,29 @@ fn parse_instr(lineno: usize, text: &str) -> Result<PendingInstr, AsmError> {
             Ok(PendingInstr::Branch { cond: c, rs1, rs2, target: target(ops[1]) })
         };
 
+    if let Some(op) = AluOp::ALL.into_iter().find(|op| op.mnemonic() == mnemonic) {
+        arity(3)?;
+        return Ok(PendingInstr::Ready(Instr::Alu {
+            op,
+            rd: reg(ops[0])?,
+            rs1: reg(ops[1])?,
+            rs2: reg(ops[2])?,
+        }));
+    }
+    if let Some(op) = AluOp::ALL.into_iter().find(|op| op.imm_mnemonic() == mnemonic) {
+        arity(3)?;
+        return Ok(PendingInstr::Ready(Instr::AluImm {
+            op,
+            rd: reg(ops[0])?,
+            rs1: reg(ops[1])?,
+            imm: imm(ops[2])?,
+        }));
+    }
+
     use AluOp::*;
     use BranchCond::*;
     use MemWidth::*;
     match mnemonic.as_str() {
-        "add" | "sub" | "and" | "or" | "xor" | "sll" | "srl" | "sra" | "slt" | "sltu" | "mul"
-        | "mulh" | "div" | "rem" => {
-            arity(3)?;
-            let op = match mnemonic.as_str() {
-                "add" => Add,
-                "sub" => Sub,
-                "and" => And,
-                "or" => Or,
-                "xor" => Xor,
-                "sll" => Sll,
-                "srl" => Srl,
-                "sra" => Sra,
-                "slt" => Slt,
-                "sltu" => Sltu,
-                "mul" => Mul,
-                "mulh" => Mulh,
-                "div" => Div,
-                _ => Rem,
-            };
-            alu_rr(op, &ops)
-        }
-        "addi" | "andi" | "ori" | "xori" | "slli" | "srli" | "srai" | "slti" | "sltiu" => {
-            arity(3)?;
-            let op = match mnemonic.as_str() {
-                "addi" => Add,
-                "andi" => And,
-                "ori" => Or,
-                "xori" => Xor,
-                "slli" => Sll,
-                "srli" => Srl,
-                "srai" => Sra,
-                "slti" => Slt,
-                _ => Sltu,
-            };
-            alu_ri(op, &ops)
-        }
         "li" => {
             arity(2)?;
             Ok(PendingInstr::Ready(Instr::AluImm {

@@ -50,6 +50,24 @@ pub enum AluOp {
 }
 
 impl AluOp {
+    /// Every operation, in declaration order.
+    pub const ALL: [AluOp; 14] = [
+        AluOp::Add,
+        AluOp::Sub,
+        AluOp::And,
+        AluOp::Or,
+        AluOp::Xor,
+        AluOp::Sll,
+        AluOp::Srl,
+        AluOp::Sra,
+        AluOp::Slt,
+        AluOp::Sltu,
+        AluOp::Mul,
+        AluOp::Mulh,
+        AluOp::Div,
+        AluOp::Rem,
+    ];
+
     /// Evaluates the operation on two 64-bit values.
     ///
     /// Division follows RISC-V M semantics: division by zero yields `-1`
@@ -105,9 +123,25 @@ impl AluOp {
         }
     }
 
-    /// Whether the operation has a register-immediate form in the assembler.
-    pub fn has_imm_form(self) -> bool {
-        !matches!(self, AluOp::Sub | AluOp::Mul | AluOp::Mulh | AluOp::Div | AluOp::Rem)
+    /// Mnemonic for the register-immediate form: the register-register
+    /// mnemonic with an `i` appended, except RISC-V's `sltiu`.
+    pub fn imm_mnemonic(self) -> &'static str {
+        match self {
+            AluOp::Add => "addi",
+            AluOp::Sub => "subi",
+            AluOp::And => "andi",
+            AluOp::Or => "ori",
+            AluOp::Xor => "xori",
+            AluOp::Sll => "slli",
+            AluOp::Srl => "srli",
+            AluOp::Sra => "srai",
+            AluOp::Slt => "slti",
+            AluOp::Sltu => "sltiu",
+            AluOp::Mul => "muli",
+            AluOp::Mulh => "mulhi",
+            AluOp::Div => "divi",
+            AluOp::Rem => "remi",
+        }
     }
 }
 
@@ -333,7 +367,7 @@ impl fmt::Display for Instr {
                 if op == AluOp::Add && rs1.is_zero() {
                     write!(f, "li {rd}, {imm}")
                 } else {
-                    write!(f, "{}i {rd}, {rs1}, {imm}", op.mnemonic())
+                    write!(f, "{} {rd}, {rs1}, {imm}", op.imm_mnemonic())
                 }
             }
             Instr::Load { width, signed, rd, base, offset } => {
@@ -434,6 +468,10 @@ mod tests {
         assert_eq!(
             Instr::AluImm { op: AluOp::Add, rd: A0, rs1: A0, imm: 7 }.to_string(),
             "addi a0, a0, 7"
+        );
+        assert_eq!(
+            Instr::AluImm { op: AluOp::Sltu, rd: A0, rs1: A1, imm: 1 }.to_string(),
+            "sltiu a0, a1, 1"
         );
         assert_eq!(
             Instr::Load { width: MemWidth::W, signed: false, rd: A0, base: SP, offset: -4 }

@@ -73,11 +73,6 @@ impl Machine {
         self.pc
     }
 
-    /// Sets the program counter.
-    pub fn set_pc(&mut self, pc: u32) {
-        self.pc = pc;
-    }
-
     /// Instructions retired so far.
     pub fn retired(&self) -> u64 {
         self.retired

@@ -43,7 +43,6 @@
 mod annot;
 mod asm;
 mod builder;
-mod encode;
 mod instr;
 mod interp;
 mod mem;
@@ -53,7 +52,6 @@ pub mod reg;
 pub use annot::{AnnotationCost, Annotations, DepSet};
 pub use asm::{assemble, AsmError, AsmErrorKind};
 pub use builder::{BuildError, ProgramBuilder};
-pub use encode::{decode, decode_program, encode, encode_program, DecodeError, EncodeError};
 pub use instr::{AluOp, BranchCond, Instr, MemWidth, SourceIter};
 pub use interp::{read_memory, write_memory, BranchEvent, ExecError, Machine, RunSummary, Step};
 pub use mem::Memory;

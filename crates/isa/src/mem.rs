@@ -138,13 +138,6 @@ impl Memory {
         (0..len).map(|i| self.read_u8(addr.wrapping_add(i as u64))).collect()
     }
 
-    /// Writes a slice of `i64` values as a contiguous little-endian array.
-    pub fn write_i64_slice(&mut self, addr: u64, values: &[i64]) {
-        for (i, &v) in values.iter().enumerate() {
-            self.write_i64(addr + 8 * i as u64, v);
-        }
-    }
-
     /// Reads `len` contiguous `i64` values.
     pub fn read_i64_vec(&self, addr: u64, len: usize) -> Vec<i64> {
         (0..len).map(|i| self.read_i64(addr + 8 * i as u64)).collect()
@@ -208,7 +201,9 @@ mod tests {
     fn i64_slice_round_trip() {
         let mut m = Memory::new();
         let vals = [1i64, -2, i64::MAX, i64::MIN, 0];
-        m.write_i64_slice(0x4000, &vals);
+        for (i, &v) in vals.iter().enumerate() {
+            m.write_i64(0x4000 + 8 * i as u64, v);
+        }
         assert_eq!(m.read_i64_vec(0x4000, 5), vals);
     }
 

@@ -86,7 +86,8 @@ impl Program {
     }
 
     /// Renders the program as assembly text with synthesized `L<idx>:`
-    /// labels at every branch target, suitable for re-assembly.
+    /// labels at every branch target, which [`crate::assemble`] reads back
+    /// to the same instructions.
     pub fn to_asm_string(&self) -> String {
         use std::collections::BTreeSet;
         let mut targets = BTreeSet::new();
@@ -117,17 +118,6 @@ impl Program {
         // A trailing label (branch to one-past-the-end is invalid, but a
         // label at len() can exist in handwritten code); not emitted here.
         out
-    }
-
-    /// Indices of all conditional branches and indirect jumps — the
-    /// instructions a [`crate::DepSet`] may reference.
-    pub fn control_points(&self) -> Vec<u32> {
-        self.instrs
-            .iter()
-            .enumerate()
-            .filter(|(_, ins)| ins.is_control())
-            .map(|(i, _)| i as u32)
-            .collect()
     }
 }
 

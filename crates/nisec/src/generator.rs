@@ -215,8 +215,10 @@ fn emit_public_block(instrs: &mut Vec<Instr>, ops: &[Op]) {
         instrs.push(match *op {
             Op::Alu(op, rd, rs1, rs2) => Instr::Alu { op, rd, rs1, rs2 },
             Op::Imm(op, rd, rs1, imm) => Instr::AluImm { op, rd, rs1, imm },
+            // `ld` is the one 64-bit load and reads back signed, so the
+            // program's listing re-assembles to the same instructions.
             Op::Load(width, signed, rd, offset) => {
-                Instr::Load { width, signed, rd, base: GP, offset }
+                Instr::Load { width, signed: signed || width == MemWidth::D, rd, base: GP, offset }
             }
             Op::Store(width, src, offset) => Instr::Store { width, src, base: GP, offset },
             Op::FwdBranch(cond, rs1, rs2, skip) => {

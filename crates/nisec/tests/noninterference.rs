@@ -1,8 +1,9 @@
 //! Self-tests of the noninterference gate: non-vacuity (the canary — the
 //! unsafe baseline — must be caught by every observer), cleanliness of the
 //! delaying schemes, observer-coarseness relations, generator low-equivalence,
-//! thread-count determinism of the report, and its equality with a
-//! reference that prepares every run's program separately.
+//! re-assembly of the paper campaign's listings, thread-count determinism of
+//! the report, and its equality with a reference that prepares every run's
+//! program separately.
 
 use levioso_core::Scheme;
 use levioso_isa::reg::{A1, A2, A3, A4, A5, ZERO};
@@ -159,6 +160,21 @@ fn generated_pairs_are_low_equivalent() {
             }
             assert_pair_low_equivalent(&sp, &pair);
         }
+    }
+}
+
+/// Every program of the paper-tier campaign, drawn as `fuzz` draws it,
+/// assembles back from its own listing (the text a failure report prints).
+#[test]
+fn paper_campaign_listings_reassemble() {
+    let config = FuzzConfig::paper(1);
+    let mut master = Xoshiro256pp::seed_from_u64(config.seed);
+    for p in 0..config.programs {
+        let sp = gen_program(&mut master.split());
+        let listing = sp.program.to_asm_string();
+        let back = levioso_isa::assemble("t", &listing)
+            .unwrap_or_else(|e| panic!("program {p}: {e}\n{listing}"));
+        assert_eq!(back.instrs, sp.program.instrs, "program {p}");
     }
 }
 

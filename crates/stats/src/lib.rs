@@ -121,24 +121,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as CSV (header row first).
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = self.headers.iter().map(|h| esc(h)).collect::<Vec<_>>().join(",");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -389,15 +371,6 @@ mod tests {
     fn table_rejects_ragged_rows() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.push_row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn csv_escaping() {
-        let mut t = Table::new("demo", &["a", "b"]);
-        t.push_row(vec!["x,y".into(), "quo\"te".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"quo\"\"te\""));
     }
 
     #[test]

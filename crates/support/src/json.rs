@@ -76,14 +76,6 @@ impl Json {
         }
     }
 
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The element vector, if this is an array.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {

@@ -11,7 +11,6 @@
 //! | [`rng`] | `rand` | SplitMix64 + xoshiro256++, seedable, stream-splittable |
 //! | [`json`] | `serde`/`serde_json` | a small JSON value type with emit + parse |
 //! | [`check`] | `proptest` | seeded generators, an iteration budget, failing-input reports |
-//! | [`bench`] | `criterion` | a wall-clock benchmark runner with a compatible surface |
 //! | [`pool`] | `rayon` | a scoped worker pool on one shared job cursor, with order-stable, panic-transparent fan-out |
 //! | [`cache`] | — | a content-addressed on-disk cell cache for incremental sweeps |
 //! | [`histogram`] | `hdrhistogram` | fixed-footprint log2-bucketed latency histograms |
@@ -23,7 +22,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bench;
 pub mod cache;
 pub mod check;
 pub mod histogram;
@@ -31,7 +29,6 @@ pub mod json;
 pub mod pool;
 pub mod rng;
 
-pub use bench::{BatchSize, Bench, Bencher};
 pub use cache::{Cache, CacheReport};
 pub use check::{Config, Gen};
 pub use histogram::Histogram;

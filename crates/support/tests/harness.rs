@@ -1,10 +1,9 @@
 //! Integration tests for `levioso-support` from an external crate's point
 //! of view: the `props!` macro surface, PRNG determinism and stream
 //! splitting, the JSON round trip on edge values, the promised
-//! failing-input report from the property harness, the worker pool's
-//! ordering/panic contract, and the benchmark runner's two modes.
+//! failing-input report from the property harness, and the worker pool's
+//! ordering/panic contract.
 
-use levioso_support::bench::Bench;
 use levioso_support::check::{try_run, Config};
 use levioso_support::{Gen, Json, Pool, Rng, SplitMix64, Xoshiro256pp};
 
@@ -172,39 +171,4 @@ fn pool_propagates_a_worker_panic_with_its_payload() {
     let payload = outcome.expect_err("the worker panic must reach the caller");
     let text = payload.downcast_ref::<String>().expect("string payload");
     assert_eq!(text, "job 9 failed");
-}
-
-#[test]
-fn bench_defaults_to_smoke_mode_under_cargo_test() {
-    // cargo test never passes --bench, so each body runs exactly once.
-    let mut bench = Bench::from_args();
-    let mut calls = 0;
-    let mut group = bench.group("harness");
-    group.sample_size(50).bench_function("counted", |b| b.iter(|| calls += 1));
-    group.finish();
-    assert_eq!(calls, 1);
-}
-
-#[test]
-fn bench_full_mode_collects_samples_and_reruns_setup() {
-    let mut bench = Bench::full();
-    let mut setups = 0;
-    let mut runs = 0;
-    bench.bench_function("batched", |b| {
-        b.iter_batched(
-            || {
-                setups += 1;
-                vec![1u8; 8]
-            },
-            |v| {
-                runs += 1;
-                v.len()
-            },
-            levioso_support::bench::BatchSize::SmallInput,
-        )
-    });
-    // Default sample size 20, plus one untimed warmup; every sample gets a
-    // fresh setup product.
-    assert_eq!(runs, 21);
-    assert_eq!(setups, runs);
 }

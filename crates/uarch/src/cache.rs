@@ -188,19 +188,6 @@ impl Hierarchy {
         self.l1d.access_invisible(addr).then(|| self.l1d.hit_latency())
     }
 
-    /// The latency an access *would* observe, with no state change and no
-    /// stats — the measurement primitive used by side-channel receivers and
-    /// tests.
-    pub fn probe_latency(&self, addr: u64) -> u64 {
-        if self.l1d.contains(addr) {
-            self.l1d.hit_latency()
-        } else if self.l2.contains(addr) {
-            self.l1d.hit_latency() + self.l2.hit_latency()
-        } else {
-            self.l1d.hit_latency() + self.l2.hit_latency() + self.dram_latency
-        }
-    }
-
     /// Whether `addr` is present at any level.
     pub fn contains(&self, addr: u64) -> bool {
         self.l1d.contains(addr) || self.l2.contains(addr)
@@ -310,17 +297,8 @@ mod tests {
         h.l1d.flush_line(addr);
         assert_eq!(h.access(addr, 2), 4 + 14, "L2 hit after L1-only flush");
         h.flush_line(addr);
-        assert_eq!(h.probe_latency(addr), 138);
         assert!(!h.contains(addr));
-    }
-
-    #[test]
-    fn probe_latency_is_pure() {
-        let mut h = Hierarchy::new(&HierarchyConfig::default());
-        h.access(0x8000, 0);
-        let s1 = h.l1d.stats();
-        assert_eq!(h.probe_latency(0x8000), 4);
-        assert_eq!(h.l1d.stats(), s1, "probe does not count or fill");
+        assert_eq!(h.access(addr, 3), 4 + 14 + 120, "a flushed line misses to DRAM");
     }
 
     #[test]

@@ -358,11 +358,6 @@ impl<'p> Simulator<'p> {
         &self.hierarchy
     }
 
-    /// Mutable cache hierarchy (tests prepare cache states directly).
-    pub fn hierarchy_mut(&mut self) -> &mut Hierarchy {
-        &mut self.hierarchy
-    }
-
     /// Statistics collected so far.
     pub fn stats(&self) -> &SimStats {
         &self.stats

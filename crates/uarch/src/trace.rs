@@ -7,8 +7,10 @@
 //! stores the sink as `Option<Box<dyn TraceSink>>` and every hook is
 //! behind a branch on `None`, so the disabled path does no work beyond
 //! that test: golden results are bit-identical with and without the field
-//! (verified by the golden gate) and throughput stays within run-to-run
-//! drift (verified by `scripts/perf.sh --ab-trace`).
+//! (verified by the golden gate). An attached sink is not yet free when
+//! idle: with a [`NullSink`] on every cell, `scripts/perf.sh --ab-trace`
+//! read the paper sweep 132–145 ‰ slower and a smoke A/B read +239 ‰,
+//! against a 10 ‰ budget (DESIGN.md §9; ROADMAP.md item 5 is the fix).
 //!
 //! The one event that is *not* free to reconstruct after the fact is the
 //! policy block: when the active [`crate::SpeculationPolicy`] delays an

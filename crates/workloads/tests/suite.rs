@@ -1,6 +1,7 @@
 //! Every workload, on the simulator, under every scheme, must compute
 //! exactly what the reference interpreter computes — and the suite must
-//! exhibit the per-kernel behaviours the figures rely on.
+//! exhibit the per-kernel behaviours the figures rely on and re-assemble
+//! from its own listings.
 
 use levioso_core::Scheme;
 use levioso_uarch::{CoreConfig, Simulator};
@@ -19,6 +20,19 @@ fn all_kernels_correct_under_all_schemes() {
                 .unwrap_or_else(|e| panic!("{} under {scheme}: {e}", w.name));
             let got = sim.mem.read_i64(w.checksum_addr);
             assert_eq!(got, expected, "{} under {scheme}: wrong checksum", w.name);
+        }
+    }
+}
+
+/// Every kernel's assembly listing, the text a sweep cell's key hashes,
+/// assembles back to the same instructions at both scales.
+#[test]
+fn every_kernel_listing_reassembles() {
+    for scale in [Scale::Smoke, Scale::Paper] {
+        for w in suite(scale) {
+            let back = levioso_isa::assemble(w.name, &w.program.to_asm_string())
+                .unwrap_or_else(|e| panic!("{} at {scale:?}: {e}", w.name));
+            assert_eq!(back.instrs, w.program.instrs, "{} at {scale:?}", w.name);
         }
     }
 }

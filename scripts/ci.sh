@@ -18,8 +18,7 @@
 #   test (eight steps):
 #     tier-1 verify:      cargo build --release && cargo test -q — first
 #                         and fast, so the basic contract fails early
-#     workspace tests:    unit, property, integration and doc tests, plus
-#                         one smoke run of every microbenchmark body
+#     workspace tests:    unit, property, integration and doc tests
 #     benchmark tests:    perfbench's self-tests (its own workspace, so
 #                         the workspace tests above do not build it):
 #                         every workload at reduced sizes prints every
@@ -46,11 +45,13 @@
 #                         ROB the core accepts (MAX_ROB_SIZE), which
 #                         sizes its speculation masks
 #     trace smoke:        levitrace traces one smoke cell, proving blame
-#                         conservation + JSON round-trip
+#                         conservation + JSON round-trip, and prints the
+#                         cell's delay-attribution report into the log
 #     noninterference:    table4_noninterference fuzzes every scheme with
 #                         two-run secret pairs at the smoke tier, with
 #                         --no-cache (every cell is distinct, so a cold
-#                         cache would only add keying and file writes);
+#                         cache would only add keying and file writes),
+#                         and prints its scheme x observer leak matrix;
 #                         then at the paper tier into target/ci_t4/,
 #                         whose two reports must equal the committed
 #                         results/table4_noninterference.{txt,json} byte
@@ -142,12 +143,12 @@ step_golden_gate() {
 
 step_trace_smoke() {
   cargo run -q --release --offline --locked -p levioso-bench --bin levitrace -- \
-    --smoke --workload filter_scan --scheme levioso --out target/ci_trace.json --quiet
+    --smoke --workload filter_scan --scheme levioso --out target/ci_trace.json
 }
 
 step_noninterference() {
   cargo run -q --release --offline --locked -p levioso-bench --bin table4_noninterference -- \
-    --smoke --quiet --no-cache
+    --smoke --no-cache
   rm -rf target/ci_t4
   LEVIOSO_RESULTS_DIR=target/ci_t4 cargo run -q --release --offline --locked -p levioso-bench \
     --bin table4_noninterference -- --paper --quiet --no-cache
