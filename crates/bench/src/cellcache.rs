@@ -25,8 +25,8 @@
 //! cold, warm, and mixed cache runs produce byte-identical reports —
 //! pinned by `tests/cache.rs`. Hits skip `throughput::record`, keeping the
 //! perf meter's busy-time samples exclusively from freshly computed cells
-//! (so a cold run's `run-summary:` line reports `cells` equal to `misses`,
-//! asserted by `tests/cli.rs`).
+//! (so on a cold run `all`'s throughput line reports `cells` equal to the
+//! perf `sweep-cache:` line's misses, asserted by `tests/cli.rs`).
 
 use levioso_support::cache::{Cache, CacheReport};
 use levioso_support::Json;

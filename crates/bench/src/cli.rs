@@ -1,17 +1,13 @@
-//! Shared CLI contracts and report plumbing for the experiment binaries.
-//!
-//! Every fig/table binary includes `src/util.rs` as its own module for
-//! argument parsing; the pieces that must be *identical across binaries*
-//! (the results-directory anchor and the run-summary renderer) live here
-//! in the library so there is exactly one definition.
+//! The results directory `all` writes its reports into.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-/// The `results/` directory every binary writes into: the repo root's by
-/// default (anchored at the crate manifest, so output lands in the repo
-/// regardless of working directory), relocatable via `LEVIOSO_RESULTS_DIR`
-/// (integration tests point it at a temp dir so spawned binaries never
-/// touch the committed snapshots).
+/// The `results/` directory `all` writes into: by default the paper
+/// tier's golden directory, the repo root's `results/`
+/// ([`crate::Tier::golden_dir`], anchored at the crate manifest, so
+/// output lands in the repo regardless of working directory); relocatable
+/// via `LEVIOSO_RESULTS_DIR` (integration tests point it at a temp dir so
+/// a spawned `all` never touches the committed results).
 pub fn results_dir() -> PathBuf {
     parse_results_dir(std::env::var("LEVIOSO_RESULTS_DIR").ok().as_deref())
 }
@@ -22,31 +18,15 @@ pub fn results_dir() -> PathBuf {
 /// else is the directory.
 fn parse_results_dir(value: Option<&str>) -> PathBuf {
     match value {
-        None | Some("") => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"),
+        None | Some("") => crate::Tier::Paper.golden_dir(),
         Some(dir) => PathBuf::from(dir),
     }
-}
-
-/// Renders the one end-of-run summary line every fig/table binary prints
-/// to stderr (asserted verbatim by `tests/cli.rs`): `cells` is the
-/// [`crate::throughput`] meter's count of freshly simulated cells, the
-/// cache split combines the bench and nisec cell caches, and only
-/// `wall_seconds` comes from the caller.
-pub fn run_summary(wall_seconds: f64) -> String {
-    let cells = crate::throughput::snapshot().cells;
-    let bench = crate::cellcache::report();
-    let nisec = levioso_nisec::cellcache::report();
-    format!(
-        "run-summary: cells={cells} hits={} misses={} poisoned={} wall_seconds={wall_seconds:.3}",
-        bench.hits + nisec.hits,
-        bench.misses + nisec.misses,
-        bench.poisoned + nisec.poisoned,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     #[test]
     fn results_dir_env_parsing_treats_empty_as_unset() {

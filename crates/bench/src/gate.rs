@@ -5,11 +5,14 @@
 //! orderings. The sweeps are bit-deterministic, so those numbers should
 //! never move unless a change means them to. This module pins them:
 //!
-//! * `results/golden/<tier>/fig*.json` holds one golden [`Figure`]
-//!   snapshot per shape figure, regenerated with `all --bless`;
+//! * each tier's golden directory ([`Tier::golden_dir`]) holds one golden
+//!   [`Figure`] snapshot per shape figure, regenerated with `all --bless`.
+//!   The paper tier's is the committed `results/` itself, so it also
+//!   holds every other report `all --paper` writes;
 //! * [`check_figures`] compares freshly computed figures against the
 //!   snapshots within per-figure declared tolerances and reports every
-//!   drifted cell;
+//!   drifted cell; [`check_reports`] adds the other report files, byte
+//!   for byte;
 //! * [`shape_violations`] checks the orderings the paper's story rests on
 //!   (levioso < execute-delay < commit-delay, zero transient fills for
 //!   delaying schemes, monotone hint-budget recovery) directly on the
@@ -20,7 +23,8 @@
 //! the numbers EXPERIMENTS.md quotes) and [`Tier::Smoke`] (reduced
 //! cycles and grids, fast enough for every CI run).
 
-use crate::Sweep;
+use crate::{geomean_of, Sweep};
+use levioso_core::Scheme;
 use levioso_stats::Figure;
 use levioso_workloads::Scale;
 use std::fmt;
@@ -45,7 +49,7 @@ impl Tier {
         }
     }
 
-    /// Directory name / CLI name of the tier.
+    /// CLI name of the tier.
     pub fn name(self) -> &'static str {
         match self {
             Tier::Smoke => "smoke",
@@ -77,15 +81,22 @@ impl Tier {
         }
     }
 
-    /// Where this tier's golden snapshots live (anchored at the repo root,
-    /// so binaries and `cargo test` agree regardless of working directory).
+    /// Where this tier's golden results live (anchored at the repo root,
+    /// so binaries and `cargo test` agree regardless of working
+    /// directory): for the paper tier the committed `results/` itself,
+    /// every report `all --paper` writes; for the smoke tier
+    /// `results/golden/smoke/`, its shape figures.
     pub fn golden_dir(self) -> PathBuf {
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/golden").join(self.name())
+        let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        match self {
+            Tier::Smoke => results.join("golden/smoke"),
+            Tier::Paper => results,
+        }
     }
 }
 
 /// The stable snapshot ids of every shape figure, in report order: each
-/// names its golden file, `results/golden/<tier>/<id>.json`.
+/// names its golden file, `<id>.json` in [`Tier::golden_dir`].
 pub const SHAPE_IDS: [&str; 7] = [
     "fig1_motivation",
     "fig2_overhead",
@@ -133,10 +144,12 @@ pub fn tolerance(id: &str) -> f64 {
 /// One reportable difference between fresh results and a golden snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Drift {
-    /// The documents disagree structurally (missing file/series/point) —
-    /// always fatal, tolerances don't apply.
+    /// The documents disagree structurally (missing file/series/point, or
+    /// a report file that is not byte-identical) — always fatal,
+    /// tolerances don't apply.
     Structure {
-        /// Snapshot id (e.g. `fig2_overhead`).
+        /// Snapshot id (e.g. `fig2_overhead`) or report file name (e.g.
+        /// `table3_annotation.txt`).
         figure: String,
         /// Human-readable description of the mismatch.
         detail: String,
@@ -234,6 +247,8 @@ pub fn compare_figure(id: &str, fresh: &Figure, golden: &Figure) -> Vec<Drift> {
 pub struct CheckReport {
     /// Total `(figure, series, x)` cells compared.
     pub cells_checked: usize,
+    /// Report files compared byte for byte ([`check_reports`]).
+    pub files_checked: usize,
     /// Every difference found, in report order.
     pub drifts: Vec<Drift>,
 }
@@ -249,21 +264,22 @@ impl CheckReport {
         let mut out = String::new();
         if self.is_clean() {
             out.push_str(&format!(
-                "golden check OK: {} cells within tolerance\n",
-                self.cells_checked
+                "golden check OK: {} cells within tolerance, {} files identical\n",
+                self.cells_checked, self.files_checked
             ));
         } else {
             out.push_str(&format!(
-                "golden check FAILED: {} of {} cells drifted\n",
+                "golden check FAILED: {} drift(s) in {} cells and {} files\n",
                 self.drifts.len(),
-                self.cells_checked
+                self.cells_checked,
+                self.files_checked
             ));
             for d in &self.drifts {
                 out.push_str(&format!("  {d}\n"));
             }
             out.push_str(
                 "if the new numbers are intended (documented perf change), regenerate with \
-                 `--bless` and commit results/golden/\n",
+                 `--bless` and commit the tier's golden directory\n",
             );
         }
         out
@@ -306,16 +322,44 @@ pub fn check_figures(figures: &[(&'static str, Figure)], tier: Tier) -> CheckRep
         };
         drifts.extend(compare_figure(id, fresh, &golden));
     }
-    CheckReport { cells_checked, drifts }
+    CheckReport { cells_checked, files_checked: 0, drifts }
+}
+
+/// Checks a tier's full report set against its golden directory: the
+/// figures cell by cell, as [`check_figures`] does, and each of `files`
+/// (`(file name, contents)`, the other files `all` writes) byte for byte.
+/// A file that differs from its golden copy, or has none, is one
+/// [`Drift::Structure`] naming the golden path.
+pub fn check_reports(
+    figures: &[(&'static str, Figure)],
+    files: &[(String, String)],
+    tier: Tier,
+) -> CheckReport {
+    let mut report = check_figures(figures, tier);
+    let dir = tier.golden_dir();
+    report.files_checked = files.len();
+    report.drifts.extend(files.iter().filter_map(|(name, fresh)| file_drift(&dir, name, fresh)));
+    report
+}
+
+/// The drift of one report file against its golden copy `dir/name`, if any.
+fn file_drift(dir: &Path, name: &str, fresh: &str) -> Option<Drift> {
+    let path = dir.join(name);
+    let detail = match std::fs::read_to_string(&path) {
+        Ok(golden) if golden == fresh => return None,
+        Ok(golden) => {
+            let line = 1 + golden.lines().zip(fresh.lines()).take_while(|(g, f)| g == f).count();
+            format!("differs from golden {} at line {line}", path.display())
+        }
+        Err(e) => format!("golden {} unreadable ({e}); run `--bless` to create it", path.display()),
+    };
+    Some(Drift::Structure { figure: name.to_string(), detail })
 }
 
 /// Writes the figures as the tier's new golden snapshots; returns the
-/// paths written. `all --bless` refuses figures with a
-/// [`shape_violations`] entry before calling this. Nothing else guards a
-/// bless: a golden edited by hand or left un-re-blessed fails
-/// [`check_figures`] itself, and cells cached by another simulator are
-/// never read, since their namespace is its source digest
-/// ([`levioso_uarch::core_fingerprint`]).
+/// paths written. `all --smoke --bless` calls this after refusing figures
+/// with a [`shape_violations`] entry; at the paper tier, whose golden is
+/// `results/`, `all --bless` writes through its regeneration writer.
 pub fn bless_figures(
     figures: &[(&'static str, Figure)],
     tier: Tier,
@@ -329,18 +373,6 @@ pub fn bless_figures(
         written.push(path);
     }
     Ok(written)
-}
-
-/// The geomean-row value of a named series, if present.
-fn series_geomean(figure: &Figure, name: &str) -> Option<f64> {
-    figure
-        .series
-        .iter()
-        .find(|s| s.name == name)?
-        .points
-        .iter()
-        .find(|(x, _)| x == "geomean")
-        .map(|(_, v)| *v)
 }
 
 fn figure_by_id<'a>(figures: &'a [(&'static str, Figure)], id: &str) -> Option<&'a Figure> {
@@ -362,9 +394,9 @@ pub fn shape_violations(figures: &[(&'static str, Figure)]) -> Vec<String> {
     // F2 — the headline ordering: levioso < execute-delay < commit-delay,
     // execute-delay < fence, and nothing beats the unsafe baseline.
     if let Some(f2) = figure_by_id(figures, "fig2_overhead") {
-        let g = |name: &str| series_geomean(f2, name);
+        let g = |scheme| geomean_of(f2, scheme);
         if let (Some(lev), Some(exe), Some(com), Some(fen)) =
-            (g("levioso"), g("execute-delay"), g("commit-delay"), g("fence"))
+            (g(Scheme::Levioso), g(Scheme::ExecuteDelay), g(Scheme::CommitDelay), g(Scheme::Fence))
         {
             violated(
                 &mut violations,
@@ -400,7 +432,7 @@ pub fn shape_violations(figures: &[(&'static str, Figure)]) -> Vec<String> {
     // F3 — hardware dataflow propagation is at least as precise as the
     // static closure.
     if let Some(f3) = figure_by_id(figures, "fig3_ablation") {
-        match (series_geomean(f3, "levioso"), series_geomean(f3, "levioso-static")) {
+        match (geomean_of(f3, Scheme::Levioso), geomean_of(f3, Scheme::LeviosoStatic)) {
             (Some(lev), Some(stat)) => violated(
                 &mut violations,
                 lev <= stat * (1.0 + 1e-9),
@@ -563,6 +595,28 @@ mod tests {
                 panic!("expected one structural drift naming {}, got {other:?}", missing.display())
             }
         }
+    }
+
+    #[test]
+    fn a_differing_or_missing_report_file_is_one_drift_naming_its_path() {
+        let dir = std::env::temp_dir().join(format!("levioso-gate-files-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create temp golden dir");
+        std::fs::write(dir.join("t3.txt"), "a\nb\nc\n").expect("write golden");
+        assert_eq!(file_drift(&dir, "t3.txt", "a\nb\nc\n"), None);
+        for (name, fresh, says) in
+            [("t3.txt", "a\nB\nc\n", "at line 2"), ("t4.json", "{}", "unreadable")]
+        {
+            let path = dir.join(name).display().to_string();
+            match file_drift(&dir, name, fresh) {
+                Some(Drift::Structure { figure, detail }) => {
+                    assert_eq!(figure, name);
+                    assert!(detail.contains(&path) && detail.contains(says), "{detail}");
+                }
+                other => panic!("expected one structural drift naming {path}, got {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

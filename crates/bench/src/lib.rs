@@ -1,19 +1,22 @@
 //! # levioso-bench — experiment harnesses for every figure and table
 //!
 //! One function per experiment of the evaluation (see DESIGN.md §4 for the
-//! reconstructed index), shared by the `fig*`/`table*` binaries and `all`:
+//! reconstructed index), called by the `all` binary, which writes each
+//! report into `results/`:
 //!
-//! | id | function | binary |
-//! |----|----------|--------|
-//! | T1 | [`config_table`] | `table1_config` |
-//! | F1 | [`motivation_figure`] | `fig1_motivation` |
-//! | F2 | [`overhead_figure`] | `fig2_overhead` |
-//! | F3 | [`ablation_figure`] | `fig3_ablation` |
-//! | F4 | [`rob_sweep_figure`] | `fig4_rob_sweep` |
-//! | F5 | [`mem_sweep_figure`] | `fig5_mem_sweep` |
-//! | T2 | [`security_table`] | `table2_security` |
-//! | T3 | [`annotation_table`] | `table3_annotation` |
-//! | T4 | [`noninterference_report`] | `table4_noninterference` |
+//! | id | function | results file |
+//! |----|----------|--------------|
+//! | T1 | [`config_table`] | `table1_config.txt` |
+//! | F1 | [`motivation_figure`] | `fig1_motivation.{txt,json}` |
+//! | F2 | [`overhead_figure`] | `fig2_overhead.{txt,json}` |
+//! | F3 | [`ablation_figure`] | `fig3_ablation.{txt,json}` |
+//! | F4 | [`rob_sweep_figure`] | `fig4_rob_sweep.{txt,json}` |
+//! | F5 | [`mem_sweep_figure`] | `fig5_mem_sweep.{txt,json}` |
+//! | F6 | [`transient_fill_figure`] | `fig6_transient_fills.{txt,json}` |
+//! | F7 | [`annotation_cap_figure`] | `fig7_hint_budget.{txt,json}` |
+//! | T2 | [`security_table`] | `table2_security.txt` |
+//! | T3 | [`annotation_table`] | `table3_annotation.txt` |
+//! | T4 | [`noninterference_report`] | `table4_noninterference.{txt,json}` |
 //!
 //! Every figure decomposes into independent `(workload, scheme, config)`
 //! simulation cells that a [`Sweep`] pool fans out across threads. The
@@ -23,8 +26,8 @@
 //!
 //! Run everything with `cargo run -p levioso-bench --release --bin all`
 //! (`--threads N` to size the pool, `--smoke` for the CI tier, `--check`
-//! to gate against the golden snapshots in `results/golden/` — see
-//! [`gate`]).
+//! to gate against the golden results — `results/` itself at the paper
+//! tier, `results/golden/smoke/` at smoke; see [`gate`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

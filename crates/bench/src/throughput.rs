@@ -9,9 +9,9 @@
 //! kilocycles-per-busy-second) essentially unchanged.
 //!
 //! The `all` driver prints a snapshot at exit (its `==> sim throughput:`
-//! line, which `scripts/perf.sh --ab-trace` reads), and `cells` feeds
-//! every binary's `run-summary:` line. Only freshly simulated cells are
-//! recorded: a cell served from the sweep cache adds nothing.
+//! line, which `scripts/perf.sh --ab-trace` reads). Only freshly
+//! simulated cells are recorded: a cell served from the sweep cache adds
+//! nothing, so on a cold run `cells` equals the perf cache's misses.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;

@@ -1,92 +1,68 @@
-//! Pins the CLI contracts every experiment binary shares: the one
-//! `run-summary:` line, loud save failures, rejected flags and bad
-//! environment values (they all parse through the shared `util.rs`, so a
-//! binary that behaved differently would mean someone forked the parser).
+//! Pins the CLI contracts of `all`: honest throughput and
+//! cache-split lines, loud save failures, rejected flags and bad
+//! environment values.
 
 use std::process::Command;
 
-/// Every binary that takes the shared sweep flags, including the nisec
-/// gate (`table4_noninterference`) and the driver (`all`).
-const BINARIES: &[&str] = &[
-    env!("CARGO_BIN_EXE_all"),
-    env!("CARGO_BIN_EXE_fig1_motivation"),
-    env!("CARGO_BIN_EXE_fig2_overhead"),
-    env!("CARGO_BIN_EXE_fig3_ablation"),
-    env!("CARGO_BIN_EXE_fig4_rob_sweep"),
-    env!("CARGO_BIN_EXE_fig5_mem_sweep"),
-    env!("CARGO_BIN_EXE_fig6_transient_fills"),
-    env!("CARGO_BIN_EXE_fig7_hint_budget"),
-    env!("CARGO_BIN_EXE_table1_config"),
-    env!("CARGO_BIN_EXE_table2_security"),
-    env!("CARGO_BIN_EXE_table3_annotation"),
-    env!("CARGO_BIN_EXE_table4_noninterference"),
-];
-
-fn short_name(bin: &str) -> &str {
-    std::path::Path::new(bin).file_name().and_then(|n| n.to_str()).unwrap_or(bin)
+/// The one line of `text` that starts with `prefix` and ends with
+/// `suffix`.
+fn line<'a>(text: &'a str, prefix: &str, suffix: &str) -> &'a str {
+    let lines: Vec<&str> =
+        text.lines().filter(|l| l.starts_with(prefix) && l.ends_with(suffix)).collect();
+    assert_eq!(lines.len(), 1, "expected one `{prefix}…{suffix}` line in: {text}");
+    lines[0]
 }
 
-/// Spawns `bin` at smoke tier against the given cache/results dirs and
-/// returns its one `run-summary:` stderr line.
-fn summary_line(bin: &str, base: &std::path::Path) -> String {
-    let out = Command::new(bin)
+/// The number in front of `word` in `line` (`"3 hits, …"` → 3 for `hits`).
+fn count(line: &str, word: &str) -> u64 {
+    let tokens: Vec<&str> = line.split([' ', ',']).filter(|t| !t.is_empty()).collect();
+    let at = tokens.iter().position(|t| *t == word).unwrap_or_else(|| panic!("no {word}: {line}"));
+    tokens[at - 1].parse().unwrap_or_else(|e| panic!("bad {word} count in {line}: {e}"))
+}
+
+/// `[throughput cells, perf hits, perf misses, nisec hits, nisec misses]`
+/// of one smoke-tier run of `all` on the cache under `base`.
+fn smoke_run(base: &std::path::Path) -> [u64; 5] {
+    let out = Command::new(env!("CARGO_BIN_EXE_all"))
         .args(["--smoke", "--quiet", "--threads", "1"])
         .env("LEVIOSO_SWEEP_CACHE_DIR", base.join("cache"))
         .env("LEVIOSO_RESULTS_DIR", base.join("results"))
         .output()
-        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "{}: {stderr}", short_name(bin));
-    let lines: Vec<&str> = stderr.lines().filter(|l| l.starts_with("run-summary: ")).collect();
-    assert_eq!(
-        lines.len(),
-        1,
-        "{}: expected exactly one run-summary line, stderr: {stderr}",
-        short_name(bin)
-    );
-    lines[0].to_string()
-}
-
-/// Parses `key=<u64>` out of a run-summary line.
-fn summary_field(line: &str, key: &str) -> u64 {
-    let prefix = format!("{key}=");
-    line.split_whitespace()
-        .find_map(|tok| tok.strip_prefix(prefix.as_str()))
-        .unwrap_or_else(|| panic!("no {key} in {line}"))
-        .parse()
-        .unwrap_or_else(|e| panic!("bad {key} in {line}: {e}"))
+        .expect("spawn all");
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert!(out.status.success(), "{stderr}");
+    let cells = count(line(&stderr, "==> sim throughput: ", ")"), "cells");
+    let perf = line(&stdout, "sweep-cache: ", " [perf]");
+    let nisec = line(&stdout, "sweep-cache: ", " [noninterference]");
+    assert_eq!(count(perf, "poisoned"), 0, "{perf}");
+    assert_eq!(count(nisec, "poisoned"), 0, "{nisec}");
+    [
+        cells,
+        count(perf, "hits"),
+        count(perf, "misses"),
+        count(nisec, "hits"),
+        count(nisec, "misses"),
+    ]
 }
 
 #[test]
-fn run_summary_line_is_shared_and_counts_only_fresh_cells() {
+fn throughput_counts_only_fresh_cells_and_the_cache_splits_are_separate() {
     let base = std::env::temp_dir().join(format!("levioso-cli-summary-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).expect("create temp dir");
 
-    // A table binary runs no sweep: every counter is zero, and the line's
-    // shape is the one `levioso_bench::cli::run_summary` renders, verbatim.
-    let line = summary_line(env!("CARGO_BIN_EXE_table1_config"), &base);
-    assert!(
-        line.starts_with("run-summary: cells=0 hits=0 misses=0 poisoned=0 wall_seconds="),
-        "{line}"
-    );
-    let wall: f64 = line.rsplit_once("wall_seconds=").expect("wall field").1.parse().expect("f64");
-    assert!(wall.is_finite() && wall >= 0.0);
+    // A cold run computes fresh cells: the throughput meter's cell count
+    // and the perf cache's miss count agree (throughput honesty); its hits
+    // are cells several figures share, simulated earlier in the same run.
+    // Noninterference cells are split out, so they cannot inflate either.
+    let [cells, hits, misses, nisec_hits, nisec_misses] = smoke_run(&base);
+    assert!(cells > 0 && nisec_misses > 0, "cold run simulated nothing");
+    assert_eq!((cells, nisec_hits), (misses, 0));
 
-    // A cold figure run computes fresh cells: the throughput meter's cell
-    // count and the cache's miss count agree (throughput honesty), no hits.
-    let cold = summary_line(env!("CARGO_BIN_EXE_fig1_motivation"), &base);
-    let cells = summary_field(&cold, "cells");
-    assert!(cells > 0, "{cold}");
-    assert_eq!(cells, summary_field(&cold, "misses"), "{cold}");
-    assert_eq!(summary_field(&cold, "hits"), 0, "{cold}");
-
-    // The same run against the now-warm disk cache: every cell is a hit,
-    // nothing recomputes, so the meter records no cell.
-    let warm = summary_line(env!("CARGO_BIN_EXE_fig1_motivation"), &base);
-    assert_eq!(summary_field(&warm, "cells"), 0, "{warm}");
-    assert_eq!(summary_field(&warm, "misses"), 0, "{warm}");
-    assert_eq!(summary_field(&warm, "hits"), cells, "{warm}");
+    // The same run against the now-warm disk cache: every lookup is a
+    // hit, nothing recomputes, so the meter records no cell.
+    assert_eq!(smoke_run(&base), [0, hits + misses, 0, nisec_misses, 0]);
 
     // Smoke runs never write under results/.
     assert!(!base.join("results").exists(), "a smoke run wrote under LEVIOSO_RESULTS_DIR");
@@ -95,46 +71,50 @@ fn run_summary_line_is_shared_and_counts_only_fresh_cells() {
 }
 
 /// A paper-tier report that cannot be saved fails the run and names the
-/// path it could not write, instead of exiting 0 with nothing saved.
+/// path it could not write, instead of exiting 0 with nothing saved. T1
+/// is written before any sweep, so this fails at once on a cold cache.
 #[test]
 fn unwritable_results_dir_fails_loudly() {
     let blocker =
         std::env::temp_dir().join(format!("levioso-cli-unwritable-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&blocker);
+    let _ = std::fs::remove_dir_all(blocker.with_extension("cache"));
     std::fs::write(&blocker, "a regular file where results/ should be").expect("create file");
-    let out = Command::new(env!("CARGO_BIN_EXE_table1_config"))
+    let out = Command::new(env!("CARGO_BIN_EXE_all"))
         .args(["--paper", "--quiet"])
         .env("LEVIOSO_RESULTS_DIR", &blocker)
+        .env("LEVIOSO_SWEEP_CACHE_DIR", blocker.with_extension("cache"))
         .output()
-        .expect("spawn table1_config");
+        .expect("spawn all");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
     assert!(stderr.contains(&blocker.display().to_string()), "path not named: {stderr}");
+    assert!(!blocker.with_extension("cache").exists(), "no cell may be simulated: {stderr}");
     let _ = std::fs::remove_file(&blocker);
 }
 
-/// The warm server's `--serve` and the old `--resume` (every run resumes:
-/// each cell is stored as soon as it is computed) are usage errors
-/// everywhere, with the cache on or off.
+/// Unknown flags (the warm server's `--serve`; the old `--resume`, since
+/// each cell is stored as soon as it is computed) and flag combinations
+/// that would silently do less than asked are usage errors, with the
+/// cache on or off: `--check` with `--bless`, and `--attrib` with either,
+/// since no golden holds the attribution report.
 #[test]
-fn serve_flag_is_unknown_everywhere() {
-    for bin in BINARIES {
-        for name in ["serve", "resume"] {
-            let flag = format!("--{name}");
-            for args in [[flag.as_str(), "x"], ["--no-cache", flag.as_str()]] {
-                let out = Command::new(bin)
-                    .args(args)
-                    .output()
-                    .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
-                let stderr = String::from_utf8_lossy(&out.stderr);
-                assert_eq!(out.status.code(), Some(2), "{} {args:?}: {stderr}", short_name(bin));
-                assert!(
-                    stderr.contains(&format!("unknown argument `{flag}`")),
-                    "{} {args:?}: {stderr}",
-                    short_name(bin)
-                );
-            }
-        }
+fn rejected_flags_are_usage_errors() {
+    let cases: [(&[&str], &str); 7] = [
+        (&["--serve", "x"], "unknown argument `--serve`"),
+        (&["--no-cache", "--serve"], "unknown argument `--serve`"),
+        (&["--resume", "x"], "unknown argument `--resume`"),
+        (&["--no-cache", "--resume"], "unknown argument `--resume`"),
+        (&["--check", "--bless"], "mutually exclusive"),
+        (&["--smoke", "--check", "--attrib"], "--attrib cannot be combined"),
+        (&["--smoke", "--bless", "--attrib"], "--attrib cannot be combined"),
+    ];
+    for (args, says) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_all")).args(args).output().expect("spawn all");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(says), "{args:?}: {stderr}");
+        assert!(!stderr.contains("==>"), "{args:?} started a run: {stderr}");
     }
 }
 

@@ -1,12 +1,14 @@
 //! The golden regression gate as tests: recompute the shape figures and
-//! compare them against the recorded snapshots in `results/golden/`.
+//! compare them against the recorded snapshots in each tier's golden
+//! directory (`results/golden/smoke/`; for the paper tier the committed
+//! `results/` itself).
 //!
 //! The smoke-tier test runs on every `cargo test --workspace` (the sweeps
 //! are bit-deterministic, so opt level doesn't move the numbers). The
 //! paper-tier test replays the full evaluation settings and is `#[ignore]`d
-//! for time; CI covers the same code path at smoke tier, and
-//! `cargo test -p levioso-bench -- --ignored` (or `all --paper --check`)
-//! runs the full gate on demand.
+//! for time; `cargo test -p levioso-bench -- --ignored` runs it on demand.
+//! `all --paper --check`, CI's golden gate, checks the same figures and
+//! every other report `all --paper` writes.
 
 use levioso_bench::{gate, Sweep, Tier};
 

@@ -15,7 +15,7 @@
 #     format gate:        rustfmt --check against rustfmt.toml
 #     lint gate:          clippy on every workspace target, warnings denied
 #
-#   test (eight steps):
+#   test (seven steps):
 #     tier-1 verify:      cargo build --release && cargo test -q — first
 #                         and fast, so the basic contract fails early
 #     workspace tests:    unit, property, integration and doc tests
@@ -25,42 +25,40 @@
 #                         metric with no failed cell, tampered goldens and
 #                         cache cells fail cells, and traced runs pass the
 #                         self-time conservation check
-#     golden gate:        the paper-tier and then the smoke-tier bench
-#                         sweep checked against results/golden/paper/ and
-#                         results/golden/smoke/ — exits nonzero with a
-#                         per-cell diff on any drift; run on a cache
-#                         directory emptied first (target/ci_golden_cache,
-#                         outside target/sweep-cache), so it reads no
-#                         cell from an earlier CI run: the workflow
-#                         restores target/ from its cache, and cells
-#                         there replay without running the simulator
-#                         (the cache namespace names the simulator's
-#                         source, not the toolchain, nor bench's cell
-#                         code, which only CELL_FORMAT versions). Each
-#                         distinct cell is simulated once: a cell several
-#                         figures share is a hit after its first
-#                         simulation, where --no-cache simulated it once
-#                         per figure. Only
-#                         the paper tier's F4 sweep simulates the largest
-#                         ROB the core accepts (MAX_ROB_SIZE), which
-#                         sizes its speculation masks
+#     golden gate:        `all --paper --check` recomputes every report
+#                         `all --paper` writes and compares it with the
+#                         committed results/ (figure JSON cell by cell
+#                         within tolerance, every other file byte for
+#                         byte); then `all --smoke --check` compares the
+#                         smoke-tier figures with results/golden/smoke/.
+#                         Both tiers also run T4, the noninterference
+#                         campaign, whose two-sided gate fails the run on
+#                         a leak from a delaying scheme or on a clean
+#                         unsafe baseline. Exits nonzero with one line per
+#                         drifted cell or file. Runs on a cache directory
+#                         emptied first (target/ci_golden_cache, outside
+#                         target/sweep-cache), so it reads no cell from an
+#                         earlier CI run: the workflow restores target/
+#                         from its cache, and cells there replay without
+#                         running the simulator (the cache namespace names
+#                         the simulator's source, not the toolchain, nor
+#                         bench's cell code, which only CELL_FORMAT
+#                         versions). Each distinct cell is simulated once:
+#                         a perf cell several figures share is a hit after
+#                         its first simulation, and the smoke campaign's
+#                         cells, the paper campaign's first programs,
+#                         replay from the paper run. Only the paper tier's
+#                         F4 sweep simulates the largest ROB the core
+#                         accepts (MAX_ROB_SIZE), which sizes its
+#                         speculation masks
 #     trace smoke:        levitrace traces one smoke cell, proving blame
 #                         conservation + JSON round-trip, and prints the
 #                         cell's delay-attribution report into the log
-#     noninterference:    table4_noninterference fuzzes every scheme with
-#                         two-run secret pairs at the smoke tier, with
-#                         --no-cache (every cell is distinct, so a cold
-#                         cache would only add keying and file writes),
-#                         and prints its scheme x observer leak matrix;
-#                         then at the paper tier into target/ci_t4/,
-#                         whose two reports must equal the committed
-#                         results/table4_noninterference.{txt,json} byte
-#                         for byte, so a faster campaign cannot move a
-#                         verdict or a divergence string unnoticed
-#     cache split:        asserts the golden gate printed its sweep-cache
-#                         hit/miss line for both tiers, each with 0
-#                         poisoned cells — a run that silently stopped
-#                         reporting the split would hide cache rot
+#     cache split:        asserts the golden gate printed a perf and a
+#                         noninterference sweep-cache hit/miss line for
+#                         both tiers, each with 0 poisoned cells — a run
+#                         that silently stopped reporting the split would
+#                         hide cache rot
 #
 # No step measures host performance: that is the benchmark's job
 # (perfbench/, declared by BENCHMARK.json; see perfbench/README.md). The
@@ -146,27 +144,14 @@ step_trace_smoke() {
     --smoke --workload filter_scan --scheme levioso --out target/ci_trace.json
 }
 
-step_noninterference() {
-  cargo run -q --release --offline --locked -p levioso-bench --bin table4_noninterference -- \
-    --smoke --no-cache
-  rm -rf target/ci_t4
-  LEVIOSO_RESULTS_DIR=target/ci_t4 cargo run -q --release --offline --locked -p levioso-bench \
-    --bin table4_noninterference -- --paper --quiet --no-cache
-  local f
-  for f in table4_noninterference.txt table4_noninterference.json; do
-    if ! cmp "target/ci_t4/$f" "results/$f"; then
-      echo "ERROR: the paper-tier T4 report target/ci_t4/$f differs from results/$f" >&2
-      exit 1
-    fi
-  done
-}
-
 step_cache_split() {
   local lines
   lines=$(grep -E '^sweep-cache: [0-9]+ hits, [0-9]+ misses' target/ci_golden_gate.log || true)
-  if [[ $(grep -c . <<< "$lines") -ne 2 ]]; then
-    echo "ERROR: golden gate did not report its sweep-cache hit/miss split for both tiers" >&2
-    echo "       (expected one 'sweep-cache: N hits, M misses, ...' line per tier)" >&2
+  if [[ $(grep -c . <<< "$lines") -ne 4 || $(grep -c ' \[perf\]$' <<< "$lines") -ne 2 ||
+    $(grep -c ' \[noninterference\]$' <<< "$lines") -ne 2 ]]; then
+    echo "ERROR: golden gate did not report its perf and noninterference sweep-cache splits" >&2
+    echo "       (expected 'sweep-cache: N hits, M misses, ... [perf]' and" >&2
+    echo "       '... [noninterference]' once per tier, 4 lines)" >&2
     exit 1
   fi
   sed 's/^/    golden gate reported: /' <<< "$lines"
@@ -186,10 +171,9 @@ if [[ "$mode" == "test" || "$mode" == "all" ]]; then
   run_step "tier-1: cargo test -q" step_test
   run_step "full-workspace tests" step_ws_tests
   run_step "benchmark self-tests: perfbench at reduced sizes" step_perfbench
-  run_step "golden gate: paper- and smoke-tier sweeps vs results/golden/" step_golden_gate
+  run_step "golden gate: paper-tier reports vs results/, smoke-tier figures vs results/golden/smoke/" step_golden_gate
   run_step "trace smoke: levitrace conservation + round-trip on one cell" step_trace_smoke
-  run_step "noninterference gate: smoke-tier fuzz, paper-tier reports vs results/" step_noninterference
-  run_step "golden gate reported its cache hit/miss split" step_cache_split
+  run_step "golden gate reported its cache hit/miss splits" step_cache_split
 fi
 
 echo "==> OK: ci.sh $mode green in $((SECONDS - start))s (per-step timing in target/ci_timing.json)"
