@@ -29,7 +29,7 @@ use std::process::exit;
 use std::time::Instant;
 
 const USAGE: &str = "usage: all [--smoke|--paper] [--check|--bless] [--attrib] [--threads N] \
-     [--quiet] [--no-cache]\n\
+     [--quiet]\n\
      \n  --smoke        reduced problem sizes and sweep grids (the CI tier)\
      \n  --paper        full evaluation settings (default)\
      \n  --check        compare every report with the tier's golden (paper: results/,\
@@ -37,8 +37,7 @@ const USAGE: &str = "usage: all [--smoke|--paper] [--check|--bless] [--attrib] [
      \n  --bless        regenerate the tier's golden\
      \n  --attrib       also emit the delay-attribution report (ATTRIB_overhead)\
      \n  --threads N    worker threads (default: LEVIOSO_THREADS or all cores)\
-     \n  --quiet, -q    suppress rendered reports on stdout\
-     \n  --no-cache     recompute every sweep cell (results are identical either way)";
+     \n  --quiet, -q    suppress rendered reports on stdout";
 
 fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}\n{USAGE}");
@@ -60,8 +59,7 @@ struct Opts {
 
 impl Opts {
     /// Parses process arguments; prints usage and exits 2 on unknown,
-    /// malformed or conflicting ones. `--no-cache` turns both cell caches
-    /// off for this run.
+    /// malformed or conflicting ones.
     fn parse() -> Opts {
         let mut opts = Opts {
             tier: Tier::Paper,
@@ -84,10 +82,6 @@ impl Opts {
                 "--bless" => opts.bless = true,
                 "--quiet" | "-q" => opts.quiet = true,
                 "--attrib" => opts.attrib = true,
-                "--no-cache" => {
-                    cellcache::configure(levioso_support::Cache::disabled());
-                    levioso_nisec::cellcache::configure(levioso_support::Cache::disabled());
-                }
                 "--help" | "-h" => {
                     eprintln!("{USAGE}");
                     exit(0);
@@ -250,19 +244,17 @@ fn print_cache_summary(list_dirty: bool) {
     }
 }
 
-/// Prints the `==> sim throughput:` line from the global meter
-/// (`scripts/perf.sh --ab-trace` reads its cells/busy-sec figure). Its
+/// Prints the `==> sim throughput:` line from the global meter. Its
 /// `cells` counts only freshly simulated perf cells, so on a cold run it
 /// equals the `[perf]` line's misses.
 fn print_throughput() {
     let t = throughput::snapshot();
     eprintln!(
         "==> sim throughput: {} cells, {:.1} simulated Mcycles in {:.1}s busy \
-         ({:.0} kilocycles/busy-sec, {:.2} cells/busy-sec)",
+         ({:.0} kilocycles/busy-sec)",
         t.cells,
         t.sim_cycles as f64 / 1e6,
         t.busy_seconds(),
         t.kilocycles_per_busy_sec(),
-        t.cells_per_busy_sec(),
     );
 }

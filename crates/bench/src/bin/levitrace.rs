@@ -5,14 +5,17 @@
 //! levitrace --smoke --workload filter_scan --scheme levioso --out trace.json
 //! ```
 //!
-//! The cell runs once with a [`levioso_bench::ChromeTraceSink`] (bounded
-//! instruction-lifetime spans) and a [`levioso_bench::AttribSink`]
-//! (per-rule blame) teed together. Before exiting the tool proves its
-//! own output:
+//! The cell runs twice, once with each sink: a
+//! [`levioso_bench::ChromeTraceSink`] (bounded instruction-lifetime spans)
+//! and a [`levioso_bench::AttribSink`] (per-rule blame). Before exiting
+//! the tool proves its own output:
 //!
-//! 1. **Conservation** — blamed delay cycles must equal the simulator's
+//! 1. **One cell** — both runs return equal `SimStats`: the simulator is
+//!    deterministic and a sink observes it without steering it, so the
+//!    spans and the blame describe the same execution;
+//! 2. **Conservation** — blamed delay cycles must equal the simulator's
 //!    `policy_delay_cycles` exactly;
-//! 2. **Round-trip** — the written file is re-read and re-parsed with
+//! 3. **Round-trip** — the written file is re-read and re-parsed with
 //!    `levioso_support::Json`, and its structural invariants checked
 //!    (`validate_chrome_trace`).
 //!
@@ -22,7 +25,7 @@
 
 use levioso_bench::{run_workload_traced, AttribSink, ChromeTraceSink};
 use levioso_core::Scheme;
-use levioso_uarch::{CoreConfig, Tee};
+use levioso_uarch::CoreConfig;
 use levioso_workloads::{suite, Scale};
 use std::process::exit;
 
@@ -32,18 +35,16 @@ struct Args {
     scheme: Scheme,
     limit: usize,
     out: std::path::PathBuf,
-    quiet: bool,
 }
 
 fn usage() -> String {
     "usage: levitrace [--smoke|--paper] [--workload NAME] [--scheme NAME] \
-     [--limit N] [--out PATH] [--quiet]\n\
+     [--limit N] [--out PATH]\n\
      \n  --smoke          smoke-tier problem size (default: paper tier)\
      \n  --workload NAME  workload to trace (default: filter_scan)\
      \n  --scheme NAME    scheme to trace under (default: levioso)\
      \n  --limit N        max spans retained in the trace ring (default: 65536)\
-     \n  --out PATH       trace output path (default: levioso_trace.json)\
-     \n  --quiet, -q      suppress the attribution report on stdout"
+     \n  --out PATH       trace output path (default: levioso_trace.json)"
         .to_string()
 }
 
@@ -54,7 +55,6 @@ fn parse_args() -> Args {
         scheme: Scheme::Levioso,
         limit: levioso_bench::trace_export::DEFAULT_CAPACITY,
         out: "levioso_trace.json".into(),
-        quiet: false,
     };
     let fail = |msg: &str| -> ! {
         eprintln!("error: {msg}\n{}", usage());
@@ -82,7 +82,6 @@ fn parse_args() -> Args {
                 Some(p) => a.out = p.into(),
                 None => fail("--out needs a path"),
             },
-            "--quiet" | "-q" => a.quiet = true,
             "--help" | "-h" => {
                 eprintln!("{}", usage());
                 exit(0);
@@ -105,16 +104,26 @@ fn main() {
         exit(2);
     };
 
-    let sink =
-        Tee::new(Box::new(ChromeTraceSink::with_capacity(args.limit)), Box::new(AttribSink::new()));
-    let (stats, sink) = run_workload_traced(w, args.scheme, &CoreConfig::default(), Box::new(sink));
-    let tee = sink.into_any().downcast::<Tee>().expect("the tee we attached");
-    let chrome =
-        tee.a.into_any().downcast::<ChromeTraceSink>().expect("chrome sink is the first leg");
-    let attrib = tee.b.into_any().downcast::<AttribSink>().expect("attrib sink is the second leg");
+    let config = CoreConfig::default();
+    let sink = Box::new(ChromeTraceSink::with_capacity(args.limit));
+    let (stats, chrome) = run_workload_traced(w, args.scheme, &config, sink);
+    let chrome = chrome.into_any().downcast::<ChromeTraceSink>().expect("the sink we attached");
+    let (attrib_stats, attrib) =
+        run_workload_traced(w, args.scheme, &config, Box::new(AttribSink::new()));
+    let attrib = attrib.into_any().downcast::<AttribSink>().expect("the sink we attached");
     let attrib = attrib.into_stats();
 
-    // Proof 1: blame conservation against the simulator's own counter.
+    // Proof 1: the spans and the blame come from the same execution.
+    if attrib_stats != stats {
+        eprintln!(
+            "FAIL: the two traced runs differ: {} cycles and {} committed with the trace sink, \
+             {} and {} with the attribution sink",
+            stats.cycles, stats.committed, attrib_stats.cycles, attrib_stats.committed
+        );
+        exit(1);
+    }
+
+    // Proof 2: blame conservation against the simulator's own counter.
     if attrib.blamed_cycles() != stats.policy_delay_cycles {
         eprintln!(
             "FAIL: attribution not conserved: blamed {} cycles, simulator counted {}",
@@ -131,7 +140,7 @@ fn main() {
         exit(1);
     }
 
-    // Proof 2: the file on disk re-parses and passes structural checks.
+    // Proof 3: the file on disk re-parses and passes structural checks.
     let reread = match std::fs::read_to_string(&args.out) {
         Ok(t) => t,
         Err(e) => {
@@ -147,10 +156,8 @@ fn main() {
         }
     };
 
-    if !args.quiet {
-        print!("{}", attrib.render(&format!("delay attribution: {} / {}", w.name, args.scheme)));
-        println!();
-    }
+    print!("{}", attrib.render(&format!("delay attribution: {} / {}", w.name, args.scheme)));
+    println!();
     eprintln!(
         "==> {} under {}: {} cycles, {} committed, {} policy-delay cycles (conserved)",
         w.name, args.scheme, stats.cycles, stats.committed, stats.policy_delay_cycles

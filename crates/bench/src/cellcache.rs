@@ -6,7 +6,8 @@
 //! * one **process-global handle**, namespaced under
 //!   [`levioso_uarch::core_fingerprint`] and rooted by the environment
 //!   by default (`LEVIOSO_SWEEP_CACHE_DIR` relocates it; default
-//!   `target/sweep-cache/<fingerprint>/`; `--no-cache` disables it);
+//!   `target/sweep-cache/<fingerprint>/`; an emptied directory makes a
+//!   cold run that still simulates each distinct cell once);
 //! * the **cell key**: a serialized description of everything a
 //!   `(workload, scheme, config)` simulation's result depends on — the
 //!   program *text* (not the name: a regenerated workload with different
@@ -50,7 +51,7 @@ fn handle() -> &'static RwLock<Cache> {
 }
 
 /// Replaces the process-global cache (tests point it at a temp dir or
-/// disable it; `--no-cache` installs [`Cache::disabled`]).
+/// install [`Cache::disabled`], as the benchmark's `nisec-fuzz` does).
 pub fn configure(cache: Cache) {
     *handle().write().expect("cell cache lock") = cache;
 }

@@ -107,9 +107,6 @@ fn run_cell(w: &Workload, scheme: Scheme, cap: Option<usize>, config: &CoreConfi
     }
     let mut sim = levioso_uarch::Simulator::new(&program, config.clone());
     w.apply_memory(&mut sim);
-    if null_trace_enabled() {
-        sim.attach_tracer(Box::new(levioso_uarch::NullSink));
-    }
     let stats = sim.run(scheme.policy().as_ref()).unwrap_or_else(|e| panic!("{}: {e}", what()));
     assert_eq!(
         sim.mem.read_i64(w.checksum_addr),
@@ -123,39 +120,6 @@ fn run_cell(w: &Workload, scheme: Scheme, cap: Option<usize>, config: &CoreConfi
         cache.store(&label, &key, &cellcache::stats_to_json(&stats), busy.as_nanos() as u64);
     }
     stats
-}
-
-/// Parses a `LEVIOSO_TRACE` value: unset or empty means off, `null` means
-/// the null-sink A/B mode, anything else is an error. Rejecting unknown
-/// values matters because this variable changes what `scripts/perf.sh --ab-trace`
-/// measures — a typo (`LEVIOSO_TRACE=nulll`) silently measuring the wrong
-/// thing is worse than a crash.
-fn parse_trace_env(value: Option<&str>) -> Result<bool, String> {
-    match value {
-        None | Some("") => Ok(false),
-        Some("null") => Ok(true),
-        Some(other) => Err(format!(
-            "unknown LEVIOSO_TRACE value {other:?}: expected unset, empty, or \"null\""
-        )),
-    }
-}
-
-/// Whether `LEVIOSO_TRACE=null` asked every freshly simulated
-/// [`run_workload`] and [`run_workload_capped`] cell to run with a
-/// [`levioso_uarch::NullSink`] attached. Used by
-/// `scripts/perf.sh --ab-trace` to measure the hook overhead with the
-/// tracing branches *taken*; results are unchanged either way (the null
-/// sink observes but never perturbs).
-///
-/// # Panics
-///
-/// Panics on any other value of `LEVIOSO_TRACE` (see [`parse_trace_env`]).
-fn null_trace_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| {
-        let value = std::env::var("LEVIOSO_TRACE").ok();
-        parse_trace_env(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
-    })
 }
 
 /// Runs one workload with `sink` attached and returns the statistics
@@ -607,17 +571,6 @@ mod tests {
         // ordering vs commit-delay is workload-dependent.)
         assert!(exe < fen, "execute-delay {exe:.3} < fence {fen:.3}");
         assert!(lev >= 0.99, "slowdowns are >= 1");
-    }
-
-    #[test]
-    fn trace_env_parsing_rejects_unknown_values() {
-        assert_eq!(parse_trace_env(None), Ok(false));
-        assert_eq!(parse_trace_env(Some("")), Ok(false));
-        assert_eq!(parse_trace_env(Some("null")), Ok(true));
-        for bad in ["nulll", "NULL", "1", "off", " null"] {
-            let e = parse_trace_env(Some(bad)).unwrap_err();
-            assert!(e.contains(&format!("{bad:?}")), "error names the bad value: {e}");
-        }
     }
 
     #[test]

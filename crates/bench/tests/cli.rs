@@ -1,7 +1,9 @@
 //! Pins the CLI contracts of `all`: honest throughput and
 //! cache-split lines, loud save failures, rejected flags and bad
-//! environment values.
+//! environment values; and of `levitrace`: a trace that validates, the
+//! attribution report, and usage errors that write nothing.
 
+use std::path::Path;
 use std::process::Command;
 
 /// The one line of `text` that starts with `prefix` and ends with
@@ -94,17 +96,17 @@ fn unwritable_results_dir_fails_loudly() {
 }
 
 /// Unknown flags (the warm server's `--serve`; the old `--resume`, since
-/// each cell is stored as soon as it is computed) and flag combinations
-/// that would silently do less than asked are usage errors, with the
-/// cache on or off: `--check` with `--bless`, and `--attrib` with either,
-/// since no golden holds the attribution report.
+/// each cell is stored as soon as it is computed; the old cache switch,
+/// since an emptied `LEVIOSO_SWEEP_CACHE_DIR` simulates each distinct
+/// cell once) and flag combinations that would silently do less than
+/// asked are usage errors: `--check` with `--bless`, and `--attrib` with
+/// either, since no golden holds the attribution report.
 #[test]
 fn rejected_flags_are_usage_errors() {
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 6] = [
         (&["--serve", "x"], "unknown argument `--serve`"),
-        (&["--no-cache", "--serve"], "unknown argument `--serve`"),
         (&["--resume", "x"], "unknown argument `--resume`"),
-        (&["--no-cache", "--resume"], "unknown argument `--resume`"),
+        (&["--no-cache"], "unknown argument `--no-cache`"),
         (&["--check", "--bless"], "mutually exclusive"),
         (&["--smoke", "--check", "--attrib"], "--attrib cannot be combined"),
         (&["--smoke", "--bless", "--attrib"], "--attrib cannot be combined"),
@@ -136,4 +138,49 @@ fn bad_env_values_fail_before_any_sweep() {
     assert!(stderr.contains("unknown LEVIOSO_THREADS value \"0\""), "{stderr}");
     assert!(!stderr.contains("==>"), "no sweep may start: {stderr}");
     assert!(!base.exists(), "nothing may be cached or written");
+}
+
+/// `levitrace` traces one smoke cell end to end: it exits 0, writes a
+/// trace that `validate_chrome_trace` accepts, with committed spans, and
+/// prints the cell's attribution report. A flag it no longer takes
+/// (`--quiet`), a zero `--limit` and an unknown workload are usage errors
+/// that write no file.
+#[test]
+fn levitrace_writes_a_valid_trace_and_rejects_bad_arguments() {
+    let dir = std::env::temp_dir().join(format!("levioso-cli-levitrace-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let levitrace = |out: &Path, extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_levitrace"))
+            .args(["--smoke", "--workload", "filter_scan", "--scheme", "levioso", "--out"])
+            .arg(out)
+            .args(extra)
+            .output()
+            .expect("spawn levitrace")
+    };
+
+    let trace = dir.join("trace.json");
+    let out = levitrace(&trace, &[]);
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert!(out.status.success(), "{stderr}");
+    let text = std::fs::read_to_string(&trace).expect("levitrace wrote its trace");
+    let summary = levioso_bench::validate_chrome_trace(&text).unwrap_or_else(|e| panic!("{e}"));
+    assert!(summary.committed > 0, "no committed span: {summary:?}");
+    assert!(stdout.contains("delay attribution: filter_scan / levioso"), "{stdout}");
+
+    let cases: [(&[&str], &str); 3] = [
+        (&["--quiet"], "unknown argument `--quiet`"),
+        (&["--limit", "0"], "--limit needs a positive integer"),
+        (&["--workload", "no_such_kernel"], "unknown workload `no_such_kernel`"),
+    ];
+    for (extra, says) in cases {
+        let rejected = dir.join("rejected.json");
+        let out = levitrace(&rejected, extra);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(stderr.contains(says), "{extra:?}: {stderr}");
+        assert!(!rejected.exists(), "{extra:?} wrote a trace");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

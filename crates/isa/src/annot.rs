@@ -174,119 +174,6 @@ impl Annotations {
     }
 }
 
-impl Annotations {
-    /// Serializes the annotations into the binary sidecar format that
-    /// would accompany a program image:
-    ///
-    /// ```text
-    /// per instruction:
-    ///   count nibble-pair byte: low nibble = dependency count (0..=14),
-    ///                           15 = the AllOlder sentinel
-    ///   then per dependency: ULEB128 *backward distance* when the branch
-    ///   precedes the instruction, or the sentinel stream 0x00 followed by
-    ///   ULEB128 forward distance (distance 0 is impossible backward, so
-    ///   the escape is unambiguous)
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if an instruction has more than 14 exact dependencies —
-    /// callers with bigger sets must [`Annotations::capped`] first (no
-    /// suite program comes close; see T3).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        fn uleb(out: &mut Vec<u8>, mut v: u64) {
-            loop {
-                let byte = (v & 0x7f) as u8;
-                v >>= 7;
-                if v == 0 {
-                    out.push(byte);
-                    break;
-                }
-                out.push(byte | 0x80);
-            }
-        }
-        let mut out = Vec::new();
-        for (i, set) in self.sets.iter().enumerate() {
-            match set {
-                DepSet::AllOlder => out.push(15),
-                DepSet::Exact(v) => {
-                    assert!(v.len() <= 14, "instruction {i}: cap annotations before encoding");
-                    out.push(v.len() as u8);
-                    for &d in v {
-                        if (d as usize) < i {
-                            uleb(&mut out, (i as u64) - d as u64);
-                        } else {
-                            out.push(0x00); // forward-reference escape
-                            uleb(&mut out, d as u64 - i as u64);
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Deserializes the sidecar produced by [`Annotations::to_bytes`] for a
-    /// program of `len` instructions.
-    ///
-    /// # Errors
-    ///
-    /// Returns a descriptive message on truncated input, trailing bytes, or
-    /// malformed varints.
-    pub fn from_bytes(len: usize, bytes: &[u8]) -> Result<Annotations, String> {
-        fn uleb(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
-            let mut v = 0u64;
-            let mut shift = 0u32;
-            loop {
-                let &b = bytes.get(*pos).ok_or("truncated varint")?;
-                *pos += 1;
-                if shift >= 63 {
-                    return Err("varint overflow".into());
-                }
-                v |= u64::from(b & 0x7f) << shift;
-                if b & 0x80 == 0 {
-                    return Ok(v);
-                }
-                shift += 7;
-            }
-        }
-        let mut pos = 0usize;
-        let mut sets = Vec::with_capacity(len);
-        for i in 0..len {
-            let &count = bytes.get(pos).ok_or("truncated annotation stream")?;
-            pos += 1;
-            if count == 15 {
-                sets.push(DepSet::AllOlder);
-                continue;
-            }
-            if count > 14 {
-                return Err(format!("instruction {i}: invalid count byte {count}"));
-            }
-            let mut v = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let first = uleb(bytes, &mut pos)?;
-                let dep = if first == 0 {
-                    // forward-reference escape
-                    let fwd = uleb(bytes, &mut pos)?;
-                    i as u64 + fwd
-                } else {
-                    (i as u64)
-                        .checked_sub(first)
-                        .ok_or_else(|| format!("instruction {i}: backward distance too large"))?
-                };
-                v.push(u32::try_from(dep).map_err(|_| "dependency out of range".to_string())?);
-            }
-            v.sort_unstable();
-            v.dedup();
-            sets.push(DepSet::Exact(v));
-        }
-        if pos != bytes.len() {
-            return Err(format!("{} trailing bytes", bytes.len() - pos));
-        }
-        Ok(Annotations::new(sets))
-    }
-}
-
 /// Aggregate annotation-size statistics (experiment T3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnnotationCost {
@@ -372,37 +259,6 @@ mod tests {
         assert_eq!(c.nonempty, 1);
         assert_eq!(c.total_bits, 4 + 16 + 4 + 4);
         assert!(c.bits_per_instr() > 0.0);
-    }
-
-    #[test]
-    fn sidecar_round_trip() {
-        let a = Annotations::new(vec![
-            DepSet::Exact(vec![]),
-            DepSet::Exact(vec![0]),
-            DepSet::AllOlder,
-            DepSet::Exact(vec![0, 1, 7]), // includes a forward reference
-            DepSet::Exact(vec![2]),
-        ]);
-        let bytes = a.to_bytes();
-        let back = Annotations::from_bytes(5, &bytes).expect("decodes");
-        assert_eq!(back, a);
-    }
-
-    #[test]
-    fn sidecar_rejects_garbage() {
-        assert!(Annotations::from_bytes(1, &[]).is_err(), "truncated");
-        assert!(Annotations::from_bytes(1, &[14]).is_err(), "missing deps");
-        assert!(Annotations::from_bytes(1, &[0, 0]).is_err(), "trailing bytes");
-        // Continuation bit forever.
-        assert!(Annotations::from_bytes(1, &[1, 0x80, 0x80]).is_err());
-    }
-
-    #[test]
-    #[should_panic]
-    fn sidecar_requires_capping_large_sets() {
-        let big: Vec<u32> = (0..20).collect();
-        let a = Annotations::new(vec![DepSet::Exact(big)]);
-        let _ = a.to_bytes();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The nisec-side binding of the sweep-cell cache.
 //!
 //! `levioso_bench` keys its perf cells in `levioso_bench::cellcache`; this
-//! module does the same for the noninterference fuzz cells so `table4`
+//! module does the same for the noninterference fuzz cells so T4
 //! reuses the one persisted store under `target/sweep-cache/<fingerprint>/`
 //! (bench depends on this crate, so the binding must live here — the two
 //! modules share the store through `levioso_support::cache`, not through
@@ -37,7 +37,7 @@ fn handle() -> &'static RwLock<Cache> {
 }
 
 /// Replaces the process-global cache (tests point it at a temp dir or
-/// disable it; `--no-cache` installs [`Cache::disabled`]).
+/// install [`Cache::disabled`], as the benchmark's `nisec-fuzz` does).
 pub fn configure(cache: Cache) {
     *handle().write().expect("nisec cell cache lock") = cache;
 }

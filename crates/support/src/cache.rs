@@ -27,7 +27,8 @@
 //! * stores write to a unique temp file and `rename` into place, so
 //!   concurrent writers of the same key (two sweeps racing on a shared
 //!   cell) leave one complete envelope, never a torn one;
-//! * a disabled cache ([`Cache::disabled`], what `--no-cache` selects)
+//! * a disabled cache ([`Cache::disabled`], which tests and the
+//!   benchmark's `nisec-fuzz` workload install to compute every cell)
 //!   never touches the filesystem — every lookup is a miss and every store
 //!   a no-op — so cached and uncached runs of a deterministic sweep are
 //!   byte-identical by construction. It counts its misses but keeps no

@@ -392,36 +392,6 @@ impl<'p> Simulator<'p> {
         (self.slots.max_in_use(), self.slots.capacity())
     }
 
-    /// Diagnostic dump of in-flight state (for debugging the simulator
-    /// itself; not a stable API).
-    #[doc(hidden)]
-    pub fn debug_dump(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "cycle={} fetch_pc={} stalled={} redirect={:?} iq={} lq={} sq={} fq={} parked={}",
-            self.cycle,
-            self.fetch_pc,
-            self.fetch_stalled,
-            self.redirect,
-            self.iq_count,
-            self.lq_count,
-            self.store_queue.len(),
-            self.fetch_queue.len(),
-            self.parked.len()
-        );
-        let _ = writeln!(out, "unresolved={:?}", self.slots.mask_seqs(&self.slots.unresolved));
-        for e in &self.rob {
-            let _ = writeln!(
-                out,
-                "  seq={} pc={} {:?} stage={:?} done={} srcs={:?} addr={:?}",
-                e.seq, e.pc, e.instr, e.stage, e.done_cycle, e.srcs, e.mem_addr
-            );
-        }
-        out
-    }
-
     /// Fingerprint of committed architectural state (registers + memory);
     /// directly comparable with
     /// [`levioso_isa::Machine::arch_fingerprint`].

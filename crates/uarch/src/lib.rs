@@ -58,4 +58,4 @@ pub use policy::{Release, SpeculationPolicy, UnsafeBaseline, Wait};
 pub use predictor::Predictor;
 pub use specmask::SpecMask;
 pub use stats::SimStats;
-pub use trace::{Blame, BlamedKind, BlamedSlot, NullSink, Tee, TraceSink};
+pub use trace::{Blame, BlamedKind, BlamedSlot, TraceSink};

@@ -7,10 +7,10 @@
 //! stores the sink as `Option<Box<dyn TraceSink>>` and every hook is
 //! behind a branch on `None`, so the disabled path does no work beyond
 //! that test: golden results are bit-identical with and without the field
-//! (verified by the golden gate). An attached sink is not yet free when
-//! idle: with a [`NullSink`] on every cell, `scripts/perf.sh --ab-trace`
-//! read the paper sweep 132–145 ‰ slower and a smoke A/B read +239 ‰,
-//! against a 10 ‰ budget (DESIGN.md §9; ROADMAP.md item 5 is the fix).
+//! (verified by the golden gate). Every sink in the workspace listens —
+//! the noninterference recorder, the attribution sink and the Chrome trace
+//! exporter — so an attached sink's cost is the cost of what it records,
+//! which the benchmark's `nisec-fuzz` workload measures (DESIGN.md §9).
 //!
 //! The one event that is *not* free to reconstruct after the fact is the
 //! policy block: when the active [`crate::SpeculationPolicy`] delays an
@@ -123,83 +123,4 @@ pub trait TraceSink: std::fmt::Debug {
     /// [`crate::Simulator::take_tracer`]:
     /// `sink.into_any().downcast::<MySink>()`.
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
-}
-
-/// The do-nothing sink: every hook is the empty default. Attaching it is
-/// how `scripts/perf.sh --ab-trace` measures the enabled-path overhead ceiling.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
-/// Fans every event out to two sinks in order (`levitrace` uses this to
-/// build the Chrome trace and the attribution report in one simulation).
-#[derive(Debug)]
-pub struct Tee {
-    /// First receiver.
-    pub a: Box<dyn TraceSink>,
-    /// Second receiver.
-    pub b: Box<dyn TraceSink>,
-}
-
-impl Tee {
-    /// Combines two sinks.
-    pub fn new(a: Box<dyn TraceSink>, b: Box<dyn TraceSink>) -> Self {
-        Tee { a, b }
-    }
-}
-
-impl TraceSink for Tee {
-    fn on_fetch(&mut self, cycle: u64, pc: u32, instr: &Instr) {
-        self.a.on_fetch(cycle, pc, instr);
-        self.b.on_fetch(cycle, pc, instr);
-    }
-
-    fn on_dispatch(&mut self, cycle: u64, instr: &DynInstr) {
-        self.a.on_dispatch(cycle, instr);
-        self.b.on_dispatch(cycle, instr);
-    }
-
-    fn on_issue(&mut self, cycle: u64, instr: &DynInstr) {
-        self.a.on_issue(cycle, instr);
-        self.b.on_issue(cycle, instr);
-    }
-
-    fn on_policy_block(&mut self, cycle: u64, instr: &DynInstr, blame: &Blame) {
-        self.a.on_policy_block(cycle, instr, blame);
-        self.b.on_policy_block(cycle, instr, blame);
-    }
-
-    fn on_forward(&mut self, cycle: u64, instr: &DynInstr, store_seq: Seq) {
-        self.a.on_forward(cycle, instr, store_seq);
-        self.b.on_forward(cycle, instr, store_seq);
-    }
-
-    fn on_resolve(&mut self, cycle: u64, instr: &DynInstr, mispredicted: bool) {
-        self.a.on_resolve(cycle, instr, mispredicted);
-        self.b.on_resolve(cycle, instr, mispredicted);
-    }
-
-    fn on_squash(&mut self, cycle: u64, seq: Seq, pc: u32) {
-        self.a.on_squash(cycle, seq, pc);
-        self.b.on_squash(cycle, seq, pc);
-    }
-
-    fn on_writeback(&mut self, cycle: u64, instr: &DynInstr) {
-        self.a.on_writeback(cycle, instr);
-        self.b.on_writeback(cycle, instr);
-    }
-
-    fn on_commit(&mut self, cycle: u64, instr: &DynInstr) {
-        self.a.on_commit(cycle, instr);
-        self.b.on_commit(cycle, instr);
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }

@@ -51,9 +51,10 @@
 #                         F4 sweep simulates the largest ROB the core
 #                         accepts (MAX_ROB_SIZE), which sizes its
 #                         speculation masks
-#     trace smoke:        levitrace traces one smoke cell, proving blame
-#                         conservation + JSON round-trip, and prints the
-#                         cell's delay-attribution report into the log
+#     trace smoke:        levitrace traces one smoke cell once per sink,
+#                         proving both runs agree, blame conservation and
+#                         the JSON round-trip, and prints the cell's
+#                         delay-attribution report into the log
 #     cache split:        asserts the golden gate printed a perf and a
 #                         noninterference sweep-cache hit/miss line for
 #                         both tiers, each with 0 poisoned cells — a run

@@ -66,14 +66,6 @@ levioso_support::props! {
         body::check_capping_coarsens(&source);
     }
 
-    /// Real program annotations survive the binary sidecar round trip
-    /// (after the documented 14-dependency capping).
-    fn sidecar_round_trips_for_real_programs(g) {
-        let source = arb_source(g);
-        g.note("source", &source);
-        body::check_sidecar_round_trip(&source);
-    }
-
     /// Every exact dependency references a conditional branch, the entry
     /// instruction is dependency-free (it executes unconditionally exactly
     /// once), and all dependency sets are sorted and duplicate-free.

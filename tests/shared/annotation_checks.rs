@@ -65,17 +65,6 @@ pub fn check_capping_coarsens(source: &str) {
     }
 }
 
-/// Real program annotations survive the binary sidecar round trip (after
-/// the documented 14-dependency capping).
-pub fn check_sidecar_round_trip(source: &str) {
-    let mut p = levioso::compiler::levi::compile_unannotated("prop", source).expect("compiles");
-    annotate_with(&mut p, &AnnotateConfig { static_dataflow: true });
-    let capped = p.annotations.as_ref().unwrap().capped(14);
-    let bytes = capped.to_bytes();
-    let back = levioso::isa::Annotations::from_bytes(p.len(), &bytes).expect("sidecar decodes");
-    assert_eq!(back, capped);
-}
-
 /// Every exact dependency references a conditional branch, the entry
 /// instruction is dependency-free, and all dependency sets are sorted and
 /// duplicate-free.
