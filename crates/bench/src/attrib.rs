@@ -12,12 +12,14 @@
 //! and drops it on squash, so the sink buffers blame per in-flight
 //! instruction and commits/drops it on the same events. The invariant —
 //! checked by `tests/attrib.rs` and the `levitrace` binary — is exact
-//! conservation:
+//! conservation of cycles:
 //!
 //! ```text
 //! AttribStats::blamed_cycles() == SimStats::policy_delay_cycles
-//! AttribStats::blamed_instrs() == SimStats::policy_delayed_instrs
 //! ```
+//!
+//! Instructions are not conserved: [`AttribStats::blamed_instrs`] counts
+//! an instruction once per rule that blocked it.
 
 use crate::run_workload_traced;
 use levioso_core::Scheme;
@@ -123,8 +125,7 @@ impl AttribStats {
     }
 
     /// Serializes to a JSON value (`u64` counters as decimal strings,
-    /// matching [`Histogram::to_json`]). Round-trips through
-    /// [`AttribStats::from_json`].
+    /// matching [`Histogram::to_json`]).
     pub fn to_json(&self) -> Json {
         let rules = self
             .rules
@@ -151,32 +152,6 @@ impl AttribStats {
             ),
             ("blamed_cycles", Json::Str(self.blamed_cycles().to_string())),
         ])
-    }
-
-    /// Reconstructs from [`AttribStats::to_json`] output. `None` on a
-    /// malformed document.
-    pub fn from_json(v: &Json) -> Option<AttribStats> {
-        let parse_u64 =
-            |v: &Json, key: &str| v.get(key).and_then(Json::as_str)?.parse::<u64>().ok();
-        let mut out = AttribStats::default();
-        for r in v.get("rules")?.as_arr()? {
-            let rule = r.get("rule").and_then(Json::as_str)?.to_string();
-            let rs = RuleStats {
-                cycles: parse_u64(r, "cycles")?,
-                instrs: parse_u64(r, "instrs")?,
-                hist: Histogram::from_json(r.get("delay_histogram")?)?,
-            };
-            out.rules.insert(rule, rs);
-        }
-        let kinds = v.get("kind_cycles")?;
-        for (i, key) in ["branch", "indirect", "load"].iter().enumerate() {
-            out.kind_cycles[i] = parse_u64(kinds, key)?;
-        }
-        out.unattributed_cycles = parse_u64(kinds, "none")?;
-        if parse_u64(v, "blamed_cycles")? != out.blamed_cycles() {
-            return None;
-        }
-        Some(out)
     }
 }
 
@@ -361,14 +336,17 @@ mod tests {
         assert_eq!(a.blamed_cycles(), 20);
     }
 
+    /// The text `ATTRIB_overhead.json` holds per cell, pinned: nothing
+    /// reads it back, so this is what checks its format.
     #[test]
-    fn json_round_trips() {
-        let a = sample();
-        let j = a.to_json();
-        assert_eq!(AttribStats::from_json(&j).unwrap(), a);
-        let back = Json::parse(&j.emit()).unwrap();
-        assert_eq!(AttribStats::from_json(&back).unwrap(), a);
-        assert!(AttribStats::from_json(&Json::Null).is_none());
+    fn json_text_is_pinned() {
+        let text = concat!(
+            r#"{"rules":[{"rule":"levioso:true-dep-unresolved","cycles":"10","instrs":"3","#,
+            r#""delay_histogram":{"count":"3","sum":"10","max":"4","buckets":[[2,"2"],[3,"1"]]}}],"#,
+            r#""kind_cycles":{"branch":"7","indirect":"1","load":"2","none":"0"},"#,
+            r#""blamed_cycles":"10"}"#,
+        );
+        assert_eq!(sample().to_json().emit(), text);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The process-wide sweep-cell cache and the bench-side cell keying.
+//! One perf sweep cell, whole: its key, its body and its stored format.
 //!
 //! `levioso_support::cache::Cache` is a plain content-addressed store; this
 //! module binds it to the bench domain:
@@ -7,7 +7,10 @@
 //!   [`levioso_uarch::core_fingerprint`] and rooted by the environment
 //!   by default (`LEVIOSO_SWEEP_CACHE_DIR` relocates it; default
 //!   `target/sweep-cache/<fingerprint>/`; an emptied directory makes a
-//!   cold run that still simulates each distinct cell once);
+//!   cold run that still simulates each distinct cell once). The
+//!   fingerprint digests this file along with the simulator and the
+//!   workloads, so an edit to what a cell stores names a new namespace
+//!   by itself;
 //! * the **cell key**: a serialized description of everything a
 //!   `(workload, scheme, config)` simulation's result depends on — the
 //!   program *text* (not the name: a regenerated workload with different
@@ -18,8 +21,9 @@
 //!   deliberately **not** part of the key: perf cells consume no
 //!   randomness (nisec cells, which do, embed their generated inputs —
 //!   see `levioso_nisec::harness`);
-//! * an exact [`SimStats`] ↔ JSON round-trip, versioned inside the key
-//!   (`cellformat`), so a layout change can never misread old envelopes.
+//! * the cell body, `run_cell`: a lookup, or a simulation checked
+//!   against the reference interpreter and stored;
+//! * an exact [`SimStats`] ↔ JSON round-trip.
 //!
 //! A cache hit returns bit-identical stats to a fresh simulation (the
 //! simulator is deterministic and the envelope is integrity-checked), so
@@ -29,21 +33,13 @@
 //! (so on a cold run `all`'s throughput line reports `cells` equal to the
 //! perf `sweep-cache:` line's misses, asserted by `tests/cli.rs`).
 
+use crate::throughput;
+use levioso_core::Scheme;
 use levioso_support::cache::{Cache, CacheReport};
 use levioso_support::Json;
 use levioso_uarch::{core_fingerprint, CacheStats, CoreConfig, SimStats};
 use levioso_workloads::Workload;
 use std::sync::{OnceLock, RwLock};
-
-/// Version of the cell-key/result layout below. Part of every key, so a
-/// change here (new stats field, different serialization) makes all old
-/// cells plain misses instead of parse errors.
-///
-/// Bump it when `run_cell` (`lib.rs`) or [`stats_to_json`] changes what a
-/// perf cell stores: both lie outside the source trees whose digest names
-/// the cache namespace ([`levioso_uarch::core_fingerprint`]), so this is
-/// the one version a person keeps by hand.
-const CELL_FORMAT: u32 = 1;
 
 fn handle() -> &'static RwLock<Cache> {
     static CACHE: OnceLock<RwLock<Cache>> = OnceLock::new();
@@ -71,6 +67,67 @@ pub fn reset_counters() {
     with(|c| c.reset_counters());
 }
 
+/// The one body behind [`crate::run_workload`] and
+/// [`crate::run_workload_capped`]: look the cell up, or simulate, check,
+/// record and store it. `cap` collapses every Levioso dependency set
+/// larger than it (F7's cells, cached under the `cap=` tag). The busy time
+/// is measured here, inside the worker, so busy-time rates are comparable
+/// across thread counts. With the cache off the cell is neither keyed nor
+/// labelled; the lookup is still made, so the cache report counts the miss.
+pub(crate) fn run_cell(
+    w: &Workload,
+    scheme: Scheme,
+    cap: Option<usize>,
+    config: &CoreConfig,
+) -> SimStats {
+    // One handle for the whole cell; clones share the counters.
+    let cache = with(Cache::clone);
+    let (key, label) = if cache.enabled() {
+        let tag = cap.map(cap_tag).unwrap_or_default();
+        (workload_key(w, scheme.name(), config, &tag), workload_label(w, scheme.name(), &tag))
+    } else {
+        (String::new(), String::new())
+    };
+    if let Some(stats) = cache.lookup(&label, &key).and_then(|doc| stats_from_json(&doc)) {
+        return stats;
+    }
+    let what = || match cap {
+        None => format!("{} under {scheme}", w.name),
+        Some(cap) => format!("{} cap {cap}", w.name),
+    };
+    let cell_start = std::time::Instant::now();
+    let mut program = w.program.clone();
+    scheme.prepare(&mut program);
+    if let Some(cap) = cap {
+        let full = program.annotations.take().expect("annotated");
+        program.annotations = Some(full.capped(cap));
+    }
+    let mut sim = levioso_uarch::Simulator::new(&program, config.clone());
+    w.apply_memory(&mut sim);
+    let stats = sim.run(scheme.policy().as_ref()).unwrap_or_else(|e| panic!("{}: {e}", what()));
+    assert_eq!(
+        sim.mem.read_i64(w.checksum_addr),
+        w.expected_checksum(),
+        "{}: checksum mismatch",
+        what()
+    );
+    let busy = cell_start.elapsed();
+    throughput::record(stats.cycles, stats.committed, busy);
+    if cache.enabled() {
+        cache.store(&label, &key, &stats_to_json(&stats), busy.as_nanos() as u64);
+    }
+    stats
+}
+
+/// The `extra` cache-key tag of an F7 capped cell.
+fn cap_tag(cap: usize) -> String {
+    if cap == usize::MAX {
+        "cap=uncapped".to_string()
+    } else {
+        format!("cap={cap}")
+    }
+}
+
 /// The cache key of one perf sweep cell. `extra` tags variant cells that
 /// share workload/scheme/config but differ in preparation (e.g. `cap=2`
 /// for F7's annotation-budget cells); empty for plain cells. The program
@@ -79,7 +136,7 @@ pub fn reset_counters() {
 pub fn workload_key(w: &Workload, scheme_name: &str, config: &CoreConfig, extra: &str) -> String {
     use std::fmt::Write;
     let mut key = String::with_capacity(256);
-    let _ = writeln!(key, "levioso-sweep-cell-key/{CELL_FORMAT}");
+    let _ = writeln!(key, "levioso-sweep-cell-key");
     let _ = writeln!(key, "kind: perf");
     let _ = writeln!(key, "workload: {}", w.name);
     let _ = writeln!(key, "program: {}", w.program_digest());
@@ -111,9 +168,6 @@ pub fn stats_to_json(s: &SimStats) -> Json {
     Json::obj([
         ("cycles", n(s.cycles)),
         ("committed", n(s.committed)),
-        ("committed_loads", n(s.committed_loads)),
-        ("committed_stores", n(s.committed_stores)),
-        ("committed_branches", n(s.committed_branches)),
         ("fetched", n(s.fetched)),
         ("dispatched", n(s.dispatched)),
         ("squashed", n(s.squashed)),
@@ -126,12 +180,8 @@ pub fn stats_to_json(s: &SimStats) -> Json {
         ("policy_delayed_instrs", n(s.policy_delayed_instrs)),
         ("ready_while_shadowed", n(s.ready_while_shadowed)),
         ("ready_while_true_dep", n(s.ready_while_true_dep)),
-        ("loads_ready_while_shadowed", n(s.loads_ready_while_shadowed)),
-        ("loads_ready_while_true_dep", n(s.loads_ready_while_true_dep)),
         ("shadow_wait_cycles", n(s.shadow_wait_cycles)),
         ("true_wait_cycles", n(s.true_wait_cycles)),
-        ("loads_shadow_wait_cycles", n(s.loads_shadow_wait_cycles)),
-        ("loads_true_wait_cycles", n(s.loads_true_wait_cycles)),
         ("transient_fills", n(s.transient_fills)),
     ])
 }
@@ -143,9 +193,6 @@ pub fn stats_from_json(doc: &Json) -> Option<SimStats> {
     Some(SimStats {
         cycles: n("cycles")?,
         committed: n("committed")?,
-        committed_loads: n("committed_loads")?,
-        committed_stores: n("committed_stores")?,
-        committed_branches: n("committed_branches")?,
         fetched: n("fetched")?,
         dispatched: n("dispatched")?,
         squashed: n("squashed")?,
@@ -156,12 +203,8 @@ pub fn stats_from_json(doc: &Json) -> Option<SimStats> {
         policy_delayed_instrs: n("policy_delayed_instrs")?,
         ready_while_shadowed: n("ready_while_shadowed")?,
         ready_while_true_dep: n("ready_while_true_dep")?,
-        loads_ready_while_shadowed: n("loads_ready_while_shadowed")?,
-        loads_ready_while_true_dep: n("loads_ready_while_true_dep")?,
         shadow_wait_cycles: n("shadow_wait_cycles")?,
         true_wait_cycles: n("true_wait_cycles")?,
-        loads_shadow_wait_cycles: n("loads_shadow_wait_cycles")?,
-        loads_true_wait_cycles: n("loads_true_wait_cycles")?,
         transient_fills: n("transient_fills")?,
     })
 }
@@ -209,11 +252,11 @@ mod tests {
     }
 
     /// The key of smoke `filter_scan` × `levioso` × the default core, as
-    /// rendered before the workload digests were memoized. Changing a byte
-    /// of it turns every cached cell into a miss, so it must come with a
-    /// `CELL_FORMAT` bump.
+    /// rendered before the workload digests were memoized (less the
+    /// header's old `/1` version). Changing a byte of it turns every cached
+    /// cell into a miss.
     const FILTER_SCAN_LEVIOSO_KEY: &str = concat!(
-        "levioso-sweep-cell-key/1\n",
+        "levioso-sweep-cell-key\n",
         "kind: perf\n",
         "workload: filter_scan\n",
         "program: d535d9a94625949485e454028cff3cbd\n",

@@ -599,16 +599,15 @@ mod tests {
 
     #[test]
     fn a_differing_or_missing_report_file_is_one_drift_naming_its_path() {
-        let dir = std::env::temp_dir().join(format!("levioso-gate-files-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create temp golden dir");
+        let dir = levioso_support::TempDir::new(std::env::temp_dir(), "levioso-gate-files");
+        let dir = dir.path();
         std::fs::write(dir.join("t3.txt"), "a\nb\nc\n").expect("write golden");
-        assert_eq!(file_drift(&dir, "t3.txt", "a\nb\nc\n"), None);
+        assert_eq!(file_drift(dir, "t3.txt", "a\nb\nc\n"), None);
         for (name, fresh, says) in
             [("t3.txt", "a\nB\nc\n", "at line 2"), ("t4.json", "{}", "unreadable")]
         {
             let path = dir.join(name).display().to_string();
-            match file_drift(&dir, name, fresh) {
+            match file_drift(dir, name, fresh) {
                 Some(Drift::Structure { figure, detail }) => {
                     assert_eq!(figure, name);
                     assert!(detail.contains(&path) && detail.contains(says), "{detail}");
@@ -616,7 +615,6 @@ mod tests {
                 other => panic!("expected one structural drift naming {path}, got {other:?}"),
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -34,7 +34,6 @@
 
 use levioso_core::Scheme;
 use levioso_stats::{geomean, Figure, Table};
-use levioso_support::Cache;
 use levioso_uarch::{CoreConfig, SimStats, TraceSink};
 use levioso_workloads::{suite, Scale, Workload};
 use std::collections::HashMap;
@@ -53,73 +52,17 @@ pub use levioso_support::Pool as Sweep;
 pub use throughput::Throughput;
 pub use trace_export::{validate_chrome_trace, ChromeTraceSink, TraceSummary};
 
-/// Runs one workload under one scheme/config and returns its statistics,
-/// consulting the sweep-cell cache first (see [`cellcache`]).
-///
-/// On a cache **miss** the cell simulates, reports its simulated work and
-/// host busy time to the global [`throughput`] meter (the timing happens
-/// here, inside the worker, so busy-time rates are comparable across
-/// thread counts), and persists its stats. On a **hit** the stored stats
-/// come back bit-identical to a fresh simulation — the simulator is
-/// deterministic and the envelope is integrity-checked — and the
-/// throughput meter is deliberately *not* fed: perf samples must only
-/// come from freshly computed cells (asserted by `tests/cli.rs`).
+/// Runs one workload under one scheme/config and returns its statistics:
+/// one perf cell, replayed bit-identical from the sweep-cell cache or
+/// simulated, checked, fed to the [`throughput`] meter and stored (see
+/// [`cellcache`]).
 ///
 /// # Panics
 ///
 /// Panics if the simulation fails or the checksum diverges from the
 /// reference interpreter — an experiment on wrong results is meaningless.
 pub fn run_workload(w: &Workload, scheme: Scheme, config: &CoreConfig) -> SimStats {
-    run_cell(w, scheme, None, config)
-}
-
-/// The one body behind [`run_workload`] and [`run_workload_capped`]: look
-/// the cell up, or simulate, check, record and store it. `cap` collapses
-/// every Levioso dependency set larger than it (F7's cells, cached under
-/// the `cap=` tag). With the cache off the cell is neither keyed nor
-/// labelled; the lookup is still made, so the cache report counts the miss.
-fn run_cell(w: &Workload, scheme: Scheme, cap: Option<usize>, config: &CoreConfig) -> SimStats {
-    // One handle for the whole cell; clones share the counters.
-    let cache = cellcache::with(Cache::clone);
-    let (key, label) = if cache.enabled() {
-        let tag = cap.map(cap_tag).unwrap_or_default();
-        (
-            cellcache::workload_key(w, scheme.name(), config, &tag),
-            cellcache::workload_label(w, scheme.name(), &tag),
-        )
-    } else {
-        (String::new(), String::new())
-    };
-    if let Some(stats) = cache.lookup(&label, &key).and_then(|doc| cellcache::stats_from_json(&doc))
-    {
-        return stats;
-    }
-    let what = || match cap {
-        None => format!("{} under {scheme}", w.name),
-        Some(cap) => format!("{} cap {cap}", w.name),
-    };
-    let cell_start = std::time::Instant::now();
-    let mut program = w.program.clone();
-    scheme.prepare(&mut program);
-    if let Some(cap) = cap {
-        let full = program.annotations.take().expect("annotated");
-        program.annotations = Some(full.capped(cap));
-    }
-    let mut sim = levioso_uarch::Simulator::new(&program, config.clone());
-    w.apply_memory(&mut sim);
-    let stats = sim.run(scheme.policy().as_ref()).unwrap_or_else(|e| panic!("{}: {e}", what()));
-    assert_eq!(
-        sim.mem.read_i64(w.checksum_addr),
-        w.expected_checksum(),
-        "{}: checksum mismatch",
-        what()
-    );
-    let busy = cell_start.elapsed();
-    throughput::record(stats.cycles, stats.committed, busy);
-    if cache.enabled() {
-        cache.store(&label, &key, &cellcache::stats_to_json(&stats), busy.as_nanos() as u64);
-    }
-    stats
+    cellcache::run_cell(w, scheme, None, config)
 }
 
 /// Runs one workload with `sink` attached and returns the statistics
@@ -463,15 +406,6 @@ pub fn transient_fill_figure(sweep: &Sweep, scale: Scale) -> Figure {
     f
 }
 
-/// The `extra` cache-key tag of an F7 capped cell.
-fn cap_tag(cap: usize) -> String {
-    if cap == usize::MAX {
-        "cap=uncapped".to_string()
-    } else {
-        format!("cap={cap}")
-    }
-}
-
 /// One F7 cell: Levioso with every dependency set larger than `cap`
 /// collapsed to the conservative fallback. Cached under the `cap=` extra
 /// tag; same hit/miss/throughput semantics as [`run_workload`].
@@ -480,7 +414,7 @@ fn cap_tag(cap: usize) -> String {
 ///
 /// Panics if the simulation fails or the checksum diverges.
 pub fn run_workload_capped(w: &Workload, cap: usize, config: &CoreConfig) -> SimStats {
-    run_cell(w, Scheme::Levioso, Some(cap), config)
+    cellcache::run_cell(w, Scheme::Levioso, Some(cap), config)
 }
 
 /// **F7** (extension) — annotation hint-budget sweep: geomean slowdown of

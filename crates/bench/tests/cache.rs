@@ -15,7 +15,7 @@
 
 use levioso_bench::{cellcache, motivation_figure, run_workload, Sweep, Tier};
 use levioso_core::Scheme;
-use levioso_support::{Cache, CacheReport};
+use levioso_support::{Cache, CacheReport, TempDir};
 use levioso_uarch::CoreConfig;
 use levioso_workloads::suite;
 use std::path::PathBuf;
@@ -28,13 +28,9 @@ fn lock() -> MutexGuard<'static, ()> {
     GLOBAL_CACHE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Fresh, empty cache root under the OS temp dir.
-fn tmp_root(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("levioso-bench-cache-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp cache root");
-    dir
+/// Fresh, empty cache root under cargo's temp dir for integration tests.
+fn tmp_root(tag: &str) -> TempDir {
+    TempDir::new(env!("CARGO_TARGET_TMPDIR"), &format!("bench-cache-{tag}"))
 }
 
 /// Renders F1 at smoke scale with `threads` workers and snapshots the
@@ -61,7 +57,8 @@ fn cell_files() -> Vec<PathBuf> {
 #[test]
 fn cold_warm_and_mixed_caches_are_byte_identical_at_any_thread_count() {
     let _serial = lock();
-    cellcache::configure(Cache::new(tmp_root("coldwarm"), "test-v1"));
+    let root = tmp_root("coldwarm");
+    cellcache::configure(Cache::new(root.path(), "test-v1"));
 
     let (cold, cold_report) = figure_bytes(1);
     assert!(cold_report.misses > 0, "cold run must compute cells");
@@ -88,7 +85,8 @@ fn cold_warm_and_mixed_caches_are_byte_identical_at_any_thread_count() {
 #[test]
 fn tampered_cell_is_detected_as_poisoned_and_recomputed() {
     let _serial = lock();
-    cellcache::configure(Cache::new(tmp_root("poison"), "test-v1"));
+    let root = tmp_root("poison");
+    cellcache::configure(Cache::new(root.path(), "test-v1"));
 
     let workloads = suite(Tier::Smoke.scale());
     let w = &workloads[0];
@@ -127,12 +125,12 @@ fn tampered_cell_is_detected_as_poisoned_and_recomputed() {
 fn fingerprint_bump_marks_every_cell_dirty() {
     let _serial = lock();
     let root = tmp_root("bump");
-    cellcache::configure(Cache::new(&root, "core-v1"));
+    cellcache::configure(Cache::new(root.path(), "core-v1"));
     let (before, cold_report) = figure_bytes(2);
     assert!(cold_report.misses > 0);
 
     // The same store under a changed fingerprint: nothing may be reused.
-    cellcache::configure(Cache::new(&root, "core-v2"));
+    cellcache::configure(Cache::new(root.path(), "core-v2"));
     let (after, bumped_report) = figure_bytes(2);
     assert_eq!(before, after, "results are identical either way — only the work moved");
     assert_eq!(bumped_report.hits, 0, "a changed fingerprint invalidates every cell");

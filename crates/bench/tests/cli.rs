@@ -3,6 +3,7 @@
 //! environment values; and of `levitrace`: a trace that validates, the
 //! attribution report, and usage errors that write nothing.
 
+use levioso_support::TempDir;
 use std::path::Path;
 use std::process::Command;
 
@@ -50,26 +51,23 @@ fn smoke_run(base: &std::path::Path) -> [u64; 5] {
 
 #[test]
 fn throughput_counts_only_fresh_cells_and_the_cache_splits_are_separate() {
-    let base = std::env::temp_dir().join(format!("levioso-cli-summary-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    std::fs::create_dir_all(&base).expect("create temp dir");
+    let base = TempDir::new(env!("CARGO_TARGET_TMPDIR"), "cli-summary");
+    let base = base.path();
 
     // A cold run computes fresh cells: the throughput meter's cell count
     // and the perf cache's miss count agree (throughput honesty); its hits
     // are cells several figures share, simulated earlier in the same run.
     // Noninterference cells are split out, so they cannot inflate either.
-    let [cells, hits, misses, nisec_hits, nisec_misses] = smoke_run(&base);
+    let [cells, hits, misses, nisec_hits, nisec_misses] = smoke_run(base);
     assert!(cells > 0 && nisec_misses > 0, "cold run simulated nothing");
     assert_eq!((cells, nisec_hits), (misses, 0));
 
     // The same run against the now-warm disk cache: every lookup is a
     // hit, nothing recomputes, so the meter records no cell.
-    assert_eq!(smoke_run(&base), [0, hits + misses, 0, nisec_misses, 0]);
+    assert_eq!(smoke_run(base), [0, hits + misses, 0, nisec_misses, 0]);
 
     // Smoke runs never write under results/.
     assert!(!base.join("results").exists(), "a smoke run wrote under LEVIOSO_RESULTS_DIR");
-
-    let _ = std::fs::remove_dir_all(&base);
 }
 
 /// A paper-tier report that cannot be saved fails the run and names the
@@ -77,22 +75,19 @@ fn throughput_counts_only_fresh_cells_and_the_cache_splits_are_separate() {
 /// is written before any sweep, so this fails at once on a cold cache.
 #[test]
 fn unwritable_results_dir_fails_loudly() {
-    let blocker =
-        std::env::temp_dir().join(format!("levioso-cli-unwritable-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&blocker);
-    let _ = std::fs::remove_dir_all(blocker.with_extension("cache"));
+    let dir = TempDir::new(env!("CARGO_TARGET_TMPDIR"), "cli-unwritable");
+    let (blocker, cache) = (dir.path().join("results"), dir.path().join("cache"));
     std::fs::write(&blocker, "a regular file where results/ should be").expect("create file");
     let out = Command::new(env!("CARGO_BIN_EXE_all"))
         .args(["--paper", "--quiet"])
         .env("LEVIOSO_RESULTS_DIR", &blocker)
-        .env("LEVIOSO_SWEEP_CACHE_DIR", blocker.with_extension("cache"))
+        .env("LEVIOSO_SWEEP_CACHE_DIR", &cache)
         .output()
         .expect("spawn all");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
     assert!(stderr.contains(&blocker.display().to_string()), "path not named: {stderr}");
-    assert!(!blocker.with_extension("cache").exists(), "no cell may be simulated: {stderr}");
-    let _ = std::fs::remove_file(&blocker);
+    assert!(!cache.exists(), "no cell may be simulated: {stderr}");
 }
 
 /// Unknown flags (the warm server's `--serve`; the old `--resume`, since
@@ -124,20 +119,20 @@ fn rejected_flags_are_usage_errors() {
 /// variable: a typo must not silently pick another worker count.
 #[test]
 fn bad_env_values_fail_before_any_sweep() {
-    let base = std::env::temp_dir().join(format!("levioso-cli-bad-env-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
+    let base = TempDir::new(env!("CARGO_TARGET_TMPDIR"), "cli-bad-env");
+    let (cache, results) = (base.path().join("cache"), base.path().join("results"));
     let out = Command::new(env!("CARGO_BIN_EXE_all"))
         .args(["--check", "--quiet"])
         .env("LEVIOSO_THREADS", "0")
-        .env("LEVIOSO_SWEEP_CACHE_DIR", base.join("cache"))
-        .env("LEVIOSO_RESULTS_DIR", base.join("results"))
+        .env("LEVIOSO_SWEEP_CACHE_DIR", &cache)
+        .env("LEVIOSO_RESULTS_DIR", &results)
         .output()
         .expect("spawn all");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "LEVIOSO_THREADS=0 must fail: {stderr}");
     assert!(stderr.contains("unknown LEVIOSO_THREADS value \"0\""), "{stderr}");
     assert!(!stderr.contains("==>"), "no sweep may start: {stderr}");
-    assert!(!base.exists(), "nothing may be cached or written");
+    assert!(!cache.exists() && !results.exists(), "nothing may be cached or written");
 }
 
 /// `levitrace` traces one smoke cell end to end: it exits 0, writes a
@@ -147,9 +142,8 @@ fn bad_env_values_fail_before_any_sweep() {
 /// that write no file.
 #[test]
 fn levitrace_writes_a_valid_trace_and_rejects_bad_arguments() {
-    let dir = std::env::temp_dir().join(format!("levioso-cli-levitrace-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let dir = TempDir::new(env!("CARGO_TARGET_TMPDIR"), "cli-levitrace");
+    let dir = dir.path();
     let levitrace = |out: &Path, extra: &[&str]| {
         Command::new(env!("CARGO_BIN_EXE_levitrace"))
             .args(["--smoke", "--workload", "filter_scan", "--scheme", "levioso", "--out"])
@@ -182,5 +176,4 @@ fn levitrace_writes_a_valid_trace_and_rejects_bad_arguments() {
         assert!(stderr.contains(says), "{extra:?}: {stderr}");
         assert!(!rejected.exists(), "{extra:?} wrote a trace");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }

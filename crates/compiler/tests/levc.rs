@@ -22,7 +22,8 @@ fn path_str(p: &Path) -> &str {
 
 #[test]
 fn emitted_asm_loads_back_into_levc() {
-    let dir = std::env::temp_dir().join(format!("levioso-levc-asm-{}", std::process::id()));
+    let dir =
+        Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("levc-asm-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create temp dir");
 

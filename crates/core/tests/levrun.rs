@@ -2,11 +2,12 @@
 //! `1..=MAX_ROB_SIZE` are a usage error, not a panic inside the simulator
 //! or a run into the cycle limit.
 
+use levioso_support::TempDir;
 use levioso_uarch::MAX_ROB_SIZE;
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::{Command, Output};
 
-fn levrun(program: &PathBuf, rob: usize) -> Output {
+fn levrun(program: &Path, rob: usize) -> Output {
     Command::new(env!("CARGO_BIN_EXE_levrun"))
         .arg(program)
         .args(["--rob", &rob.to_string()])
@@ -16,7 +17,8 @@ fn levrun(program: &PathBuf, rob: usize) -> Output {
 
 #[test]
 fn rob_size_is_checked_where_it_enters() {
-    let program = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("levrun_rob.s");
+    let dir = TempDir::new(env!("CARGO_TARGET_TMPDIR"), "levrun-rob");
+    let program = dir.path().join("levrun_rob.s");
     std::fs::write(&program, "li a0, 41\naddi a0, a0, 1\nhalt\n").expect("write program");
 
     let ok = levrun(&program, MAX_ROB_SIZE);

@@ -43,16 +43,10 @@ fn run(w: &Workload, scheme: Scheme, config: &CoreConfig, all_older: bool) -> Si
     stats
 }
 
-/// Zeroes F1's four true-dependency counters: they are derived from the
+/// Zeroes F1's two true-dependency counters: they are derived from the
 /// annotations a run carries, not from its timing.
 fn timing(s: SimStats) -> SimStats {
-    SimStats {
-        ready_while_true_dep: 0,
-        loads_ready_while_true_dep: 0,
-        true_wait_cycles: 0,
-        loads_true_wait_cycles: 0,
-        ..s
-    }
+    SimStats { ready_while_true_dep: 0, true_wait_cycles: 0, ..s }
 }
 
 #[test]
@@ -150,9 +144,10 @@ fn without_control_instructions_every_scheme_is_unsafe() {
     for seed in 0..64 {
         let (program, dependent) = straight_line(seed);
         dependent_loads += dependent;
+        // Straight-line code commits every instruction it holds.
+        loads += program.instrs.iter().filter(|i| i.is_load()).count();
         for (label, config) in &configs() {
             let reference = run_straight(&program, Scheme::Unsafe, config);
-            loads += reference.committed_loads;
             for scheme in Scheme::ALL {
                 let got = run_straight(&program, scheme, config);
                 assert_eq!(got, reference, "seed {seed}: {scheme} on {label}");

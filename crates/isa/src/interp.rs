@@ -21,33 +21,6 @@ pub struct Machine {
     halted: bool,
 }
 
-/// Outcome of one interpreter step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Step {
-    /// Instruction retired; execution continues.
-    Continue,
-    /// A `halt` retired; the machine is stopped.
-    Halted,
-}
-
-/// One retired control-flow decision, for trace-based cross-checking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BranchEvent {
-    /// Instruction index of the branch/jump.
-    pub pc: u32,
-    /// Whether a conditional branch was taken (always `true` for jumps).
-    pub taken: bool,
-    /// The next instruction index actually followed.
-    pub next_pc: u32,
-}
-
-/// Summary of a completed [`Machine::run`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunSummary {
-    /// Instructions retired (including the final `halt`).
-    pub retired: u64,
-}
-
 impl Machine {
     /// Creates a machine with zeroed registers, empty memory, `pc = 0`.
     pub fn new() -> Self {
@@ -100,25 +73,15 @@ impl Machine {
         h ^ self.mem.fingerprint().rotate_left(17)
     }
 
-    /// Executes one instruction.
+    /// Executes one instruction; a halted machine stays as it is.
     ///
     /// # Errors
     ///
     /// [`ExecError::PcOutOfRange`] if the program counter does not index a
     /// valid instruction (e.g. after a wild `jalr` or falling off the end).
-    pub fn step(&mut self, program: &Program) -> Result<Step, ExecError> {
-        self.step_traced(program, &mut |_| {})
-    }
-
-    /// Executes one instruction, reporting any control-flow decision to
-    /// `on_branch`.
-    pub fn step_traced(
-        &mut self,
-        program: &Program,
-        on_branch: &mut dyn FnMut(BranchEvent),
-    ) -> Result<Step, ExecError> {
+    pub fn step(&mut self, program: &Program) -> Result<(), ExecError> {
         if self.halted {
-            return Ok(Step::Halted);
+            return Ok(());
         }
         let pc = self.pc;
         let ins = *program.instrs.get(pc as usize).ok_or(ExecError::PcOutOfRange { pc })?;
@@ -143,16 +106,13 @@ impl Machine {
                 write_memory(&mut self.mem, addr, width, value);
             }
             Instr::Branch { cond, rs1, rs2, target } => {
-                let taken = cond.eval(self.reg(rs1), self.reg(rs2));
-                if taken {
+                if cond.eval(self.reg(rs1), self.reg(rs2)) {
                     next_pc = target;
                 }
-                on_branch(BranchEvent { pc, taken, next_pc });
             }
             Instr::Jal { rd, target } => {
                 self.set_reg(rd, next_pc as i64);
                 next_pc = target;
-                on_branch(BranchEvent { pc, taken: true, next_pc });
             }
             Instr::Jalr { rd, base, offset } => {
                 let t = (self.reg(base).wrapping_add(offset)) as u64;
@@ -161,7 +121,6 @@ impl Machine {
                 if t > u32::MAX as u64 {
                     return Err(ExecError::PcOutOfRange { pc: u32::MAX });
                 }
-                on_branch(BranchEvent { pc, taken: true, next_pc });
             }
             Instr::RdCycle { rd } => {
                 // The architectural reading in the reference model is the
@@ -174,12 +133,12 @@ impl Machine {
             Instr::Halt => {
                 self.retired += 1;
                 self.halted = true;
-                return Ok(Step::Halted);
+                return Ok(());
             }
         }
         self.retired += 1;
         self.pc = next_pc;
-        Ok(Step::Continue)
+        Ok(())
     }
 
     /// Runs until `halt` or until `max_steps` instructions have retired.
@@ -188,25 +147,15 @@ impl Machine {
     ///
     /// [`ExecError::StepLimit`] if the program does not halt within
     /// `max_steps`; [`ExecError::PcOutOfRange`] on a wild control transfer.
-    pub fn run(&mut self, program: &Program, max_steps: u64) -> Result<RunSummary, ExecError> {
-        self.run_traced(program, max_steps, &mut |_| {})
-    }
-
-    /// Like [`Machine::run`], reporting every control-flow decision.
-    pub fn run_traced(
-        &mut self,
-        program: &Program,
-        max_steps: u64,
-        on_branch: &mut dyn FnMut(BranchEvent),
-    ) -> Result<RunSummary, ExecError> {
+    pub fn run(&mut self, program: &Program, max_steps: u64) -> Result<(), ExecError> {
         let start = self.retired;
         while !self.halted {
             if self.retired - start >= max_steps {
                 return Err(ExecError::StepLimit { max_steps });
             }
-            self.step_traced(program, on_branch)?;
+            self.step(program)?;
         }
-        Ok(RunSummary { retired: self.retired - start })
+        Ok(())
     }
 }
 
@@ -338,31 +287,6 @@ mod tests {
     fn x0_is_immutable() {
         let m = run_asm("li zero, 42\nadd zero, a0, a1\nhalt");
         assert_eq!(m.reg(ZERO), 0);
-    }
-
-    #[test]
-    fn branch_trace_records_outcomes() {
-        let p = assemble(
-            "t",
-            r"
-            li a0, 2
-        loop:
-            addi a0, a0, -1
-            bnez a0, loop
-            halt
-        ",
-        )
-        .unwrap();
-        let mut m = Machine::new();
-        let mut events = Vec::new();
-        m.run_traced(&p, 100, &mut |e| events.push(e)).unwrap();
-        assert_eq!(
-            events,
-            vec![
-                BranchEvent { pc: 2, taken: true, next_pc: 1 },
-                BranchEvent { pc: 2, taken: false, next_pc: 3 },
-            ]
-        );
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use annot::{AnnotationCost, Annotations, DepSet};
 pub use asm::{assemble, AsmError, AsmErrorKind};
 pub use builder::{BuildError, ProgramBuilder};
 pub use instr::{AluOp, BranchCond, Instr, MemWidth, SourceIter};
-pub use interp::{read_memory, write_memory, BranchEvent, ExecError, Machine, RunSummary, Step};
+pub use interp::{read_memory, write_memory, ExecError, Machine};
 pub use mem::Memory;
 pub use program::{Program, ValidateError};
 pub use reg::Reg;

@@ -27,10 +27,6 @@ use levioso_support::Json;
 use levioso_uarch::{core_fingerprint, CoreConfig};
 use std::sync::{OnceLock, RwLock};
 
-/// Version of the nisec cell-key/result layout. Part of every key, so a
-/// layout change turns old cells into plain misses instead of parse errors.
-const CELL_FORMAT: u32 = 1;
-
 fn handle() -> &'static RwLock<Cache> {
     static CACHE: OnceLock<RwLock<Cache>> = OnceLock::new();
     CACHE.get_or_init(|| RwLock::new(Cache::from_env(core_fingerprint())))
@@ -70,7 +66,7 @@ pub fn cell_key(
 ) -> String {
     use std::fmt::Write;
     let mut key = String::with_capacity(256);
-    let _ = writeln!(key, "levioso-nisec-cell-key/{CELL_FORMAT}");
+    let _ = writeln!(key, "levioso-nisec-cell-key");
     let _ = writeln!(key, "kind: noninterference");
     let _ = writeln!(key, "program: {}", sp.program_digest());
     let _ = writeln!(key, "public_state: {}", sp.public_state_digest());
@@ -180,10 +176,10 @@ mod tests {
 
     /// The key of the first program and pair seed 7 draws, under
     /// `levioso` on the default core, as rendered before the program
-    /// digests were memoized. Changing a byte of it turns every cached
-    /// cell into a miss, so it must come with a `CELL_FORMAT` bump.
+    /// digests were memoized (less the header's old `/1` version). Changing
+    /// a byte of it turns every cached cell into a miss.
     const SEED7_LEVIOSO_KEY: &str = concat!(
-        "levioso-nisec-cell-key/1\n",
+        "levioso-nisec-cell-key\n",
         "kind: noninterference\n",
         "program: dc18f90b2541aa13dead8c9d139d1e06\n",
         "public_state: 011515507a0702f05ea1dbc2911e5a31\n",

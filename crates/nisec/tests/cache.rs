@@ -9,14 +9,12 @@
 
 use levioso_core::Scheme;
 use levioso_nisec::{cellcache, fuzz, FuzzConfig, DEFAULT_SEED};
-use levioso_support::Cache;
+use levioso_support::{Cache, TempDir};
 
 #[test]
 fn warm_campaign_replays_byte_identical_reports() {
-    let root = std::env::temp_dir().join(format!("levioso-nisec-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).expect("create temp cache root");
-    cellcache::configure(Cache::new(root, "test-v1"));
+    let root = TempDir::new(env!("CARGO_TARGET_TMPDIR"), "nisec-cache");
+    cellcache::configure(Cache::new(root.path(), "test-v1"));
 
     let config = FuzzConfig { programs: 4, pairs_per_program: 2, seed: DEFAULT_SEED, threads: 2 };
     let schemes = [Scheme::Unsafe, Scheme::Levioso];

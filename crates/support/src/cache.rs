@@ -342,13 +342,17 @@ fn parse_root(value: Option<&str>) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TempDir;
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("levioso-cache-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create temp cache root");
-        dir
+    fn tmpdir(tag: &str) -> TempDir {
+        TempDir::new(std::env::temp_dir(), &format!("levioso-cache-test-{tag}"))
+    }
+
+    /// A `v1` cache in a fresh temp dir, which goes with the `TempDir`.
+    fn cache_in(tag: &str) -> (TempDir, Cache) {
+        let dir = tmpdir(tag);
+        let cache = Cache::new(dir.path(), "v1");
+        (dir, cache)
     }
 
     fn result_doc(v: i64) -> Json {
@@ -373,7 +377,7 @@ mod tests {
 
     #[test]
     fn store_then_lookup_round_trips() {
-        let cache = Cache::new(tmpdir("roundtrip"), "v1");
+        let (_dir, cache) = cache_in("roundtrip");
         assert_eq!(cache.lookup("cell", "input-a"), None);
         cache.store("cell", "input-a", &result_doc(42), 1_000);
         assert_eq!(cache.lookup("cell", "input-a"), Some(result_doc(42)));
@@ -384,7 +388,7 @@ mod tests {
 
     #[test]
     fn different_input_same_key_never_hits() {
-        let cache = Cache::new(tmpdir("inputs"), "v1");
+        let (_dir, cache) = cache_in("inputs");
         cache.store("a", "input-a", &result_doc(1), 0);
         assert_eq!(cache.lookup("b", "input-b"), None, "distinct input is a miss");
         assert_eq!(cache.lookup("a", "input-a"), Some(result_doc(1)));
@@ -392,7 +396,7 @@ mod tests {
 
     #[test]
     fn tampered_result_is_poisoned_and_missed() {
-        let cache = Cache::new(tmpdir("poison"), "v1");
+        let (_dir, cache) = cache_in("poison");
         cache.store("cell", "input-a", &result_doc(42), 0);
         let path = cache.dir().join(format!("{}.json", stable_hash_hex(b"input-a")));
         let tampered = std::fs::read_to_string(&path).unwrap().replace("42", "43");
@@ -407,7 +411,7 @@ mod tests {
 
     #[test]
     fn unparseable_envelope_is_poisoned() {
-        let cache = Cache::new(tmpdir("garbage"), "v1");
+        let (_dir, cache) = cache_in("garbage");
         cache.store("cell", "input-a", &result_doc(7), 0);
         let path = cache.dir().join(format!("{}.json", stable_hash_hex(b"input-a")));
         std::fs::write(&path, "{ not json").unwrap();
@@ -418,11 +422,11 @@ mod tests {
     #[test]
     fn fingerprint_bump_invalidates_everything() {
         let root = tmpdir("bump");
-        let v1 = Cache::new(&root, "v1");
+        let v1 = Cache::new(root.path(), "v1");
         for i in 0..4 {
             v1.store(&format!("cell{i}"), &format!("input-{i}"), &result_doc(i), 500 + i as u64);
         }
-        let v2 = Cache::new(&root, "v2");
+        let v2 = Cache::new(root.path(), "v2");
         for i in 0..4i64 {
             assert_eq!(v2.lookup(&format!("cell{i}"), &format!("input-{i}")), None);
         }
@@ -459,7 +463,7 @@ mod tests {
 
     #[test]
     fn an_overwrite_counts_as_a_store() {
-        let cache = Cache::new(tmpdir("count"), "v1");
+        let (_dir, cache) = cache_in("count");
         cache.store("a", "input-a", &result_doc(1), 0);
         cache.store("b", "input-b", &result_doc(2), 0);
         cache.store("a", "input-a", &result_doc(1), 0); // overwrite, not a new cell
@@ -468,7 +472,7 @@ mod tests {
 
     #[test]
     fn reset_counters_clears_the_report() {
-        let cache = Cache::new(tmpdir("reset"), "v1");
+        let (_dir, cache) = cache_in("reset");
         cache.lookup("cell", "input");
         cache.reset_counters();
         let r = cache.report();
@@ -489,8 +493,8 @@ mod tests {
     #[test]
     fn cost_comes_from_the_cells_own_envelope_only() {
         let root = tmpdir("own-cost");
-        Cache::new(&root, "v1").store("a", "input-a", &result_doc(1), 100);
-        let v2 = Cache::new(&root, "v2");
+        Cache::new(root.path(), "v1").store("a", "input-a", &result_doc(1), 100);
+        let v2 = Cache::new(root.path(), "v2");
         assert_eq!(v2.estimate_cost("input-a"), None, "another fingerprint's cell is not read");
         v2.store("a", "input-a", &result_doc(1), 900);
         assert_eq!(v2.estimate_cost("input-a"), Some(900));

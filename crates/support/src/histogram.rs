@@ -7,7 +7,7 @@
 //! buckets keep the footprint fixed (65 counters cover the full `u64`
 //! range), merging is element-wise addition (so per-cell histograms
 //! aggregate deterministically in fixed cell order, matching the sweep
-//! contract), and the JSON form round-trips exactly through
+//! contract), and [`Histogram::to_json`] writes it out through
 //! [`crate::json`].
 
 use crate::json::Json;
@@ -170,8 +170,7 @@ impl Histogram {
     /// Serializes to a JSON value: counters plus a sparse
     /// `[[bucket_index, count], ...]` array. `u64` quantities are encoded
     /// as decimal strings (JSON numbers are `i64`/`f64` here and cannot
-    /// carry a full `u64` exactly). Round-trips exactly through
-    /// [`Histogram::from_json`].
+    /// carry a full `u64` exactly).
     pub fn to_json(&self) -> Json {
         let sparse = self
             .buckets
@@ -186,27 +185,6 @@ impl Histogram {
             ("max", Json::Str(self.max.to_string())),
             ("buckets", Json::Arr(sparse)),
         ])
-    }
-
-    /// Reconstructs a histogram from [`Histogram::to_json`] output.
-    /// Returns `None` on a malformed or inconsistent document.
-    pub fn from_json(v: &Json) -> Option<Histogram> {
-        let field =
-            |key: &str| v.get(key).and_then(Json::as_str).and_then(|s| s.parse::<u64>().ok());
-        let mut h = Histogram::new();
-        for pair in v.get("buckets")?.as_arr()? {
-            let pair = pair.as_arr().filter(|p| p.len() == 2)?;
-            let idx = pair[0].as_i64().filter(|&i| (0..BUCKETS as i64).contains(&i))? as usize;
-            let n = pair[1].as_str().and_then(|s| s.parse::<u64>().ok()).filter(|&n| n > 0)?;
-            h.buckets[idx] = n;
-            h.count = h.count.saturating_add(n);
-        }
-        if h.count != field("count")? {
-            return None;
-        }
-        h.sum = field("sum")?;
-        h.max = field("max")?;
-        Some(h)
     }
 }
 
@@ -252,26 +230,5 @@ mod tests {
         assert_eq!(h.quantile_hi(0.95), 100); // top bucket, tightened by max
         assert_eq!(h.quantile_hi(1.0), 100);
         assert_eq!(Histogram::new().quantile_hi(0.5), 0);
-    }
-
-    #[test]
-    fn json_round_trip_and_rejection() {
-        let mut h = Histogram::new();
-        h.record_n(7, 3);
-        h.record(0);
-        h.record(1 << 40);
-        let j = h.to_json();
-        assert_eq!(Histogram::from_json(&j).unwrap(), h);
-        // Re-parse through text as well (the form stored in ATTRIB_*.json).
-        let back = Json::parse(&j.emit()).unwrap();
-        assert_eq!(Histogram::from_json(&back).unwrap(), h);
-        assert!(Histogram::from_json(&Json::Null).is_none());
-        let bad = Json::obj([
-            ("count", Json::str("99")),
-            ("sum", Json::str("0")),
-            ("max", Json::str("0")),
-            ("buckets", Json::Arr(vec![])),
-        ]);
-        assert!(Histogram::from_json(&bad).is_none(), "count mismatch must be rejected");
     }
 }

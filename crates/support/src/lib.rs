@@ -14,6 +14,7 @@
 //! | [`pool`] | `rayon` | a scoped worker pool on one shared job cursor, with order-stable, panic-transparent fan-out |
 //! | [`cache`] | — | a content-addressed on-disk cell cache for incremental sweeps |
 //! | [`histogram`] | `hdrhistogram` | fixed-footprint log2-bucketed latency histograms |
+//! | [`tempdir`] | `tempfile` | test directories removed on drop, also when the test fails |
 //!
 //! All randomness is deterministic: the same seed always reproduces the
 //! same stream, on every platform, so property tests and workload inputs
@@ -28,6 +29,7 @@ pub mod histogram;
 pub mod json;
 pub mod pool;
 pub mod rng;
+pub mod tempdir;
 
 pub use cache::{Cache, CacheReport};
 pub use check::{Config, Gen};
@@ -35,3 +37,4 @@ pub use histogram::Histogram;
 pub use json::{Json, JsonError};
 pub use pool::Pool;
 pub use rng::{Rng, SplitMix64, Xoshiro256pp};
+pub use tempdir::TempDir;

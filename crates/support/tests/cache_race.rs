@@ -5,16 +5,12 @@
 //! integrity-broken one.
 
 use levioso_support::cache::{stable_hash_hex, Cache};
-use levioso_support::Json;
-use std::path::PathBuf;
+use levioso_support::{Json, TempDir};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("levioso-cache-race-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp cache root");
-    dir
+fn tmpdir(tag: &str) -> TempDir {
+    TempDir::new(env!("CARGO_TARGET_TMPDIR"), &format!("cache-race-{tag}"))
 }
 
 /// A result document big enough that a torn write would be observable
@@ -29,7 +25,8 @@ fn result_doc(writer: i64) -> Json {
 #[test]
 fn racing_stores_always_leave_a_complete_envelope() {
     const ROUNDS: usize = 32;
-    let cache = Cache::new(tmpdir("store"), "v1");
+    let dir = tmpdir("store");
+    let cache = Cache::new(dir.path(), "v1");
     let input = "shared-cell-input";
     let key_file = format!("{}.json", stable_hash_hex(input.as_bytes()));
     let docs = [result_doc(1), result_doc(2)];
@@ -91,7 +88,8 @@ fn racing_stores_always_leave_a_complete_envelope() {
 
 #[test]
 fn racing_distinct_keys_never_interfere() {
-    let cache = Cache::new(tmpdir("distinct"), "v1");
+    let dir = tmpdir("distinct");
+    let cache = Cache::new(dir.path(), "v1");
     let barrier = Arc::new(Barrier::new(8));
     std::thread::scope(|scope| {
         for t in 0..8i64 {

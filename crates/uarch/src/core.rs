@@ -613,21 +613,6 @@ impl<'p> Simulator<'p> {
     fn account_commit(&mut self) {
         let e = self.rob.front().expect("a committing instruction heads the ROB");
         self.stats.committed += 1;
-        if e.instr.is_load() {
-            self.stats.committed_loads += 1;
-            if e.ready_while_shadowed == Some(true) {
-                self.stats.loads_ready_while_shadowed += 1;
-            }
-            if e.ready_while_true_dep == Some(true) {
-                self.stats.loads_ready_while_true_dep += 1;
-            }
-        }
-        if e.instr.is_store() {
-            self.stats.committed_stores += 1;
-        }
-        if e.instr.is_branch() {
-            self.stats.committed_branches += 1;
-        }
         if e.ready_while_shadowed == Some(true) {
             self.stats.ready_while_shadowed += 1;
         }
@@ -651,10 +636,6 @@ impl<'p> Simulator<'p> {
             let tw = self.slots.wait_cycles(&e.lev_deps, ready).max(e.fwd_true_wait);
             self.stats.shadow_wait_cycles += sw;
             self.stats.true_wait_cycles += tw;
-            if e.instr.is_load() {
-                self.stats.loads_shadow_wait_cycles += sw;
-                self.stats.loads_true_wait_cycles += tw;
-            }
             waits = Some((sw, tw));
         }
         if let Some(refs) = self.refsets.as_deref_mut() {

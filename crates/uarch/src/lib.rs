@@ -40,13 +40,13 @@ pub use crate::refsets::ReferenceChecks;
 
 /// The namespace every cached sweep cell is stored under
 /// (`target/sweep-cache/<fingerprint>/`): `core-` and a 32-hex digest of
-/// the simulator's source, which `build.rs` computes from every `.rs` file
-/// under `crates/{isa,compiler,uarch,core,nisec}/src`. An edit there names
-/// a new namespace, so no cell an earlier simulator computed is read, and
-/// reverting it finds the old cells again. The code outside those trees
-/// that decides what a perf cell stores (`run_cell` and `stats_to_json` in
-/// `levioso_bench`) is versioned by hand, by `CELL_FORMAT` in
-/// `levioso_bench::cellcache`.
+/// every line that decides what a perf or noninterference cell stores,
+/// which `build.rs` computes from every `.rs` file under
+/// `crates/{isa,compiler,uarch,core,nisec,workloads}/src` and from
+/// `crates/bench/src/cellcache.rs`, where a perf cell is simulated, checked
+/// and serialized. An edit to any of them names a new namespace, so no
+/// cell that other code computed is read, and reverting it finds the old
+/// cells again. No version is kept by hand.
 pub fn core_fingerprint() -> String {
     concat!("core-", env!("LEVIOSO_CORE_DIGEST")).to_string()
 }

@@ -9,12 +9,6 @@ pub struct SimStats {
     pub cycles: u64,
     /// Instructions committed (includes the final `halt`).
     pub committed: u64,
-    /// Loads committed.
-    pub committed_loads: u64,
-    /// Stores committed.
-    pub committed_stores: u64,
-    /// Conditional branches committed.
-    pub committed_branches: u64,
     /// Instructions fetched (including wrong-path).
     pub fetched: u64,
     /// Instructions dispatched into the ROB (including wrong-path).
@@ -40,10 +34,6 @@ pub struct SimStats {
     /// first became ready while ≥1 of their *true* (Levioso) dependencies
     /// was unresolved.
     pub ready_while_true_dep: u64,
-    /// Same two counters restricted to loads.
-    pub loads_ready_while_shadowed: u64,
-    /// See [`SimStats::loads_ready_while_shadowed`].
-    pub loads_ready_while_true_dep: u64,
     /// F1 headroom, conservative view: total cycles between each committed
     /// instruction's operand readiness and the resolution of its *last*
     /// older in-flight control instruction (what a hardware-only
@@ -52,10 +42,6 @@ pub struct SimStats {
     /// F1 headroom, true-dependency view: same, but only until the last
     /// *true* (Levioso) dependency resolves.
     pub true_wait_cycles: u64,
-    /// The two wait counters restricted to committed loads.
-    pub loads_shadow_wait_cycles: u64,
-    /// See [`SimStats::loads_shadow_wait_cycles`].
-    pub loads_true_wait_cycles: u64,
     /// Cache accesses performed by instructions that were later squashed —
     /// the transient side effects an attacker can observe. A scheme that
     /// claims comprehensive secure speculation must keep this at **zero**

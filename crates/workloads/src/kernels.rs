@@ -53,13 +53,7 @@ fn filter_scan(scale: Scale) -> Workload {
         "
     );
     let data = seeded_values("filter_scan", n, -50, 51);
-    Workload::new(
-        "filter_scan",
-        "filtered aggregation: unpredictable data-dependent branch, independent stream",
-        compile("filter_scan", &src),
-        place(IN1, &data).collect(),
-        OUT,
-    )
+    Workload::new("filter_scan", compile("filter_scan", &src), place(IN1, &data).collect(), OUT)
 }
 
 /// Histogram: indirect updates, no data-dependent branches.
@@ -89,13 +83,7 @@ fn histogram(scale: Scale) -> Workload {
         "
     );
     let data = seeded_values("histogram", n, 0, 1 << 30);
-    Workload::new(
-        "histogram",
-        "histogram build: indirect addressing, branch-free bodies",
-        compile("histogram", &src),
-        place(IN1, &data).collect(),
-        OUT,
-    )
+    Workload::new("histogram", compile("histogram", &src), place(IN1, &data).collect(), OUT)
 }
 
 /// Serial pointer chase (mcf-like): everyone suffers; Levioso cannot help
@@ -133,13 +121,7 @@ fn pointer_chase(scale: Scale) -> Workload {
     for w in 0..n {
         next[perm[w]] = perm[(w + 1) % n] as i64;
     }
-    Workload::new(
-        "pointer_chase",
-        "linked-list traversal: serial dependent misses",
-        compile("pointer_chase", &src),
-        place(IN1, &next).collect(),
-        OUT,
-    )
+    Workload::new("pointer_chase", compile("pointer_chase", &src), place(IN1, &next).collect(), OUT)
 }
 
 /// Repeated binary searches over a sorted array.
@@ -176,7 +158,6 @@ fn binary_search(scale: Scale) -> Workload {
     let queries_v = seeded_values("binary_search.q", queries, 0, 1 << 40);
     Workload::new(
         "binary_search",
-        "binary search: branch outcome feeds the next address",
         compile("binary_search", &src),
         place(IN1, &sorted).chain(place(IN2, &queries_v)).collect(),
         OUT,
@@ -242,7 +223,6 @@ fn hash_join(scale: Scale) -> Workload {
         .collect();
     Workload::new(
         "hash_join",
-        "hash-join probe: key-compare branches, independent probes",
         compile("hash_join", &src),
         place(IN1, &probe).chain(place(IN2, &ht_key)).chain(place(AUX1, &ht_val)).collect(),
         OUT,
@@ -274,13 +254,7 @@ fn partition(scale: Scale) -> Workload {
         "
     );
     let data = seeded_values("partition", n, -1000, 1000);
-    Workload::new(
-        "partition",
-        "quicksort partition: data movement under unpredictable branches",
-        compile("partition", &src),
-        place(IN1, &data).collect(),
-        OUT,
-    )
+    Workload::new("partition", compile("partition", &src), place(IN1, &data).collect(), OUT)
 }
 
 /// 1-D 3-point stencil with boundary checks (predictable branches).
@@ -313,13 +287,7 @@ fn stencil(scale: Scale) -> Workload {
         "
     );
     let data = seeded_values("stencil", n, -10000, 10000);
-    Workload::new(
-        "stencil",
-        "3-point stencil: streaming loads, predictable branches",
-        compile("stencil", &src),
-        place(IN1, &data).collect(),
-        OUT,
-    )
+    Workload::new("stencil", compile("stencil", &src), place(IN1, &data).collect(), OUT)
 }
 
 /// Naive substring search over a byte-like text.
@@ -359,7 +327,6 @@ fn string_search(scale: Scale) -> Workload {
     }
     Workload::new(
         "string_search",
-        "substring scan: early-exit inner loops on loaded data",
         compile("string_search", &src),
         place(IN1, &text).chain(place(IN2, &pat)).collect(),
         OUT,
@@ -394,13 +361,7 @@ fn crc32(scale: Scale) -> Workload {
         "
     );
     let data = seeded_values("crc32", n, 0, 1 << 50);
-    Workload::new(
-        "crc32",
-        "bitwise CRC: unpredictable branches with 1-cycle resolution",
-        compile("crc32", &src),
-        place(IN1, &data).collect(),
-        OUT,
-    )
+    Workload::new("crc32", compile("crc32", &src), place(IN1, &data).collect(), OUT)
 }
 
 /// Branchless ARX mixing (constant-time-crypto stand-in).
@@ -427,11 +388,5 @@ fn ct_mix(scale: Scale) -> Workload {
         "
     );
     let data = seeded_values("ct_mix", n, 0, 1 << 50);
-    Workload::new(
-        "ct_mix",
-        "constant-time ARX mixing: branchless bodies",
-        compile("ct_mix", &src),
-        place(IN1, &data).collect(),
-        OUT,
-    )
+    Workload::new("ct_mix", compile("ct_mix", &src), place(IN1, &data).collect(), OUT)
 }

@@ -62,13 +62,7 @@ pub fn guarded_call(scale: Scale) -> Workload {
     let mut memory: Vec<(u64, i64)> =
         (0..n as u64).map(|i| (IN1 + 8 * i, rng.i64_in(-100i64..101))).collect();
     memory.extend((0..1024u64).map(|i| (AUX1 + 8 * i, rng.i64_in(0i64..4096))));
-    Workload::new(
-        "guarded_call",
-        "function call guarded by an unpredictable branch (interprocedural deps)",
-        program,
-        memory,
-        OUT,
-    )
+    Workload::new("guarded_call", program, memory, OUT)
 }
 
 /// A five-op bytecode interpreter dispatching through a loaded jump table.
@@ -132,11 +126,5 @@ pub fn bytecode_interp(scale: Scale) -> Workload {
         (0..n as u64).map(|i| (IN1 + 8 * i, rng.i64_in(0i64..5))).collect();
     memory.extend(handlers.iter().enumerate().map(|(i, &h)| (IN2 + 8 * i as u64, h as i64)));
     memory.extend((0..1024u64).map(|i| (AUX1 + 8 * i, rng.i64_in(0i64..1 << 20))));
-    Workload::new(
-        "bytecode_interp",
-        "jump-table bytecode interpreter (indirect-branch barriers)",
-        program,
-        memory,
-        OUT,
-    )
+    Workload::new("bytecode_interp", program, memory, OUT)
 }

@@ -69,29 +69,25 @@ impl Scale {
 /// One evaluation workload: an (unannotated) program plus its seeded input
 /// image and checksum contract.
 ///
-/// The program and the input image are read through the workload —
-/// `w.program` and `w.memory` are the [`Inputs`] fields, reached by
-/// `Deref` — but code outside this crate can neither assign, swap nor
-/// mutate them. The digests and the reference checksum memoized beside
-/// them therefore always describe the workload they belong to: each is
-/// computed on first use, at most once per workload value, and carried
-/// over to clones. `w.program.clone()` is an ordinary, mutable
-/// [`Program`] to annotate.
+/// The program, the input image and the checksum address are read through
+/// the workload — `w.program`, `w.memory` and `w.checksum_addr` are the
+/// [`Inputs`] fields, reached by `Deref` — but code outside this crate can
+/// neither assign, swap nor mutate them. The digests and the reference
+/// checksum memoized beside them therefore always describe the workload
+/// they belong to: each is computed on first use, at most once per
+/// workload value, and carried over to clones. `w.program.clone()` is an
+/// ordinary, mutable [`Program`] to annotate.
 #[derive(Debug, Clone)]
 pub struct Workload {
     /// Kernel name (stable; used in figures).
     pub name: &'static str,
-    /// One-line description for reports.
-    pub description: &'static str,
-    /// Address the kernel writes its result checksum to.
-    pub checksum_addr: u64,
     inputs: Inputs,
     memos: Memos,
 }
 
-/// A [`Workload`]'s program and initial memory image, readable as
-/// `w.program` and `w.memory` and writable only inside this crate: its
-/// memos are computed from them.
+/// A [`Workload`]'s program, initial memory image and checksum address,
+/// readable as `w.program`, `w.memory` and `w.checksum_addr` and writable
+/// only inside this crate: its memos are computed from them.
 ///
 /// ```
 /// use levioso_workloads::{suite, Scale};
@@ -106,6 +102,11 @@ pub struct Workload {
 /// ```compile_fail,E0594
 /// let mut w = levioso_workloads::suite(levioso_workloads::Scale::Smoke).remove(0);
 /// w.memory = Vec::new();
+/// ```
+///
+/// ```compile_fail,E0594
+/// let mut w = levioso_workloads::suite(levioso_workloads::Scale::Smoke).remove(0);
+/// w.checksum_addr = 0;
 /// ```
 ///
 /// ```compile_fail,E0596
@@ -129,6 +130,8 @@ pub struct Inputs {
     pub program: Program,
     /// Initial memory image.
     pub memory: Vec<(u64, i64)>,
+    /// Address the kernel writes its result checksum to.
+    pub checksum_addr: u64,
 }
 
 /// A workload's derived values, each filled on first use.
@@ -136,8 +139,7 @@ pub struct Inputs {
 struct Memos {
     program_digest: OnceLock<String>,
     memory_digest: OnceLock<String>,
-    /// The reference checksum and the `checksum_addr` it was read at.
-    checksum: OnceLock<(u64, i64)>,
+    checksum: OnceLock<i64>,
 }
 
 impl Deref for Workload {
@@ -151,16 +153,13 @@ impl Deref for Workload {
 impl Workload {
     fn new(
         name: &'static str,
-        description: &'static str,
         program: Program,
         memory: Vec<(u64, i64)>,
         checksum_addr: u64,
     ) -> Self {
         Workload {
             name,
-            description,
-            checksum_addr,
-            inputs: Inputs { program, memory },
+            inputs: Inputs { program, memory, checksum_addr },
             memos: Memos::default(),
         }
     }
@@ -189,31 +188,21 @@ impl Workload {
 
     /// Runs the workload on the reference interpreter and returns the
     /// checksum it writes — the golden value any simulator run must match.
-    /// The first call's result is memoized with the `checksum_addr` it was
-    /// read at; a call after `checksum_addr` changed runs the interpreter
-    /// again.
+    /// Computed once.
     ///
     /// # Panics
     ///
     /// Panics if the kernel fails to halt within a generous step budget
     /// (workloads are fixed programs; this indicates a bug).
     pub fn expected_checksum(&self) -> i64 {
-        let (addr, checksum) =
-            *self.memos.checksum.get_or_init(|| (self.checksum_addr, self.reference_checksum()));
-        if addr == self.checksum_addr {
-            checksum
-        } else {
-            self.reference_checksum()
-        }
-    }
-
-    fn reference_checksum(&self) -> i64 {
-        let mut m = Machine::new();
-        for &(a, v) in &self.memory {
-            m.mem.write_i64(a, v);
-        }
-        m.run(&self.program, 500_000_000).expect("workload halts on the interpreter");
-        m.mem.read_i64(self.checksum_addr)
+        *self.memos.checksum.get_or_init(|| {
+            let mut m = Machine::new();
+            for &(a, v) in &self.memory {
+                m.mem.write_i64(a, v);
+            }
+            m.run(&self.program, 500_000_000).expect("workload halts on the interpreter");
+            m.mem.read_i64(self.checksum_addr)
+        })
     }
 
     /// Applies the input image to a simulator's memory.
@@ -288,24 +277,11 @@ mod tests {
                 assert!(memos.program_digest.get().is_none(), "{}", w.name);
                 assert!(memos.memory_digest.get().is_none(), "{}", w.name);
                 assert_eq!(w.expected_checksum(), fresh, "{}: first call", w.name);
-                assert_eq!(memos.checksum.get(), Some(&(w.checksum_addr, fresh)), "{}", w.name);
+                assert_eq!(memos.checksum.get(), Some(&fresh), "{}", w.name);
                 assert_eq!(w.expected_checksum(), fresh, "{}: memoized", w.name);
                 assert_eq!(w.clone().expected_checksum(), fresh, "{}: clone", w.name);
             }
         }
-    }
-
-    #[test]
-    fn a_moved_checksum_address_is_read_afresh() {
-        let mut w = suite(Scale::Smoke).remove(0);
-        let at_out = w.expected_checksum();
-        // filter_scan only reads its input array, so its first word ends
-        // the run unchanged.
-        w.checksum_addr = IN1;
-        assert_eq!(w.memory[0].0, IN1);
-        assert_eq!(w.expected_checksum(), w.memory[0].1);
-        w.checksum_addr = OUT;
-        assert_eq!(w.expected_checksum(), at_out);
     }
 
     #[test]

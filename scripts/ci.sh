@@ -18,7 +18,9 @@
 #   test (seven steps):
 #     tier-1 verify:      cargo build --release && cargo test -q — first
 #                         and fast, so the basic contract fails early
-#     workspace tests:    unit, property, integration and doc tests
+#     workspace tests:    unit, property, integration and doc tests of
+#                         every crate but the root package, whose tests
+#                         the tier-1 step has just run
 #     benchmark tests:    perfbench's self-tests (its own workspace, so
 #                         the workspace tests above do not build it):
 #                         every workload at reduced sizes prints every
@@ -40,10 +42,11 @@
 #                         target/sweep-cache), so it reads no cell from an
 #                         earlier CI run: the workflow restores target/
 #                         from its cache, and cells there replay without
-#                         running the simulator (the cache namespace names
-#                         the simulator's source, not the toolchain, nor
-#                         bench's cell code, which only CELL_FORMAT
-#                         versions). Each distinct cell is simulated once:
+#                         running the simulator (the cache namespace digests
+#                         the code that decides what a cell stores: the
+#                         simulator's source, the workloads and bench's
+#                         cell code, not the toolchain). Each distinct
+#                         cell is simulated once:
 #                         a perf cell several figures share is a hit after
 #                         its first simulation, and the smoke campaign's
 #                         cells, the paper campaign's first programs,
@@ -126,7 +129,7 @@ step_build()     { cargo build --release --offline --locked; }
 step_test()      { cargo test -q --offline --locked; }
 step_fmt()       { cargo fmt --all --check; }
 step_clippy()    { cargo clippy --offline --locked --workspace --all-targets -- -D warnings; }
-step_ws_tests()  { cargo test -q --offline --locked --workspace; }
+step_ws_tests()  { cargo test -q --offline --locked --workspace --exclude levioso; }
 step_perfbench() { cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml; }
 
 step_golden_gate() {
@@ -170,7 +173,7 @@ fi
 if [[ "$mode" == "test" || "$mode" == "all" ]]; then
   run_step "tier-1: cargo build --release" step_build
   run_step "tier-1: cargo test -q" step_test
-  run_step "full-workspace tests" step_ws_tests
+  run_step "workspace tests, root package excluded" step_ws_tests
   run_step "benchmark self-tests: perfbench at reduced sizes" step_perfbench
   run_step "golden gate: paper-tier reports vs results/, smoke-tier figures vs results/golden/smoke/" step_golden_gate
   run_step "trace smoke: levitrace conservation + round-trip on one cell" step_trace_smoke
