@@ -62,10 +62,9 @@ impl AttribStats {
         self.rules.values().map(|r| r.cycles).sum()
     }
 
-    /// Total blamed instructions across all rules. An instruction blocked
-    /// under two rules counts once per rule, so this can exceed
-    /// [`SimStats::policy_delayed_instrs`] in general; with single-rule
-    /// policies the two are equal.
+    /// Total blamed instructions across all rules: each committed
+    /// instruction counts once per rule that blocked it, so an
+    /// instruction blocked under two rules counts twice.
     pub fn blamed_instrs(&self) -> u64 {
         self.rules.values().map(|r| r.instrs).sum()
     }

@@ -1,19 +1,23 @@
-//! `all`: regenerates every figure and table of the
-//! evaluation, or gates the current tree against the golden results.
+//! `all`: regenerates every figure and table of the evaluation into the
+//! tier's golden directory, or gates the current tree against it.
 //!
 //! ```text
-//! all                       # regenerate every report into results/
-//! all --smoke --check       # CI: recompute, diff vs results/golden/smoke/, exit 1 on drift
-//! all --paper --check       # recompute every report and compare it with results/
-//! all --paper --bless       # regenerate results/, refusing shape violations
+//! all --paper               # rewrite every report in results/, the paper tier's golden
+//! all --smoke               # rewrite every report in results/golden/smoke/, the CI tier's
+//! all --paper --check       # recompute every report, compare it with results/, exit 1 on drift
+//! all --smoke --check       # CI: the same against results/golden/smoke/
 //! all --attrib              # also the delay-attribution report, ATTRIB_overhead
 //! all --threads 8           # size the sweep pool explicitly
 //! ```
 //!
-//! Reports are built in report order (T1, F1–F7, T2, T3, T4) and each is
-//! written as soon as it is built, T1 first, so an unwritable results
-//! directory fails the run before any sweep. Every mode fails the run on
-//! T4's two-sided noninterference gate.
+//! The reports go into `LEVIOSO_RESULTS_DIR`, or else the tier's golden
+//! directory (`Tier::results_dir`); a `--check` run writes nothing and
+//! compares every report with that directory instead. Reports are built
+//! in report order (T1, F1–F7, T2, T3, T4, ATTRIB) and each is written as
+//! soon as it is built, T1 first, so an unwritable results directory
+//! fails the run before any sweep. A run that writes refuses figures that
+//! break a shape invariant: it writes none and exits 1. Every mode fails
+//! the run on T4's two-sided noninterference gate.
 //!
 //! All simulation cells fan out across the sweep pool; results are
 //! bit-identical at any thread count. Every mode ends by printing the
@@ -21,23 +25,22 @@
 //! simulator throughput of the cells it computed on stderr (see
 //! `levioso_bench::throughput`).
 
-use levioso_bench::cli::results_dir;
 use levioso_bench::{cellcache, gate, throughput, Sweep, Tier};
 use levioso_core::Scheme;
 use std::path::Path;
 use std::process::exit;
 use std::time::Instant;
 
-const USAGE: &str = "usage: all [--smoke|--paper] [--check|--bless] [--attrib] [--threads N] \
-     [--quiet]\n\
+const USAGE: &str = "usage: all [--smoke|--paper] [--check] [--attrib] [--threads N]\n\
      \n  --smoke        reduced problem sizes and sweep grids (the CI tier)\
      \n  --paper        full evaluation settings (default)\
-     \n  --check        compare every report with the tier's golden (paper: results/,\
-     \n                 smoke: results/golden/smoke/) and exit nonzero on drift\
-     \n  --bless        regenerate the tier's golden\
-     \n  --attrib       also emit the delay-attribution report (ATTRIB_overhead)\
+     \n  --check        compare every report with the results directory instead of\
+     \n                 writing it, and exit nonzero on drift\
+     \n  --attrib       also the delay-attribution report (ATTRIB_overhead)\
      \n  --threads N    worker threads (default: LEVIOSO_THREADS or all cores)\
-     \n  --quiet, -q    suppress rendered reports on stdout";
+     \n\
+     \nThe results directory is LEVIOSO_RESULTS_DIR, or else the tier's golden\
+     \ndirectory (paper: results/, smoke: results/golden/smoke/).";
 
 fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}\n{USAGE}");
@@ -52,23 +55,14 @@ struct Opts {
     /// [`Sweep::from_env`].
     threads: Option<usize>,
     check: bool,
-    bless: bool,
-    quiet: bool,
     attrib: bool,
 }
 
 impl Opts {
-    /// Parses process arguments; prints usage and exits 2 on unknown,
-    /// malformed or conflicting ones.
+    /// Parses process arguments; prints usage and exits 2 on unknown or
+    /// malformed ones.
     fn parse() -> Opts {
-        let mut opts = Opts {
-            tier: Tier::Paper,
-            threads: None,
-            check: false,
-            bless: false,
-            quiet: false,
-            attrib: false,
-        };
+        let mut opts = Opts { tier: Tier::Paper, threads: None, check: false, attrib: false };
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
             match arg.as_str() {
@@ -79,8 +73,6 @@ impl Opts {
                     _ => usage_error("--threads needs a positive integer"),
                 },
                 "--check" => opts.check = true,
-                "--bless" => opts.bless = true,
-                "--quiet" | "-q" => opts.quiet = true,
                 "--attrib" => opts.attrib = true,
                 "--help" | "-h" => {
                     eprintln!("{USAGE}");
@@ -88,14 +80,6 @@ impl Opts {
                 }
                 other => usage_error(&format!("unknown argument `{other}`")),
             }
-        }
-        if opts.check && opts.bless {
-            usage_error("--check and --bless are mutually exclusive");
-        }
-        // No golden holds the attribution report, so a gate run would
-        // drop it silently.
-        if opts.attrib && (opts.check || opts.bless) {
-            usage_error("--attrib cannot be combined with --check or --bless");
         }
         opts
     }
@@ -121,40 +105,28 @@ fn main() {
         None => Sweep::from_env(),
     };
     let tier = opts.tier;
+    let dir = tier.results_dir();
     let start = Instant::now();
     eprintln!(
-        "==> {} tier, {} worker thread(s){}",
+        "==> {} tier, {} worker thread(s), {} {}",
         tier.name(),
         sweep.threads(),
-        if opts.check {
-            " — golden regression check"
-        } else if opts.bless {
-            " — regenerating the golden results"
-        } else {
-            ""
-        }
+        if opts.check { "checking the reports in" } else { "writing the reports into" },
+        dir.display()
     );
 
-    // Each report goes out as soon as it is built: to stdout when
-    // regenerating without --quiet, and at the paper tier, as `<id>.txt`
-    // plus `<id>.json` when it has one, into the results directory or,
-    // under --check, into the list compared with the golden. Smoke-tier
-    // runs never overwrite the paper-scale results.
-    let print = !(opts.quiet || opts.check || opts.bless);
-    let write_to = (tier == Tier::Paper && !opts.check).then(results_dir);
-    let keep = tier == Tier::Paper && opts.check;
+    // Each report goes out as soon as it is built, as `<id>.txt` plus
+    // `<id>.json` when it has one: into the results directory, or under
+    // --check into the list compared with it.
     let mut kept = Vec::new();
     let mut emit = |id: &str, text: String, json: Option<String>| {
-        if print {
-            println!("{text}");
-        }
         for (ext, contents) in [("txt", Some(text)), ("json", json)] {
             let Some(contents) = contents else { continue };
             let name = format!("{id}.{ext}");
-            if let Some(dir) = &write_to {
-                write_or_exit(&dir.join(&name), &contents);
-            } else if keep {
+            if opts.check {
                 kept.push((name, contents));
+            } else {
+                write_or_exit(&dir.join(&name), &contents);
             }
         }
     };
@@ -164,8 +136,8 @@ fn main() {
     for v in &violations {
         eprintln!("SHAPE {v}");
     }
-    if opts.bless && !violations.is_empty() {
-        eprintln!("refusing to bless snapshots that violate shape invariants");
+    if !opts.check && !violations.is_empty() {
+        eprintln!("refusing to write figures that violate shape invariants");
         print_throughput();
         exit(1);
     }
@@ -186,7 +158,7 @@ fn main() {
 
     let mut failed = false;
     if opts.check {
-        let report = gate::check_reports(&figures, &kept, tier);
+        let report = gate::check_reports(&figures, &kept, &dir);
         print!("{}", report.render());
         print_cache_summary(true);
         eprintln!(
@@ -197,21 +169,8 @@ fn main() {
         );
         failed = !report.is_clean() || !violations.is_empty();
     } else {
-        if opts.bless && tier == Tier::Smoke {
-            match gate::bless_figures(&figures, tier) {
-                Ok(paths) => paths.iter().for_each(|p| println!("blessed {}", p.display())),
-                Err(e) => {
-                    eprintln!("bless failed: {e}");
-                    failed = true;
-                }
-            }
-        }
         print_cache_summary(false);
-        eprintln!(
-            "==> regenerated {} in {:.1}s",
-            if opts.bless { "the golden results" } else { "everything" },
-            start.elapsed().as_secs_f64()
-        );
+        eprintln!("==> wrote every report in {:.1}s", start.elapsed().as_secs_f64());
     }
     print_throughput();
     for f in t4.gate_failures() {

@@ -177,7 +177,6 @@ pub fn stats_to_json(s: &SimStats) -> Json {
         ("l2_hits", n(s.l2.hits)),
         ("l2_misses", n(s.l2.misses)),
         ("policy_delay_cycles", n(s.policy_delay_cycles)),
-        ("policy_delayed_instrs", n(s.policy_delayed_instrs)),
         ("ready_while_shadowed", n(s.ready_while_shadowed)),
         ("ready_while_true_dep", n(s.ready_while_true_dep)),
         ("shadow_wait_cycles", n(s.shadow_wait_cycles)),
@@ -200,7 +199,6 @@ pub fn stats_from_json(doc: &Json) -> Option<SimStats> {
         l1d: CacheStats { hits: n("l1d_hits")?, misses: n("l1d_misses")? },
         l2: CacheStats { hits: n("l2_hits")?, misses: n("l2_misses")? },
         policy_delay_cycles: n("policy_delay_cycles")?,
-        policy_delayed_instrs: n("policy_delayed_instrs")?,
         ready_while_shadowed: n("ready_while_shadowed")?,
         ready_while_true_dep: n("ready_while_true_dep")?,
         shadow_wait_cycles: n("shadow_wait_cycles")?,

@@ -5,10 +5,10 @@
 //! orderings. The sweeps are bit-deterministic, so those numbers should
 //! never move unless a change means them to. This module pins them:
 //!
-//! * each tier's golden directory ([`Tier::golden_dir`]) holds one golden
-//!   [`Figure`] snapshot per shape figure, regenerated with `all --bless`.
-//!   The paper tier's is the committed `results/` itself, so it also
-//!   holds every other report `all --paper` writes;
+//! * each tier's golden directory ([`Tier::golden_dir`]) holds every
+//!   report `all` writes at that tier, among them one golden [`Figure`]
+//!   snapshot per shape figure. The paper tier's is the committed
+//!   `results/` itself; a run of `all` without `--check` rewrites it;
 //! * [`check_figures`] compares freshly computed figures against the
 //!   snapshots within per-figure declared tolerances and reports every
 //!   drifted cell; [`check_reports`] adds the other report files, byte
@@ -16,8 +16,8 @@
 //! * [`shape_violations`] checks the orderings the paper's story rests on
 //!   (levioso < execute-delay < commit-delay, zero transient fills for
 //!   delaying schemes, monotone hint-budget recovery) directly on the
-//!   fresh figures, so even a blessed-but-broken snapshot cannot hide a
-//!   shape inversion.
+//!   fresh figures, so even a rewritten-but-broken snapshot cannot hide a
+//!   shape inversion, and `all` writes no figure that breaks one.
 //!
 //! Two tiers exist: [`Tier::Paper`] (full problem sizes and sweep grids —
 //! the numbers EXPERIMENTS.md quotes) and [`Tier::Smoke`] (reduced
@@ -27,6 +27,7 @@ use crate::{geomean_of, Sweep};
 use levioso_core::Scheme;
 use levioso_stats::Figure;
 use levioso_workloads::Scale;
+use std::ffi::OsString;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -83,14 +84,34 @@ impl Tier {
 
     /// Where this tier's golden results live (anchored at the repo root,
     /// so binaries and `cargo test` agree regardless of working
-    /// directory): for the paper tier the committed `results/` itself,
-    /// every report `all --paper` writes; for the smoke tier
-    /// `results/golden/smoke/`, its shape figures.
+    /// directory), every report `all` writes at this tier: for the paper
+    /// tier the committed `results/` itself, for the smoke tier
+    /// `results/golden/smoke/`.
     pub fn golden_dir(self) -> PathBuf {
         let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
         match self {
             Tier::Smoke => results.join("golden/smoke"),
             Tier::Paper => results,
+        }
+    }
+
+    /// The directory `all` writes this tier's reports into and `all
+    /// --check` compares them with: `LEVIOSO_RESULTS_DIR`, or the tier's
+    /// [`golden_dir`](Tier::golden_dir) when that is unset (integration
+    /// tests point it at a temp dir, so a spawned `all` never touches the
+    /// committed results).
+    pub fn results_dir(self) -> PathBuf {
+        self.results_dir_from(std::env::var_os("LEVIOSO_RESULTS_DIR"))
+    }
+
+    /// [`results_dir`](Tier::results_dir) for a `LEVIOSO_RESULTS_DIR`
+    /// value: empty means unset, like every other `LEVIOSO_*` variable
+    /// (an empty path would write the reports into the working
+    /// directory).
+    fn results_dir_from(self, value: Option<OsString>) -> PathBuf {
+        match value {
+            Some(dir) if !dir.is_empty() => PathBuf::from(dir),
+            _ => self.golden_dir(),
         }
     }
 }
@@ -278,20 +299,32 @@ impl CheckReport {
                 out.push_str(&format!("  {d}\n"));
             }
             out.push_str(
-                "if the new numbers are intended (documented perf change), regenerate with \
-                 `--bless` and commit the tier's golden directory\n",
+                "if the new numbers are intended (documented perf change), rewrite the tier's \
+                 golden directory with `all` without `--check` and commit it\n",
             );
         }
         out
     }
 }
 
-/// Checks freshly computed figures against the tier's golden snapshots.
-///
-/// A missing or unparsable snapshot file is reported as structural drift,
-/// not an error: the gate must fail loudly, never skip silently.
+/// Checks freshly computed figures against the tier's golden snapshots,
+/// as [`check_reports`] does with no other file.
 pub fn check_figures(figures: &[(&'static str, Figure)], tier: Tier) -> CheckReport {
-    let dir = tier.golden_dir();
+    check_reports(figures, &[], &tier.golden_dir())
+}
+
+/// Checks a full report set against the directory `dir`: the figures
+/// cell by cell against `<id>.json`, and each of `files` (`(file name,
+/// contents)`, the other files `all` writes) byte for byte.
+///
+/// A missing or unparsable snapshot, or a file that differs from its
+/// golden copy or has none, is one [`Drift::Structure`] naming the golden
+/// path, not an error: the gate must fail loudly, never skip silently.
+pub fn check_reports(
+    figures: &[(&'static str, Figure)],
+    files: &[(String, String)],
+    dir: &Path,
+) -> CheckReport {
     let mut cells_checked = 0;
     let mut drifts = Vec::new();
     for (id, fresh) in figures {
@@ -303,7 +336,7 @@ pub fn check_figures(figures: &[(&'static str, Figure)], tier: Tier) -> CheckRep
                 drifts.push(Drift::Structure {
                     figure: id.to_string(),
                     detail: format!(
-                        "golden snapshot {} unreadable ({e}); run `--bless` to create it",
+                        "golden snapshot {} unreadable ({e}); `all` without `--check` writes it",
                         path.display()
                     ),
                 });
@@ -322,24 +355,8 @@ pub fn check_figures(figures: &[(&'static str, Figure)], tier: Tier) -> CheckRep
         };
         drifts.extend(compare_figure(id, fresh, &golden));
     }
-    CheckReport { cells_checked, files_checked: 0, drifts }
-}
-
-/// Checks a tier's full report set against its golden directory: the
-/// figures cell by cell, as [`check_figures`] does, and each of `files`
-/// (`(file name, contents)`, the other files `all` writes) byte for byte.
-/// A file that differs from its golden copy, or has none, is one
-/// [`Drift::Structure`] naming the golden path.
-pub fn check_reports(
-    figures: &[(&'static str, Figure)],
-    files: &[(String, String)],
-    tier: Tier,
-) -> CheckReport {
-    let mut report = check_figures(figures, tier);
-    let dir = tier.golden_dir();
-    report.files_checked = files.len();
-    report.drifts.extend(files.iter().filter_map(|(name, fresh)| file_drift(&dir, name, fresh)));
-    report
+    drifts.extend(files.iter().filter_map(|(name, fresh)| file_drift(dir, name, fresh)));
+    CheckReport { cells_checked, files_checked: files.len(), drifts }
 }
 
 /// The drift of one report file against its golden copy `dir/name`, if any.
@@ -351,28 +368,11 @@ fn file_drift(dir: &Path, name: &str, fresh: &str) -> Option<Drift> {
             let line = 1 + golden.lines().zip(fresh.lines()).take_while(|(g, f)| g == f).count();
             format!("differs from golden {} at line {line}", path.display())
         }
-        Err(e) => format!("golden {} unreadable ({e}); run `--bless` to create it", path.display()),
+        Err(e) => {
+            format!("golden {} unreadable ({e}); `all` without `--check` writes it", path.display())
+        }
     };
     Some(Drift::Structure { figure: name.to_string(), detail })
-}
-
-/// Writes the figures as the tier's new golden snapshots; returns the
-/// paths written. `all --smoke --bless` calls this after refusing figures
-/// with a [`shape_violations`] entry; at the paper tier, whose golden is
-/// `results/`, `all --bless` writes through its regeneration writer.
-pub fn bless_figures(
-    figures: &[(&'static str, Figure)],
-    tier: Tier,
-) -> std::io::Result<Vec<PathBuf>> {
-    let dir = tier.golden_dir();
-    std::fs::create_dir_all(&dir)?;
-    let mut written = Vec::new();
-    for (id, figure) in figures {
-        let path = dir.join(format!("{id}.json"));
-        std::fs::write(&path, figure.to_json())?;
-        written.push(path);
-    }
-    Ok(written)
 }
 
 fn figure_by_id<'a>(figures: &'a [(&'static str, Figure)], id: &str) -> Option<&'a Figure> {
@@ -623,6 +623,15 @@ mod tests {
         assert!(Tier::Smoke.dram_latencies().len() < Tier::Paper.dram_latencies().len());
         assert!(Tier::Smoke.caps().len() < Tier::Paper.caps().len());
         assert_eq!(Tier::Smoke.golden_dir().file_name().unwrap(), "smoke");
+    }
+
+    #[test]
+    fn results_dir_env_parsing_treats_empty_as_unset() {
+        for tier in [Tier::Smoke, Tier::Paper] {
+            assert_eq!(tier.results_dir_from(None), tier.golden_dir());
+            assert_eq!(tier.results_dir_from(Some("".into())), tier.golden_dir());
+            assert_eq!(tier.results_dir_from(Some("reports".into())), PathBuf::from("reports"));
+        }
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //!
 //! One function per experiment of the evaluation (see DESIGN.md §4 for the
 //! reconstructed index), called by the `all` binary, which writes each
-//! report into `results/`:
+//! report into the tier's golden directory (`results/` at the paper tier,
+//! `results/golden/smoke/` at smoke), or with `--check` compares it with
+//! the file there:
 //!
 //! | id | function | results file |
 //! |----|----------|--------------|
@@ -17,6 +19,7 @@
 //! | T2 | [`security_table`] | `table2_security.txt` |
 //! | T3 | [`annotation_table`] | `table3_annotation.txt` |
 //! | T4 | [`noninterference_report`] | `table4_noninterference.{txt,json}` |
+//! | ATTRIB (`--attrib`) | [`attribution_report`] | `ATTRIB_overhead.{txt,json}` |
 //!
 //! Every figure decomposes into independent `(workload, scheme, config)`
 //! simulation cells that a [`Sweep`] pool fans out across threads. The
@@ -26,8 +29,8 @@
 //!
 //! Run everything with `cargo run -p levioso-bench --release --bin all`
 //! (`--threads N` to size the pool, `--smoke` for the CI tier, `--check`
-//! to gate against the golden results — `results/` itself at the paper
-//! tier, `results/golden/smoke/` at smoke; see [`gate`]).
+//! to gate against the golden results instead of rewriting them; see
+//! [`gate`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -40,7 +43,6 @@ use std::collections::HashMap;
 
 pub mod attrib;
 pub mod cellcache;
-pub mod cli;
 pub mod gate;
 pub mod throughput;
 pub mod trace_export;

@@ -7,8 +7,9 @@
 //! are bit-deterministic, so opt level doesn't move the numbers). The
 //! paper-tier test replays the full evaluation settings and is `#[ignore]`d
 //! for time; `cargo test -p levioso-bench -- --ignored` runs it on demand.
-//! `all --paper --check`, CI's golden gate, checks the same figures and
-//! every other report `all --paper` writes.
+//! `all --smoke --check` and `all --paper --check`, CI's golden gate,
+//! check the same figures and every other report `all` writes at that
+//! tier.
 
 use levioso_bench::{gate, Sweep, Tier};
 

@@ -1,6 +1,7 @@
 //! Pins `levc`'s one program format: the assembly text `--emit asm` prints
 //! loads back into `levc` and prints itself again.
 
+use levioso_support::TempDir;
 use std::path::Path;
 use std::process::Command;
 
@@ -22,10 +23,8 @@ fn path_str(p: &Path) -> &str {
 
 #[test]
 fn emitted_asm_loads_back_into_levc() {
-    let dir =
-        Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("levc-asm-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let dir = TempDir::new(env!("CARGO_TARGET_TMPDIR"), "levc-asm");
+    let dir = dir.path();
 
     // `==` compiles to `seqz`, an `sltu`-with-immediate instruction.
     let levi = dir.join("count.levi");
@@ -50,6 +49,4 @@ fn emitted_asm_loads_back_into_levc() {
     assert_eq!(levc(&[path_str(&s), "--emit", "asm"]), asm);
     assert!(levc(&[path_str(&s)]).contains("deps:"));
     assert!(asm.contains("sltiu"), "the program should exercise `sltiu`:\n{asm}");
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

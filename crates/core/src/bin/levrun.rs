@@ -65,10 +65,15 @@ fn main() -> ExitCode {
             "--dump" => {
                 let Some(spec) = it.next() else { return usage() };
                 let Some((a, n)) = spec.split_once(':') else { return usage() };
-                match (parse_u64(a), n.parse()) {
-                    (Some(a), Ok(n)) => dump = Some((a, n)),
-                    _ => return usage(),
+                let (Some(a), Ok(n)) = (parse_u64(a), n.parse::<usize>()) else { return usage() };
+                // The last byte of the `n` words from `a` must be an address.
+                let last =
+                    (n as u64).checked_mul(8).and_then(|len| a.checked_add(len.saturating_sub(1)));
+                if last.is_none() {
+                    eprintln!("levrun: --dump {spec} runs past the end of the address space");
+                    return usage();
                 }
+                dump = Some((a, n));
             }
             "--rob" => match it.next().and_then(|n| n.parse().ok()) {
                 Some(n @ 1..=MAX_ROB_SIZE) => config = config.with_rob_size(n),

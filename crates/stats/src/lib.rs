@@ -37,15 +37,6 @@ pub fn geomean(values: &[f64]) -> f64 {
     (sum / values.len() as f64).exp()
 }
 
-/// Arithmetic mean (0.0 for empty input).
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
 /// An aligned text table with a title, rendered for terminal reports and
 /// EXPERIMENTS.md.
 #[derive(Debug, Clone, PartialEq)]
@@ -346,12 +337,6 @@ mod tests {
     #[should_panic]
     fn geomean_rejects_nonpositive() {
         let _ = geomean(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn mean_basics() {
-        assert_eq!(mean(&[]), 0.0);
-        assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -620,9 +620,6 @@ impl<'p> Simulator<'p> {
             self.stats.ready_while_true_dep += 1;
         }
         self.stats.policy_delay_cycles += e.policy_delay_cycles;
-        if e.policy_delay_cycles > 0 {
-            self.stats.policy_delayed_instrs += 1;
-        }
         // F1 headroom: how long past readiness the conservative shadow vs
         // the true dependencies stayed unresolved. (Every control
         // instruction older than a committed one has resolved, and its

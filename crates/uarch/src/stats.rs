@@ -24,9 +24,6 @@ pub struct SimStats {
     /// Total cycles instructions spent blocked *only* by the active
     /// defense policy (summed over committed instructions).
     pub policy_delay_cycles: u64,
-    /// Committed instructions that were delayed by the policy at least
-    /// once.
-    pub policy_delayed_instrs: u64,
     /// F1 (conservative view): committed instructions whose operands first
     /// became ready while ≥1 older control instruction was unresolved.
     pub ready_while_shadowed: u64,

@@ -15,12 +15,16 @@
 #     format gate:        rustfmt --check against rustfmt.toml
 #     lint gate:          clippy on every workspace target, warnings denied
 #
-#   test (seven steps):
+#   test (six steps):
 #     tier-1 verify:      cargo build --release && cargo test -q — first
 #                         and fast, so the basic contract fails early
 #     workspace tests:    unit, property, integration and doc tests of
 #                         every crate but the root package, whose tests
-#                         the tier-1 step has just run
+#                         the tier-1 step has just run. Among them,
+#                         bench's tests/cli.rs runs levitrace on one smoke
+#                         cell, which fails unless both of its runs agree,
+#                         blame is conserved and the trace JSON
+#                         round-trips, and re-validates the trace file
 #     benchmark tests:    perfbench's self-tests (its own workspace, so
 #                         the workspace tests above do not build it):
 #                         every workload at reduced sizes prints every
@@ -31,8 +35,8 @@
 #                         `all --paper` writes and compares it with the
 #                         committed results/ (figure JSON cell by cell
 #                         within tolerance, every other file byte for
-#                         byte); then `all --smoke --check` compares the
-#                         smoke-tier figures with results/golden/smoke/.
+#                         byte); then `all --smoke --check` does the same
+#                         with results/golden/smoke/.
 #                         Both tiers also run T4, the noninterference
 #                         campaign, whose two-sided gate fails the run on
 #                         a leak from a delaying scheme or on a clean
@@ -54,10 +58,6 @@
 #                         F4 sweep simulates the largest ROB the core
 #                         accepts (MAX_ROB_SIZE), which sizes its
 #                         speculation masks
-#     trace smoke:        levitrace traces one smoke cell once per sink,
-#                         proving both runs agree, blame conservation and
-#                         the JSON round-trip, and prints the cell's
-#                         delay-attribution report into the log
 #     cache split:        asserts the golden gate printed a perf and a
 #                         noninterference sweep-cache hit/miss line for
 #                         both tiers, each with 0 poisoned cells — a run
@@ -143,11 +143,6 @@ step_golden_gate() {
     -p levioso-bench --bin all -- --smoke --check | tee -a target/ci_golden_gate.log
 }
 
-step_trace_smoke() {
-  cargo run -q --release --offline --locked -p levioso-bench --bin levitrace -- \
-    --smoke --workload filter_scan --scheme levioso --out target/ci_trace.json
-}
-
 step_cache_split() {
   local lines
   lines=$(grep -E '^sweep-cache: [0-9]+ hits, [0-9]+ misses' target/ci_golden_gate.log || true)
@@ -175,8 +170,7 @@ if [[ "$mode" == "test" || "$mode" == "all" ]]; then
   run_step "tier-1: cargo test -q" step_test
   run_step "workspace tests, root package excluded" step_ws_tests
   run_step "benchmark self-tests: perfbench at reduced sizes" step_perfbench
-  run_step "golden gate: paper-tier reports vs results/, smoke-tier figures vs results/golden/smoke/" step_golden_gate
-  run_step "trace smoke: levitrace conservation + round-trip on one cell" step_trace_smoke
+  run_step "golden gate: paper-tier reports vs results/, smoke-tier reports vs results/golden/smoke/" step_golden_gate
   run_step "golden gate reported its cache hit/miss splits" step_cache_split
 fi
 
