@@ -10,6 +10,10 @@ use levioso_core::Scheme;
 use levioso_uarch::{CoreConfig, Simulator, MAX_ROB_SIZE};
 use std::process::ExitCode;
 
+/// The most words one `--dump` prints: the dump reads them all into memory
+/// first, 8 bytes a word.
+const MAX_DUMP_WORDS: usize = 1 << 20;
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage: levrun <file.levi|file.s> [--scheme NAME] [--compare] \
@@ -71,6 +75,10 @@ fn main() -> ExitCode {
                     (n as u64).checked_mul(8).and_then(|len| a.checked_add(len.saturating_sub(1)));
                 if last.is_none() {
                     eprintln!("levrun: --dump {spec} runs past the end of the address space");
+                    return usage();
+                }
+                if n > MAX_DUMP_WORDS {
+                    eprintln!("levrun: --dump {spec} exceeds the limit of {MAX_DUMP_WORDS} words");
                     return usage();
                 }
                 dump = Some((a, n));

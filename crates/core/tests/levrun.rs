@@ -1,7 +1,8 @@
 //! The `levrun` command line checks `--rob` and `--dump` where they enter:
-//! sizes outside `1..=MAX_ROB_SIZE` and dump ranges past the end of the
-//! address space are usage errors, not a panic inside the simulator, a
-//! run into the cycle limit or a dump that wraps around to address 0.
+//! sizes outside `1..=MAX_ROB_SIZE`, dump ranges past the end of the
+//! address space and dumps of more than 2^20 words are usage errors, not a
+//! panic inside the simulator, a run into the cycle limit, a dump that
+//! wraps around to address 0 or an allocation of up to exabytes.
 
 use levioso_support::TempDir;
 use levioso_uarch::MAX_ROB_SIZE;
@@ -52,13 +53,19 @@ fn dump_range_is_checked_where_it_enters() {
         "{ok:?}"
     );
 
-    // Two words from the last one, a word straddling the end, and a count
-    // whose byte length overflows.
-    for spec in ["0xfffffffffffffff8:2", "0xfffffffffffffffc:1", "8:2305843009213693952"] {
+    // Two words from the last one, a word straddling the end, a count
+    // whose byte length overflows, and one word more than the limit.
+    let past_the_end = "runs past the end of the address space";
+    for (spec, why) in [
+        ("0xfffffffffffffff8:2", past_the_end),
+        ("0xfffffffffffffffc:1", past_the_end),
+        ("8:2305843009213693952", past_the_end),
+        ("0:1048577", "exceeds the limit of 1048576 words"),
+    ] {
         let out = levrun(&program, &["--dump", spec]);
         assert_eq!(out.status.code(), Some(2), "--dump {spec} must be a usage error: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(&format!("--dump {spec} runs past the end")), "{stderr}");
+        assert!(stderr.contains(&format!("--dump {spec} {why}")), "{stderr}");
         assert!(out.stdout.is_empty(), "--dump {spec} must not simulate: {out:?}");
     }
 }

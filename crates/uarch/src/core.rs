@@ -21,18 +21,19 @@
 //!
 //! * speculation sets are [`SpecMask`] bitmasks over in-flight slots
 //!   ([`crate::specmask`]) instead of sorted `Vec<Seq>` merges;
-//! * every stored reference to an in-flight instruction is a [`RobRef`]
-//!   (sequence number plus ROB position), which resolves with one index
-//!   and one sequence-number compare;
+//! * every in-flight instruction is addressed by its ROB position: the
+//!   ROB is a ring of slots ([`crate::rob`]), and every stored reference is
+//!   a [`RobRef`] (sequence number plus position), which resolves with a
+//!   range check, one masked index and one sequence-number compare;
 //! * writeback pops a completion min-heap keyed by `(done_cycle, seq)`
 //!   instead of scanning the ROB (eligible completions always carry the
 //!   current cycle, so heap order equals the old seq-order scan);
 //! * completions wake their consumers through intrusive per-producer
-//!   chains built at rename, and issue walks a sorted ready-set of
-//!   operand-ready instructions in seq order (equal to the old ROB-order
-//!   scan priority), stopping at the oldest incomplete serializer
-//!   (`fence`/`rdcycle`), which issues once every older instruction is
-//!   done;
+//!   chains built at rename, and issue walks a ready bitmap of
+//!   operand-ready instructions, one bit per ring slot, from the head's
+//!   slot (age order, equal to the old ROB-order scan priority), stopping
+//!   at the oldest incomplete serializer (`fence`/`rdcycle`), which issues
+//!   once every older instruction is done;
 //! * loads check memory ordering against a store queue of the in-flight
 //!   stores' addresses and widths instead of walking older ROB entries;
 //! * a load the store queue blocks leaves the ready set and is parked on
@@ -54,12 +55,13 @@ use crate::dyninstr::{DynInstr, OpState, Operand, RobRef, Seq, Stage};
 use crate::policy::{SpecView, SpeculationPolicy, Wait};
 use crate::predictor::Predictor;
 use crate::refsets::{self, RefSets, ReferenceChecks};
+use crate::rob::Rob;
 use crate::specmask::{SlotTable, SpecMask};
 use crate::stats::SimStats;
 use crate::trace::{Blame, BlamedKind, BlamedSlot, TraceSink};
 use levioso_isa::{read_memory, write_memory, DepSet, Instr, MemWidth, Memory, Program, Reg};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 /// Register alias table entry.
@@ -88,15 +90,15 @@ struct Fetched {
 pub(crate) enum IssueAction {
     /// ALU/branch/jump/serializer/nop/halt: result and (for control) the
     /// actual next PC were computed from ready operands.
-    Simple { idx: usize, latency: u64, result: Option<i64>, actual_next: Option<u32> },
+    Simple { pos: u64, latency: u64, result: Option<i64>, actual_next: Option<u32> },
     /// Load served by store-to-load forwarding.
-    Forward { idx: usize, store_idx: usize, addr: u64 },
+    Forward { pos: u64, store_pos: u64, addr: u64 },
     /// Load performing a cache access.
-    Access { idx: usize, addr: u64, value: i64, hit_only: bool },
+    Access { pos: u64, addr: u64, value: i64, hit_only: bool },
     /// Flush instruction evicting a line.
-    Flush { idx: usize, addr: u64 },
+    Flush { pos: u64, addr: u64 },
     /// Store address generation.
-    StoreAddr { idx: usize, addr: u64 },
+    StoreAddr { pos: u64, addr: u64 },
 }
 
 /// Which gate held an instruction in phase A, so the blame pass can ask
@@ -112,21 +114,21 @@ pub(crate) enum DelayCause {
     LoadMiss,
 }
 
-/// One cycle's issue decisions: made by the read-only phase A, applied by
-/// phase B (the buffers are reused across cycles).
+/// One cycle's issue decisions, by ROB position: made by the read-only
+/// phase A, applied by phase B (the buffers are reused across cycles).
 #[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct IssueDecisions {
     /// What issues, in issue order.
     pub(crate) actions: Vec<IssueAction>,
     /// Instructions whose operands are ready for the first time, with
-    /// their F1 flags `(idx, shadowed, true-dep pending)`.
-    pub(crate) first_ready: Vec<(usize, bool, bool)>,
+    /// their F1 flags `(pos, shadowed, true-dep pending)`.
+    pub(crate) first_ready: Vec<(u64, bool, bool)>,
     /// Instructions a policy gate held back this cycle (kept until the
     /// next cycle's issue, for the quiet-cycle jump).
-    pub(crate) delayed: Vec<(usize, DelayCause)>,
+    pub(crate) delayed: Vec<(u64, DelayCause)>,
     /// Loads the store queue blocked, with the store they wait for and
     /// the event that wakes them.
-    pub(crate) parked: Vec<(usize, Seq, WakeOn)>,
+    pub(crate) parked: Vec<(u64, Seq, WakeOn)>,
 }
 
 /// The store event a blocked load waits for.
@@ -234,10 +236,10 @@ pub struct Simulator<'p> {
     hierarchy: Hierarchy,
     predictor: Predictor,
 
-    rob: VecDeque<DynInstr>,
-    /// ROB position of the head entry: the number of instructions
-    /// committed so far (see [`RobRef`]).
-    head_pos: u64,
+    /// The in-flight instructions by ROB position, with the issue stage's
+    /// ready set: the dispatched ones whose operands are ready (stores:
+    /// base ready) and that no store blocks.
+    rob: Rob,
     fetch_queue: VecDeque<Fetched>,
     fetch_pc: u32,
     fetch_stalled: bool,
@@ -249,9 +251,6 @@ pub struct Simulator<'p> {
     /// old `unresolved` map and unbounded `resolve_cycle` map).
     slots: SlotTable,
 
-    /// Dispatched instructions whose operands are ready (stores: base
-    /// ready), in seq order — the issue scan's candidate set.
-    ready: BTreeSet<RobRef>,
     /// Min-heap of pending completions `(done_cycle, instruction)`;
     /// entries for squashed instructions are skipped at pop.
     completions: BinaryHeap<Reverse<(u64, RobRef)>>,
@@ -295,14 +294,14 @@ impl<'p> Simulator<'p> {
         let hierarchy = Hierarchy::new(&config.hierarchy);
         let predictor = Predictor::new(&config.predictor);
         let slots = SlotTable::new(config.rob_size);
+        let rob = Rob::new(config.rob_size);
         Simulator {
             program,
             config,
             mem: Memory::new(),
             hierarchy,
             predictor,
-            rob: VecDeque::new(),
-            head_pos: 0,
+            rob,
             fetch_queue: VecDeque::new(),
             fetch_pc: 0,
             fetch_stalled: false,
@@ -310,7 +309,6 @@ impl<'p> Simulator<'p> {
             rat: [RatEntry::Value(0); Reg::COUNT],
             arch_regs: [0; Reg::COUNT],
             slots,
-            ready: BTreeSet::new(),
             completions: BinaryHeap::new(),
             store_queue: VecDeque::new(),
             serializers: VecDeque::new(),
@@ -367,7 +365,8 @@ impl<'p> Simulator<'p> {
     /// them, asserting equivalence: the old Vec-based speculation sets at
     /// every dispatch, forward, and commit; a binary search behind every
     /// positioned ROB lookup; the full-ROB scan behind every store-queue
-    /// verdict and every issue cycle under a serializer. It also steps
+    /// verdict, every ready-bitmap walk and every issue cycle under a
+    /// serializer. It also steps
     /// every cycle the quiet-cycle jump would skip, asserting each is
     /// quiet and delays what the quiet cycle before it delayed, and
     /// re-decides every parked load every cycle, asserting it stays
@@ -486,39 +485,38 @@ impl<'p> Simulator<'p> {
         if let Some(mut t) = self.tracer.take() {
             // Nothing a blame reads changes while the cycles repeat.
             let blames: Vec<Blame> =
-                delayed.iter().map(|&(idx, cause)| self.blame_for(policy, idx, cause)).collect();
+                delayed.iter().map(|&(pos, cause)| self.blame_for(policy, pos, cause)).collect();
             for cycle in self.cycle..next {
-                for (&(idx, _), blame) in delayed.iter().zip(&blames) {
-                    t.on_policy_block(cycle, &self.rob[idx], blame);
+                for (&(pos, _), blame) in delayed.iter().zip(&blames) {
+                    t.on_policy_block(cycle, &self.rob[pos], blame);
                 }
-                for &(idx, _) in &delayed {
-                    self.rob[idx].policy_delay_cycles += 1;
+                for &(pos, _) in &delayed {
+                    self.rob[pos].policy_delay_cycles += 1;
                 }
             }
             self.tracer = Some(t);
         } else {
-            for &(idx, _) in &delayed {
-                self.rob[idx].policy_delay_cycles += next - self.cycle;
+            for &(pos, _) in &delayed {
+                self.rob[pos].policy_delay_cycles += next - self.cycle;
             }
         }
         self.scratch.delayed = delayed;
         self.cycle = next;
     }
 
-    /// ROB index of the in-flight instruction `r`, or `None` once it has
-    /// left the ROB (a later dispatch may have reused its position).
-    fn live(&self, r: RobRef) -> Option<usize> {
-        let idx = usize::try_from(r.pos.checked_sub(self.head_pos)?).ok()?;
-        let found = self.rob.get(idx).filter(|e| e.seq == r.seq).map(|_| idx);
+    /// ROB position of the in-flight instruction `r`, or `None` once it
+    /// has left the ROB (a later dispatch may have reused its position).
+    fn live(&self, r: RobRef) -> Option<u64> {
+        let found = self.rob.holds(r).then_some(r.pos);
         if let Some(refs) = &self.refsets {
             refs.check_lookup(&self.rob, r.seq, found);
         }
         found
     }
 
-    /// The reference to the instruction at ROB index `idx`.
-    fn rob_ref(&self, idx: usize) -> RobRef {
-        RobRef { seq: self.rob[idx].seq, pos: self.head_pos + idx as u64 }
+    /// The reference to the in-flight instruction at position `pos`.
+    fn rob_ref(&self, pos: u64) -> RobRef {
+        RobRef { seq: self.rob[pos].seq, pos }
     }
 
     // ------------------------------------------------------------------
@@ -526,8 +524,8 @@ impl<'p> Simulator<'p> {
     // ------------------------------------------------------------------
 
     /// Retires up to `commit_width` done instructions from the ROB head;
-    /// returns whether any retired. Each is read where it sits and dropped
-    /// as it leaves, which is when `head_pos` advances.
+    /// returns whether any retired. Each is read where it sits, and the
+    /// head advances past it.
     fn commit(&mut self) -> bool {
         let mut committed = false;
         for _ in 0..self.config.commit_width {
@@ -559,7 +557,7 @@ impl<'p> Simulator<'p> {
             if let Some(slot) = slot {
                 self.slots.free_commit(slot, self.next_seq);
             }
-            let e = &self.rob[0];
+            let e = &self.rob[self.rob.head()];
             match instr {
                 Instr::Store { width, .. } => {
                     let addr = e.mem_addr.expect("committed store has an address");
@@ -569,7 +567,7 @@ impl<'p> Simulator<'p> {
                     self.hierarchy.access(addr, self.cycle);
                 }
                 Instr::Halt => {
-                    self.retire_head();
+                    self.rob.pop_front();
                     self.halted = true;
                     return true;
                 }
@@ -584,26 +582,19 @@ impl<'p> Simulator<'p> {
                     }
                 }
             }
-            self.retire_head();
+            self.rob.pop_front();
         }
         committed
-    }
-
-    /// Drops the committed ROB head in place (`pop_front` would move the
-    /// whole entry out only to drop it).
-    fn retire_head(&mut self) {
-        self.rob.drain(..1);
-        self.head_pos += 1;
     }
 
     /// Returns the loads parked on `store` for `wake` to the ready set,
     /// to be decided afresh.
     fn wake_parked(&mut self, store: Seq, wake: WakeOn) {
-        let ready = &mut self.ready;
+        let rob = &mut self.rob;
         self.parked.retain(|p| {
             let woken = p.store == store && p.wake == wake;
             if woken {
-                ready.insert(p.load);
+                rob.set_ready(p.load.pos);
             }
             !woken
         });
@@ -664,32 +655,32 @@ impl<'p> Simulator<'p> {
             }
             self.completions.pop();
             popped = true;
-            let Some(idx) = self.live(r) else { continue }; // squashed meanwhile
-            debug_assert_eq!(self.rob[idx].stage, Stage::Executing);
-            self.rob[idx].stage = Stage::Done;
-            if self.rob[idx].holds_mshr {
-                self.rob[idx].holds_mshr = false;
+            let Some(pos) = self.live(r) else { continue }; // squashed meanwhile
+            debug_assert_eq!(self.rob[pos].stage, Stage::Executing);
+            self.rob[pos].stage = Stage::Done;
+            if self.rob[pos].holds_mshr {
+                self.rob[pos].holds_mshr = false;
                 self.outstanding_misses -= 1;
             }
-            if self.rob[idx].instr.is_load() {
-                let slot = self.rob[idx].slot.expect("loads own a slot");
+            if self.rob[pos].instr.is_load() {
+                let slot = self.rob[pos].slot.expect("loads own a slot");
                 self.slots.mark_load_done(slot);
                 if let Some(refs) = self.refsets.as_deref_mut() {
                     refs.on_load_done(r.seq);
                 }
             }
             if let Some(t) = self.tracer.as_deref_mut() {
-                t.on_writeback(self.cycle, &self.rob[idx]);
+                t.on_writeback(self.cycle, &self.rob[pos]);
             }
             // Wake consumers along this producer's chain.
-            if self.rob[idx].instr.dest().is_some() {
-                let v = self.rob[idx].result.expect("dest implies result");
-                let mut cur = self.rob[idx].wake_head;
+            if self.rob[pos].instr.dest().is_some() {
+                let v = self.rob[pos].result.expect("dest implies result");
+                let mut cur = self.rob[pos].wake_head;
                 while let Some((consumer, oi)) = cur {
-                    let cidx = self
+                    let cpos = self
                         .live(consumer)
                         .expect("squash rebuilds wake chains, so links are live");
-                    let c = &mut self.rob[cidx];
+                    let c = &mut self.rob[cpos];
                     c.srcs[oi as usize].state = OpState::Ready(v);
                     cur = c.wake_next[oi as usize];
                     let store_data = c.instr.is_store() && oi == 1;
@@ -699,7 +690,7 @@ impl<'p> Simulator<'p> {
                                 && c.srcs[0].state.value().is_some()
                                 && c.mem_addr.is_none());
                         if eligible {
-                            self.ready.insert(consumer);
+                            self.rob.set_ready(cpos);
                         }
                     }
                     if store_data {
@@ -707,18 +698,18 @@ impl<'p> Simulator<'p> {
                     }
                 }
             }
-            if self.rob[idx].is_spec_source() {
-                self.resolve_control(idx);
+            if self.rob[pos].is_spec_source() {
+                self.resolve_control(pos);
             }
         }
         popped
     }
 
-    /// Resolves the control instruction at ROB index `idx`.
-    fn resolve_control(&mut self, idx: usize) {
-        let seq = self.rob[idx].seq;
+    /// Resolves the control instruction at position `pos`.
+    fn resolve_control(&mut self, pos: u64) {
+        let seq = self.rob[pos].seq;
         let (pc, actual, predicted, was_stalling, history, checkpoint, instr, slot, taken) = {
-            let e = &mut self.rob[idx];
+            let e = &mut self.rob[pos];
             (
                 e.pc,
                 e.actual_next.expect("executed control has actual target"),
@@ -738,7 +729,7 @@ impl<'p> Simulator<'p> {
         }
         if let Some(t) = self.tracer.as_deref_mut() {
             // A stalling indirect never predicted, so it cannot mispredict.
-            t.on_resolve(self.cycle, &self.rob[idx], !was_stalling && actual != predicted);
+            t.on_resolve(self.cycle, &self.rob[pos], !was_stalling && actual != predicted);
         }
 
         // Train.
@@ -786,11 +777,12 @@ impl<'p> Simulator<'p> {
     }
 
     fn squash_younger_than(&mut self, seq: Seq) {
-        while let Some(back) = self.rob.back() {
-            if back.seq <= seq {
+        // Each squashed entry is read where it sits; popping it clears its
+        // ready bit.
+        while let Some(e) = self.rob.back() {
+            if e.seq <= seq {
                 break;
             }
-            let e = self.rob.pop_back().expect("checked non-empty");
             self.stats.squashed += 1;
             if e.holds_mshr {
                 self.outstanding_misses -= 1;
@@ -812,17 +804,16 @@ impl<'p> Simulator<'p> {
             if let Some(t) = self.tracer.as_deref_mut() {
                 t.on_squash(self.cycle, e.seq, e.pc);
             }
+            self.rob.pop_back();
         }
-        // Drop squashed entries from the age-ordered queues, the ready set
-        // and the parked loads (stale completion-heap entries are skipped
-        // at pop instead).
+        // Drop squashed entries from the age-ordered queues and the parked
+        // loads (stale completion-heap entries are skipped at pop instead).
         while self.store_queue.back().is_some_and(|s| s.at.seq > seq) {
             self.store_queue.pop_back();
         }
         while self.serializers.back().is_some_and(|s| s.seq > seq) {
             self.serializers.pop_back();
         }
-        let _ = self.ready.split_off(&RobRef { seq: seq + 1, pos: 0 });
         self.parked.retain(|p| p.load.seq <= seq);
         if let Some(refs) = self.refsets.as_deref_mut() {
             refs.on_squash_younger(seq);
@@ -835,25 +826,25 @@ impl<'p> Simulator<'p> {
         for r in 1..Reg::COUNT {
             self.rat[r] = RatEntry::Value(self.arch_regs[r]);
         }
-        for i in 0..self.rob.len() {
-            self.rob[i].wake_head = None;
+        for pos in self.rob.head()..self.rob.tail() {
+            self.rob[pos].wake_head = None;
         }
-        for i in 0..self.rob.len() {
-            let consumer = self.rob_ref(i);
-            if let Some(rd) = self.rob[i].instr.dest() {
-                self.rat[rd.index()] = match (self.rob[i].stage, self.rob[i].result) {
+        for pos in self.rob.head()..self.rob.tail() {
+            let consumer = self.rob_ref(pos);
+            if let Some(rd) = self.rob[pos].instr.dest() {
+                self.rat[rd.index()] = match (self.rob[pos].stage, self.rob[pos].result) {
                     (Stage::Done, Some(v)) => RatEntry::Value(v),
                     _ => RatEntry::Producer(consumer),
                 };
             }
-            for oi in 0..self.rob[i].srcs.len() {
-                if let OpState::Waiting(p) = self.rob[i].srcs[oi].state {
-                    let pidx = self
+            for oi in 0..self.rob[pos].srcs.len() {
+                if let OpState::Waiting(p) = self.rob[pos].srcs[oi].state {
+                    let ppos = self
                         .live(p)
                         .expect("a surviving consumer's producer is older and survives");
-                    let head = self.rob[pidx].wake_head;
-                    self.rob[i].wake_next[oi] = head;
-                    self.rob[pidx].wake_head = Some((consumer, oi as u8));
+                    let head = self.rob[ppos].wake_head;
+                    self.rob[pos].wake_next[oi] = head;
+                    self.rob[ppos].wake_head = Some((consumer, oi as u8));
                 }
             }
         }
@@ -875,6 +866,11 @@ impl<'p> Simulator<'p> {
         decided.parked.clear();
 
         {
+            if let Some(refs) = &self.refsets {
+                // The ready-bitmap walk visits exactly the issue
+                // candidates a full-ROB scan finds, oldest first.
+                refs.check_ready_walk(self.cycle, &self.rob, &self.parked);
+            }
             self.issue_scan(policy, &mut decided);
             if let Some(refs) = &self.refsets {
                 if !self.serializers.is_empty() {
@@ -888,9 +884,9 @@ impl<'p> Simulator<'p> {
                         self.config.issue_width,
                         &mut self.issue_units(),
                         &mut scanned,
-                        &mut |idx, units, out| {
-                            if !self.parked.iter().any(|p| p.load.seq == self.rob[idx].seq) {
-                                self.consider_issue(policy, idx, units, out);
+                        &mut |pos, units, out| {
+                            if !self.parked.iter().any(|p| p.load.seq == self.rob[pos].seq) {
+                                self.consider_issue(policy, pos, units, out);
                             }
                         },
                     );
@@ -900,10 +896,10 @@ impl<'p> Simulator<'p> {
                 // the same store: nothing it reads changed before the
                 // event it waits for.
                 for p in &self.parked {
-                    let idx = self.live(p.load).expect("parked loads are in flight");
+                    let pos = self.live(p.load).expect("parked loads are in flight");
                     let mut redecided = IssueDecisions::default();
-                    self.consider_issue(policy, idx, &mut self.issue_units(), &mut redecided);
-                    refs.check_parked(self.cycle, idx, p, &redecided);
+                    self.consider_issue(policy, pos, &mut self.issue_units(), &mut redecided);
+                    refs.check_parked(self.cycle, pos, p, &redecided);
                 }
             }
         }
@@ -913,47 +909,46 @@ impl<'p> Simulator<'p> {
         // blocks *before* phase B mutates the state the verdicts were
         // computed from (so each blame reads the state its gate read).
         if let Some(mut t) = self.tracer.take() {
-            for &(idx, cause) in &decided.delayed {
-                t.on_policy_block(self.cycle, &self.rob[idx], &self.blame_for(policy, idx, cause));
+            for &(pos, cause) in &decided.delayed {
+                t.on_policy_block(self.cycle, &self.rob[pos], &self.blame_for(policy, pos, cause));
             }
             self.tracer = Some(t);
         }
 
         // Phase B: apply. Blocked loads park first, so a store address
         // generated below finds its waiters parked.
-        for &(idx, store, wake) in &decided.parked {
-            let load = self.rob_ref(idx);
-            self.ready.remove(&load);
-            self.parked.push(Parked { load, store, wake });
+        for &(pos, store, wake) in &decided.parked {
+            self.rob.clear_ready(pos);
+            self.parked.push(Parked { load: self.rob_ref(pos), store, wake });
         }
-        for &(idx, sh, td) in &decided.first_ready {
-            self.rob[idx].ready_while_shadowed = Some(sh);
-            self.rob[idx].ready_while_true_dep = Some(td);
-            self.rob[idx].first_ready_cycle = Some(self.cycle);
+        for &(pos, sh, td) in &decided.first_ready {
+            self.rob[pos].ready_while_shadowed = Some(sh);
+            self.rob[pos].ready_while_true_dep = Some(td);
+            self.rob[pos].first_ready_cycle = Some(self.cycle);
         }
-        for &(idx, _) in &decided.delayed {
-            self.rob[idx].policy_delay_cycles += 1;
+        for &(pos, _) in &decided.delayed {
+            self.rob[pos].policy_delay_cycles += 1;
         }
         for action in decided.actions.drain(..) {
-            let idx = match action {
-                IssueAction::Simple { idx, latency, result, actual_next } => {
-                    let e = &mut self.rob[idx];
+            let pos = match action {
+                IssueAction::Simple { pos, latency, result, actual_next } => {
+                    let e = &mut self.rob[pos];
                     e.result = result;
                     e.actual_next = actual_next;
-                    self.begin_execution(idx, latency);
-                    idx
+                    self.begin_execution(pos, latency);
+                    pos
                 }
-                IssueAction::Forward { idx, store_idx, addr } => {
-                    let store_seq = self.rob[store_idx].seq;
-                    let value = self.rob[store_idx].srcs[1]
+                IssueAction::Forward { pos, store_pos, addr } => {
+                    let store_seq = self.rob[store_pos].seq;
+                    let value = self.rob[store_pos].srcs[1]
                         .state
                         .value()
                         .expect("forwarding store has data");
                     let (extra_lev, extra_taint) = {
-                        let s = &self.rob[store_idx];
+                        let s = &self.rob[store_pos];
                         (s.lev_deps, s.taint_roots)
                     };
-                    let width_signed = match self.rob[idx].instr {
+                    let width_signed = match self.rob[pos].instr {
                         Instr::Load { width, signed, .. } => (width, signed),
                         _ => unreachable!(),
                     };
@@ -966,7 +961,7 @@ impl<'p> Simulator<'p> {
                     let kept_lev = extra_lev.and(&self.slots.unresolved);
                     let stale_lev = extra_lev.and_not(&self.slots.unresolved);
                     let kept_taint = extra_taint.and(&self.slots.live_load);
-                    let ready = self.rob[idx]
+                    let ready = self.rob[pos]
                         .first_ready_cycle
                         .expect("forwarding requires ready operands");
                     let mut stale_wait = 0u64;
@@ -974,7 +969,7 @@ impl<'p> Simulator<'p> {
                         stale_wait =
                             stale_wait.max(self.slots.resolve_cycle_of(slot).saturating_sub(ready));
                     }
-                    let e = &mut self.rob[idx];
+                    let e = &mut self.rob[pos];
                     // Narrowing semantics of an exact-width match: identical
                     // width, so the raw store value re-extends the same way
                     // a memory round-trip would.
@@ -984,17 +979,17 @@ impl<'p> Simulator<'p> {
                     e.taint_roots.union_with(&kept_taint);
                     e.fwd_true_wait = e.fwd_true_wait.max(stale_wait);
                     e.mem_addr = Some(addr);
-                    self.begin_execution(idx, 2);
+                    self.begin_execution(pos, 2);
                     if let Some(refs) = self.refsets.as_deref_mut() {
-                        let e = &self.rob[idx];
+                        let e = &self.rob[pos];
                         refs.on_forward(e.seq, store_seq, e, &self.slots);
                     }
                     if let Some(t) = self.tracer.as_deref_mut() {
-                        t.on_forward(self.cycle, &self.rob[idx], store_seq);
+                        t.on_forward(self.cycle, &self.rob[pos], store_seq);
                     }
-                    idx
+                    pos
                 }
-                IssueAction::Access { idx, addr, value, hit_only } => {
+                IssueAction::Access { pos, addr, value, hit_only } => {
                     let latency = if hit_only {
                         match self.hierarchy.access_if_l1_hit(addr) {
                             Some(l) => l,
@@ -1004,11 +999,11 @@ impl<'p> Simulator<'p> {
                                 // behave as a policy delay and retry (the
                                 // instruction stays dispatched and in the
                                 // ready set).
-                                self.rob[idx].policy_delay_cycles += 1;
+                                self.rob[pos].policy_delay_cycles += 1;
                                 if let Some(t) = self.tracer.as_deref_mut() {
                                     t.on_policy_block(
                                         self.cycle,
-                                        &self.rob[idx],
+                                        &self.rob[pos],
                                         &Blame { rule: "core:l1-race-retry", blamed: None },
                                     );
                                 }
@@ -1022,38 +1017,38 @@ impl<'p> Simulator<'p> {
                     if is_miss {
                         self.outstanding_misses += 1;
                     }
-                    let e = &mut self.rob[idx];
+                    let e = &mut self.rob[pos];
                     e.result = Some(value);
                     e.mem_addr = Some(addr);
                     e.holds_mshr = is_miss;
                     // Invisible (hit-only) accesses change no cache state.
                     e.touched_cache = !hit_only;
-                    self.begin_execution(idx, latency);
-                    idx
+                    self.begin_execution(pos, latency);
+                    pos
                 }
-                IssueAction::Flush { idx, addr } => {
+                IssueAction::Flush { pos, addr } => {
                     self.hierarchy.flush_line(addr);
-                    let e = &mut self.rob[idx];
+                    let e = &mut self.rob[pos];
                     e.mem_addr = Some(addr);
                     e.touched_cache = true;
-                    self.begin_execution(idx, 1);
-                    idx
+                    self.begin_execution(pos, 1);
+                    pos
                 }
-                IssueAction::StoreAddr { idx, addr } => {
-                    self.rob[idx].mem_addr = Some(addr);
-                    let seq = self.rob[idx].seq;
+                IssueAction::StoreAddr { pos, addr } => {
+                    self.rob[pos].mem_addr = Some(addr);
+                    let seq = self.rob[pos].seq;
                     let k = self
                         .store_queue
                         .binary_search_by_key(&seq, |s| s.at.seq)
                         .expect("in-flight stores are queued");
                     self.store_queue[k].addr = Some(addr);
-                    self.begin_execution(idx, 1);
+                    self.begin_execution(pos, 1);
                     self.wake_parked(seq, WakeOn::Addr);
-                    idx
+                    pos
                 }
             };
             if let Some(t) = self.tracer.as_deref_mut() {
-                t.on_issue(self.cycle, &self.rob[idx]);
+                t.on_issue(self.cycle, &self.rob[pos]);
             }
         }
 
@@ -1061,12 +1056,12 @@ impl<'p> Simulator<'p> {
         active
     }
 
-    /// The blame for the instruction at `idx`, which the policy gate
+    /// The blame for the instruction at `pos`, which the policy gate
     /// `cause` held in the current state: the gate's rule, and the *oldest*
     /// member of its wait still holding it (the one that must see its
     /// release event first before the block can lift).
-    fn blame_for(&self, policy: &dyn SpeculationPolicy, idx: usize, cause: DelayCause) -> Blame {
-        let e = &self.rob[idx];
+    fn blame_for(&self, policy: &dyn SpeculationPolicy, pos: u64, cause: DelayCause) -> Blame {
+        let e = &self.rob[pos];
         let wait = match cause {
             DelayCause::Execute => policy.execute_wait(e),
             DelayCause::Transmit => policy.transmit_wait(e),
@@ -1111,43 +1106,42 @@ impl<'p> Simulator<'p> {
         // Serializers issue in age order (each waits for every older
         // instruction), so the completed ones form a prefix of the queue.
         let barrier = self.serializers.iter().find_map(|&s| {
-            let idx = self.live(s).expect("queued serializers are in flight");
-            (self.rob[idx].stage != Stage::Done).then_some((s.seq, idx))
+            let pos = self.live(s).expect("queued serializers are in flight");
+            (self.rob[pos].stage != Stage::Done).then_some(pos)
         });
-        let limit = barrier.map_or(Seq::MAX, |(seq, _)| seq);
-        for &r in &self.ready {
-            if r.seq >= limit || units.issued >= self.config.issue_width {
+        let limit = barrier.unwrap_or(u64::MAX);
+        for pos in self.rob.ready() {
+            if pos >= limit || units.issued >= self.config.issue_width {
                 break;
             }
-            let idx = self.live(r).expect("ready entries are live");
-            debug_assert_eq!(self.rob[idx].stage, Stage::Dispatched);
-            self.consider_issue(policy, idx, &mut units, out);
+            debug_assert_eq!(self.rob[pos].stage, Stage::Dispatched);
+            self.consider_issue(policy, pos, &mut units, out);
         }
-        let Some((_, idx)) = barrier else { return };
-        let e = &self.rob[idx];
+        let Some(pos) = barrier else { return };
+        let e = &self.rob[pos];
         if e.stage == Stage::Dispatched
             && units.issued < self.config.issue_width
-            && self.rob.iter().take(idx).all(|older| older.stage == Stage::Done)
+            && (self.rob.head()..pos).all(|older| self.rob[older].stage == Stage::Done)
         {
             let result = match e.instr {
                 Instr::RdCycle { .. } => Some(self.cycle as i64),
                 _ => None,
             };
-            out.actions.push(IssueAction::Simple { idx, latency: 1, result, actual_next: None });
+            out.actions.push(IssueAction::Simple { pos, latency: 1, result, actual_next: None });
         }
     }
 
     /// Issue decision for the dispatched non-serializer instruction at
-    /// `idx` (also driven by the reference oracle's full-ROB scan, so the
+    /// `pos` (also driven by the reference oracle's full-ROB scan, so the
     /// two cannot diverge).
     fn consider_issue(
         &self,
         policy: &dyn SpeculationPolicy,
-        idx: usize,
+        pos: u64,
         units: &mut IssueUnits,
         out: &mut IssueDecisions,
     ) {
-        let e = &self.rob[idx];
+        let e = &self.rob[pos];
         let view = SpecView { slots: &self.slots };
         let holds = |wait: Option<Wait<'_>>| wait.is_some_and(|w| view.holds(&w));
         // Store address generation needs only the base operand.
@@ -1160,7 +1154,7 @@ impl<'p> Simulator<'p> {
         // Record first-readiness speculation flags (F1) once.
         if e.operands_ready() && e.ready_while_shadowed.is_none() {
             out.first_ready.push((
-                idx,
+                pos,
                 e.shadow.intersects(&self.slots.unresolved),
                 e.lev_deps.intersects(&self.slots.unresolved),
             ));
@@ -1168,7 +1162,7 @@ impl<'p> Simulator<'p> {
 
         // Universal execute gate.
         if holds(policy.execute_wait(e)) {
-            out.delayed.push((idx, DelayCause::Execute));
+            out.delayed.push((pos, DelayCause::Execute));
             return;
         }
 
@@ -1194,7 +1188,7 @@ impl<'p> Simulator<'p> {
                     _ => unreachable!(),
                 };
                 out.actions.push(IssueAction::Simple {
-                    idx,
+                    pos,
                     latency,
                     result: Some(op.eval(a, b)),
                     actual_next: None,
@@ -1209,7 +1203,7 @@ impl<'p> Simulator<'p> {
                 let taken = cond.eval(e.src_value(0), e.src_value(1));
                 let actual = if taken { target } else { e.pc + 1 };
                 out.actions.push(IssueAction::Simple {
-                    idx,
+                    pos,
                     latency: 1,
                     result: Some(i64::from(taken)),
                     actual_next: Some(actual),
@@ -1222,7 +1216,7 @@ impl<'p> Simulator<'p> {
                 }
                 units.alu -= 1;
                 out.actions.push(IssueAction::Simple {
-                    idx,
+                    pos,
                     latency: 1,
                     result: Some((e.pc + 1) as i64),
                     actual_next: None, // direct: never mispredicts
@@ -1236,7 +1230,7 @@ impl<'p> Simulator<'p> {
                 units.alu -= 1;
                 let target = (e.src_value(0).wrapping_add(offset)) as u64 as u32;
                 out.actions.push(IssueAction::Simple {
-                    idx,
+                    pos,
                     latency: 1,
                     result: Some((e.pc + 1) as i64),
                     actual_next: Some(target),
@@ -1245,7 +1239,7 @@ impl<'p> Simulator<'p> {
             }
             Instr::Nop | Instr::Halt => {
                 out.actions.push(IssueAction::Simple {
-                    idx,
+                    pos,
                     latency: 1,
                     result: None,
                     actual_next: None,
@@ -1258,12 +1252,12 @@ impl<'p> Simulator<'p> {
                     return;
                 }
                 if holds(policy.transmit_wait(e)) {
-                    out.delayed.push((idx, DelayCause::Transmit));
+                    out.delayed.push((pos, DelayCause::Transmit));
                     return;
                 }
                 units.ld_ports -= 1;
                 let addr = (e.src_value(0) as u64).wrapping_add(offset as u64);
-                out.actions.push(IssueAction::Flush { idx, addr });
+                out.actions.push(IssueAction::Flush { pos, addr });
                 units.issued += 1;
             }
             Instr::Load { width, signed, offset, .. } => {
@@ -1272,20 +1266,20 @@ impl<'p> Simulator<'p> {
                 }
                 let addr = (e.src_value(0) as u64).wrapping_add(offset as u64);
                 // Memory ordering against older stores.
-                match self.lsq_check(idx, addr, width) {
-                    LsqVerdict::Blocked { store, wake } => out.parked.push((idx, store, wake)),
-                    LsqVerdict::Forward(store_idx) => {
+                match self.lsq_check(pos, addr, width) {
+                    LsqVerdict::Blocked { store, wake } => out.parked.push((pos, store, wake)),
+                    LsqVerdict::Forward(store_pos) => {
                         if holds(policy.transmit_wait(e)) {
-                            out.delayed.push((idx, DelayCause::Transmit));
+                            out.delayed.push((pos, DelayCause::Transmit));
                             return;
                         }
                         units.ld_ports -= 1;
-                        out.actions.push(IssueAction::Forward { idx, store_idx, addr });
+                        out.actions.push(IssueAction::Forward { pos, store_pos, addr });
                         units.issued += 1;
                     }
                     LsqVerdict::Memory => {
                         if holds(policy.transmit_wait(e)) {
-                            out.delayed.push((idx, DelayCause::Transmit));
+                            out.delayed.push((pos, DelayCause::Transmit));
                             return;
                         }
                         let hit_only = holds(policy.hit_only_wait(e));
@@ -1293,7 +1287,7 @@ impl<'p> Simulator<'p> {
                         if hit_only && !is_l1_hit {
                             // Delay-on-Miss: must wait instead of filling
                             // speculatively.
-                            out.delayed.push((idx, DelayCause::LoadMiss));
+                            out.delayed.push((pos, DelayCause::LoadMiss));
                             return;
                         }
                         if !is_l1_hit {
@@ -1305,7 +1299,7 @@ impl<'p> Simulator<'p> {
                         }
                         units.ld_ports -= 1;
                         let value = read_memory(&self.mem, addr, width, signed);
-                        out.actions.push(IssueAction::Access { idx, addr, value, hit_only });
+                        out.actions.push(IssueAction::Access { pos, addr, value, hit_only });
                         units.issued += 1;
                     }
                 }
@@ -1324,17 +1318,17 @@ impl<'p> Simulator<'p> {
                 };
                 let base = e.srcs[0].state.value().expect("base checked ready");
                 let addr = (base as u64).wrapping_add(offset as u64);
-                out.actions.push(IssueAction::StoreAddr { idx, addr });
+                out.actions.push(IssueAction::StoreAddr { pos, addr });
                 units.issued += 1;
             }
         }
     }
 
-    /// Memory-ordering verdict for a load at ROB index `idx`.
-    fn lsq_check(&self, idx: usize, addr: u64, width: MemWidth) -> LsqVerdict {
-        let verdict = self.store_queue_verdict(self.rob[idx].seq, addr, width);
+    /// Memory-ordering verdict for the load at position `pos`.
+    fn lsq_check(&self, pos: u64, addr: u64, width: MemWidth) -> LsqVerdict {
+        let verdict = self.store_queue_verdict(self.rob[pos].seq, addr, width);
         if let Some(refs) = &self.refsets {
-            refs.check_lsq(&self.rob, idx, addr, width, verdict);
+            refs.check_lsq(&self.rob, pos, addr, width, verdict);
         }
         verdict
     }
@@ -1375,16 +1369,16 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// Moves the dispatched instruction at `idx` into execution, to
+    /// Moves the dispatched instruction at `pos` into execution, to
     /// complete `latency` cycles from now.
-    fn begin_execution(&mut self, idx: usize, latency: u64) {
-        let r = self.rob_ref(idx);
-        let e = &mut self.rob[idx];
+    fn begin_execution(&mut self, pos: u64, latency: u64) {
+        let e = &mut self.rob[pos];
         e.stage = Stage::Executing;
         e.done_cycle = self.cycle + latency;
+        let entry = Reverse((e.done_cycle, RobRef { seq: e.seq, pos }));
         self.iq_count -= 1;
-        self.ready.remove(&r);
-        self.completions.push(Reverse((e.done_cycle, r)));
+        self.rob.clear_ready(pos);
+        self.completions.push(entry);
     }
 
     // ------------------------------------------------------------------
@@ -1409,14 +1403,14 @@ impl<'p> Simulator<'p> {
             let f = self.fetch_queue.pop_front().expect("checked non-empty");
             let seq = self.next_seq;
             self.next_seq += 1;
-            let idx = self.rob.len();
-            let me = RobRef { seq, pos: self.head_pos + idx as u64 };
             self.stats.dispatched += 1;
             let rob_front_seq = self.rob.front().map(|e| e.seq);
 
             // The entry is renamed where it lives: producers are older, so
-            // they stay readable at their own indices.
-            let e = self.rob.push_back_mut(DynInstr::new(seq, f.pc, f.instr));
+            // they stay readable at their own positions.
+            let pos = self.rob.push(DynInstr::new(seq, f.pc, f.instr));
+            let me = RobRef { seq, pos };
+            let e = &mut self.rob[pos];
             e.predicted_next = f.predicted_next;
             e.history_at_predict = f.history;
             e.checkpoint = f.checkpoint;
@@ -1460,8 +1454,8 @@ impl<'p> Simulator<'p> {
                     match self.rat[reg.index()] {
                         RatEntry::Value(v) => OpState::Ready(v),
                         RatEntry::Producer(p) => {
-                            if let Some(pidx) = self.live(p) {
-                                let prod = &self.rob[pidx];
+                            if let Some(ppos) = self.live(p) {
+                                let prod = &self.rob[ppos];
                                 inherit[oi] = Some(p.seq);
                                 if any_unresolved {
                                     lev_deps.union_masked(&prod.lev_deps, &self.slots.unresolved);
@@ -1474,8 +1468,8 @@ impl<'p> Simulator<'p> {
                                     (Stage::Done, Some(v)) => OpState::Ready(v),
                                     _ => {
                                         // Link into the producer's wakeup chain.
-                                        self.rob[idx].wake_next[oi] = prod.wake_head;
-                                        self.rob[pidx].wake_head = Some((me, oi as u8));
+                                        self.rob[pos].wake_next[oi] = prod.wake_head;
+                                        self.rob[ppos].wake_head = Some((me, oi as u8));
                                         OpState::Waiting(p)
                                     }
                                 }
@@ -1487,13 +1481,13 @@ impl<'p> Simulator<'p> {
                         }
                     }
                 };
-                self.rob[idx].srcs.push(Operand { reg, state });
+                self.rob[pos].srcs.push(Operand { reg, state });
             }
 
             if let Some(rd) = f.instr.dest() {
                 self.rat[rd.index()] = RatEntry::Producer(me);
             }
-            let e = &mut self.rob[idx];
+            let e = &mut self.rob[pos];
             e.ann_deps = ann_deps;
             e.lev_deps = lev_deps;
             e.taint_roots = taint_roots;
@@ -1518,10 +1512,10 @@ impl<'p> Simulator<'p> {
             let eligible =
                 e.operands_ready() || (e.instr.is_store() && e.srcs[0].state.value().is_some());
             if eligible {
-                self.ready.insert(me);
+                self.rob.set_ready(pos);
             }
 
-            let e = &self.rob[idx];
+            let e = &self.rob[pos];
             if let Some(refs) = self.refsets.as_deref_mut() {
                 refs.on_dispatch(e, ann, &inherit, &self.slots);
             }
@@ -1624,8 +1618,8 @@ pub(crate) enum LsqVerdict {
     /// that partially overlaps (until it commits), or the youngest exact
     /// match whose data is pending (until its data is written back).
     Blocked { store: Seq, wake: WakeOn },
-    /// Forward from the store at this ROB index.
-    Forward(usize),
+    /// Forward from the store at this ROB position.
+    Forward(u64),
     /// Safe to read from the memory system.
     Memory,
 }

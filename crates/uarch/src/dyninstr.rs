@@ -14,10 +14,11 @@ pub type Seq = u64;
 /// Positions count ROB entries ever allocated past the committed ones: an
 /// instruction dispatched while `c` instructions have committed and `n`
 /// are in flight gets position `c + n`, and keeps it while it stays in
-/// the ROB (commits pop the front, squashes pop the back). Its ROB index
-/// is therefore `pos - committed`. A squash lets a later dispatch reuse a
-/// position, so a reference resolves only if the entry there still
-/// carries `seq`; otherwise the instruction has left the ROB.
+/// the ROB (commits advance the head, squashes lower the tail). The ROB
+/// ring holds it in slot `pos & mask`. A squash lets a later dispatch
+/// reuse a position, so a reference resolves only if the position is in
+/// flight and its entry still carries `seq`; otherwise the instruction
+/// has left the ROB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct RobRef {
     /// The instruction's sequence number (orders references by age).

@@ -30,6 +30,7 @@ mod fingerprint;
 pub mod policy;
 pub mod predictor;
 mod refsets;
+mod rob;
 pub mod specmask;
 pub mod stats;
 pub mod trace;

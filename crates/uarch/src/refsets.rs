@@ -2,10 +2,12 @@
 //! paths replaced, run side-by-side with them.
 //!
 //! Enabled by [`crate::Simulator::enable_reference_checking`] (tests only;
-//! the hooks are no-ops when disabled). Six comparisons:
+//! the hooks are no-ops when disabled). Seven comparisons:
 //!
 //! * every positioned ROB lookup ([`crate::RobRef`]) against a binary
 //!   search of the ROB by sequence number;
+//! * every issue cycle's ready-bitmap walk against a full-ROB scan for the
+//!   issue candidates: the same positions in the same order;
 //! * every store-queue memory-ordering verdict against the full walk of
 //!   the older ROB entries;
 //! * every issue cycle with a serializer in flight against the full-ROB
@@ -39,10 +41,11 @@ use crate::core::{
 };
 use crate::dyninstr::{DynInstr, Seq, Stage};
 use crate::policy::SpecView;
+use crate::rob::Rob;
 use crate::specmask::SlotTable;
 use levioso_isa::{DepSet, Instr, MemWidth};
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 /// How many comparisons the reference oracle made, by kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,6 +54,9 @@ pub struct ReferenceChecks {
     pub sets: u64,
     /// Positioned ROB lookups checked against a binary search.
     pub lookups: u64,
+    /// Issue cycles whose ready-bitmap walk was checked against a
+    /// full-ROB scan.
+    pub ready_walks: u64,
     /// Store-queue verdicts checked against the full walk of older ROB
     /// entries.
     pub lsq_verdicts: u64,
@@ -68,6 +74,7 @@ impl std::ops::AddAssign for ReferenceChecks {
     fn add_assign(&mut self, o: ReferenceChecks) {
         self.sets += o.sets;
         self.lookups += o.lookups;
+        self.ready_walks += o.ready_walks;
         self.lsq_verdicts += o.lsq_verdicts;
         self.serialized_cycles += o.serialized_cycles;
         self.quiet_cycles += o.quiet_cycles;
@@ -99,13 +106,14 @@ pub(crate) struct RefSets {
     events_checked: u64,
     /// Comparisons made from the core's read-only paths, hence `Cell`s.
     lookups: Cell<u64>,
+    ready_walks: Cell<u64>,
     lsq_verdicts: Cell<u64>,
     serialized_cycles: Cell<u64>,
     parked_loads: Cell<u64>,
     /// The cycles the jump would skip next, `[.., until)`, and the delays
     /// the quiet cycle before them made.
     quiet_until: u64,
-    quiet_delayed: Vec<(usize, DelayCause)>,
+    quiet_delayed: Vec<(u64, DelayCause)>,
     quiet_cycles: u64,
 }
 
@@ -130,6 +138,7 @@ impl RefSets {
         ReferenceChecks {
             sets: self.events_checked,
             lookups: self.lookups.get(),
+            ready_walks: self.ready_walks.get(),
             lsq_verdicts: self.lsq_verdicts.get(),
             serialized_cycles: self.serialized_cycles.get(),
             quiet_cycles: self.quiet_cycles,
@@ -137,10 +146,15 @@ impl RefSets {
         }
     }
 
-    /// Checks a positioned lookup of `seq`, which found ROB index `found`,
-    /// against a binary search (sequence numbers ascend in the ROB).
-    pub(crate) fn check_lookup(&self, rob: &VecDeque<DynInstr>, seq: Seq, found: Option<usize>) {
-        let searched = rob.binary_search_by(|e| e.seq.cmp(&seq)).ok();
+    /// Checks a positioned lookup of `seq`, which found ROB position
+    /// `found`, against a binary search (sequence numbers ascend in the
+    /// ROB).
+    pub(crate) fn check_lookup(&self, rob: &Rob, seq: Seq, found: Option<u64>) {
+        let (older, younger) = rob.as_slices();
+        let search = |entries: &[DynInstr]| entries.binary_search_by(|e| e.seq.cmp(&seq)).ok();
+        let searched = search(older)
+            .or_else(|| search(younger).map(|k| older.len() + k))
+            .map(|k| rob.head() + k as u64);
         assert_eq!(
             found, searched,
             "positioned lookup of seq={seq} diverged from the binary search"
@@ -148,23 +162,48 @@ impl RefSets {
         self.lookups.set(self.lookups.get() + 1);
     }
 
-    /// Checks the store queue's verdict for the load at ROB index `idx`
+    /// Checks the store queue's verdict for the load at position `pos`
     /// against the walk of every older ROB entry.
     pub(crate) fn check_lsq(
         &self,
-        rob: &VecDeque<DynInstr>,
-        idx: usize,
+        rob: &Rob,
+        pos: u64,
         addr: u64,
         width: MemWidth,
         verdict: LsqVerdict,
     ) {
-        let scanned = lsq_scan(rob, idx, addr, width);
+        let scanned = lsq_scan(rob, pos, addr, width);
         assert_eq!(
             verdict, scanned,
             "store-queue verdict for load seq={} at {addr:#x} diverged from the ROB scan",
-            rob[idx].seq
+            rob[pos].seq
         );
         self.lsq_verdicts.set(self.lsq_verdicts.get() + 1);
+    }
+
+    /// Checks the ready-bitmap walk against a scan of every ROB entry for
+    /// the issue candidates: dispatched, operand-ready (stores: base ready
+    /// and no address yet) and not parked. Both must give the same
+    /// positions in the same order.
+    pub(crate) fn check_ready_walk(&self, cycle: u64, rob: &Rob, parked: &[Parked]) {
+        let walked: Vec<u64> = rob.ready().collect();
+        let scanned: Vec<u64> = rob
+            .iter()
+            .filter(|(_, e)| {
+                e.stage == Stage::Dispatched
+                    && (e.operands_ready()
+                        || (e.instr.is_store()
+                            && e.srcs[0].state.value().is_some()
+                            && e.mem_addr.is_none()))
+                    && !parked.iter().any(|p| p.load.seq == e.seq)
+            })
+            .map(|(pos, _)| pos)
+            .collect();
+        assert_eq!(
+            walked, scanned,
+            "cycle {cycle}: the ready-bitmap walk diverged from the ROB scan"
+        );
+        self.ready_walks.set(self.ready_walks.get() + 1);
     }
 
     /// Checks one cycle's issue decisions — actions, first-readiness
@@ -185,12 +224,12 @@ impl RefSets {
     pub(crate) fn check_parked(
         &self,
         cycle: u64,
-        idx: usize,
+        pos: u64,
         parked: &Parked,
         redecided: &IssueDecisions,
     ) {
         let expected = IssueDecisions {
-            parked: vec![(idx, parked.store, parked.wake)],
+            parked: vec![(pos, parked.store, parked.wake)],
             ..IssueDecisions::default()
         };
         assert_eq!(
@@ -208,7 +247,7 @@ impl RefSets {
         &mut self,
         cycle: u64,
         active: bool,
-        delayed: &[(usize, DelayCause)],
+        delayed: &[(u64, DelayCause)],
     ) {
         if cycle >= self.quiet_until {
             return;
@@ -226,7 +265,7 @@ impl RefSets {
 
     /// Called after a quiet cycle instead of the jump to `until`, with the
     /// delays the quiet cycle made.
-    pub(crate) fn expect_quiet_until(&mut self, until: u64, delayed: &[(usize, DelayCause)]) {
+    pub(crate) fn expect_quiet_until(&mut self, until: u64, delayed: &[(u64, DelayCause)]) {
         self.quiet_until = until;
         self.quiet_delayed.clear();
         self.quiet_delayed.extend_from_slice(delayed);
@@ -445,15 +484,15 @@ impl RefSets {
 }
 
 /// The memory-ordering check the store queue replaced: walks every ROB
-/// entry older than the load at `idx`, oldest first. The first older store
-/// with an unknown address blocks the load until its address is generated,
-/// the first partial overlap until it commits; the youngest exact match
-/// forwards once its data is ready.
-fn lsq_scan(rob: &VecDeque<DynInstr>, idx: usize, addr: u64, width: MemWidth) -> LsqVerdict {
+/// entry older than the load at position `pos`, oldest first. The first
+/// older store with an unknown address blocks the load until its address
+/// is generated, the first partial overlap until it commits; the youngest
+/// exact match forwards once its data is ready.
+fn lsq_scan(rob: &Rob, pos: u64, addr: u64, width: MemWidth) -> LsqVerdict {
     let lo = addr;
     let hi = addr.wrapping_add(width.bytes());
-    let mut forward: Option<usize> = None;
-    for (j, s) in rob.iter().enumerate().take(idx) {
+    let mut forward: Option<u64> = None;
+    for (j, s) in rob.iter().take_while(|&(j, _)| j < pos) {
         let Instr::Store { width: sw, .. } = s.instr else { continue };
         let Some(sa) = s.mem_addr else {
             return LsqVerdict::Blocked { store: s.seq, wake: WakeOn::Addr };
@@ -482,16 +521,16 @@ fn lsq_scan(rob: &VecDeque<DynInstr>, idx: usize, addr: u64, width: MemWidth) ->
 /// dispatched instruction goes to `consider` (the core's issue decision)
 /// while issue width remains.
 pub(crate) fn serialized_scan(
-    rob: &VecDeque<DynInstr>,
+    rob: &Rob,
     cycle: u64,
     issue_width: usize,
     units: &mut IssueUnits,
     out: &mut IssueDecisions,
-    consider: &mut dyn FnMut(usize, &mut IssueUnits, &mut IssueDecisions),
+    consider: &mut dyn FnMut(u64, &mut IssueUnits, &mut IssueDecisions),
 ) {
     let mut all_older_done = true;
     let mut serializer_block = false;
-    for (idx, e) in rob.iter().enumerate() {
+    for (pos, e) in rob.iter() {
         if e.stage != Stage::Dispatched {
             if e.stage != Stage::Done {
                 all_older_done = false;
@@ -510,7 +549,7 @@ pub(crate) fn serialized_scan(
                     _ => None,
                 };
                 out.actions.push(IssueAction::Simple {
-                    idx,
+                    pos,
                     latency: 1,
                     result,
                     actual_next: None,
@@ -523,6 +562,6 @@ pub(crate) fn serialized_scan(
         if serializer_block || units.issued >= issue_width {
             continue;
         }
-        consider(idx, units, out);
+        consider(pos, units, out);
     }
 }

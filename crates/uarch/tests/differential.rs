@@ -5,7 +5,8 @@
 //! implementations side-by-side with the production paths: per-instruction
 //! sorted `Vec<Seq>` shadow / Levioso / taint sets and the `resolve_cycle`
 //! map against the bitmask sets (at every dispatch, forward, resolve, and
-//! commit), a binary search against every positioned ROB lookup, the
+//! commit), a binary search against every positioned ROB lookup, a
+//! full-ROB scan for issue candidates against every ready-bitmap walk, the
 //! older-ROB-entry walk against every store-queue verdict, and the
 //! full-ROB issue scan against every issue cycle with a serializer in
 //! flight; it also steps every cycle the quiet-cycle jump would skip and
@@ -277,10 +278,12 @@ fn run_once(
 /// The fast paths are equivalent to the implementations they replaced:
 /// the in-simulator oracle asserts per-event equivalence, and the checked
 /// run's observable results are bit-identical to the unchecked run's.
-/// Over all cases, every kind of comparison must have been made.
+/// Over all cases, every kind of comparison must have been made, and the
+/// 16-entry core's ROB ring and ready bitmap must have wrapped.
 #[test]
 fn bitmask_sets_match_vec_reference() {
     let total = Cell::new(ReferenceChecks::default());
+    let most_tiny_dispatches = Cell::new(0);
     check::run("bitmask_sets_match_vec_reference", &check::Config::new(64), |g| {
         let count = g.usize_in(4..60);
         let ops: Vec<Op> = (0..count).map(|_| arb_op(g)).collect();
@@ -320,9 +323,13 @@ fn bitmask_sets_match_vec_reference() {
                 let (ref_stats, ref_fp, checks) = run_once(&p, seed, policy, config, true);
                 assert!(checks.sets > 0, "{policy:?}: oracle observed no set events");
                 assert!(checks.lookups > 0, "{policy:?}: oracle checked no lookups");
+                assert!(checks.ready_walks > 0, "{policy:?}: oracle checked no ready walk");
                 assert_eq!(plain_fp, golden, "{policy:?}: wrong architectural state");
                 assert_eq!(ref_fp, golden, "{policy:?}: oracle perturbed results");
                 assert_eq!(plain_stats, ref_stats, "{policy:?}: oracle perturbed statistics");
+                if std::ptr::eq(config, &tiny) {
+                    most_tiny_dispatches.set(most_tiny_dispatches.get().max(ref_stats.dispatched));
+                }
                 let mut t = total.get();
                 t += checks;
                 total.set(t);
@@ -330,6 +337,11 @@ fn bitmask_sets_match_vec_reference() {
         }
     });
     let t = total.get();
+    let ring = 16u64.next_power_of_two();
+    assert!(
+        most_tiny_dispatches.get() > 2 * ring,
+        "no 16-entry case dispatched more than twice its {ring}-slot ring"
+    );
     assert!(t.lsq_verdicts > 0, "no store-queue verdict was checked: {t:?}");
     assert!(t.serialized_cycles > 0, "no issue cycle under a serializer was checked: {t:?}");
     assert!(t.quiet_cycles > 0, "no cycle the quiet-cycle jump skips was checked: {t:?}");
@@ -385,7 +397,8 @@ fn speculation_state_is_bounded_by_rob_size() {
 /// ROB full of never-taken branches, and each miss's commit burst parks
 /// their slots for a whole ROB's worth of commits. The high-water mark of
 /// live plus parked slots reaches the masks' last word and stays within
-/// the 2×ROB capacity, with the reference oracle checking every set.
+/// the 2×ROB capacity, with the reference oracle checking every set and,
+/// as the dispatches wrap the ROB ring twice, every ready-bitmap walk.
 #[test]
 fn speculation_slots_reach_the_last_mask_word_at_the_largest_rob() {
     let mut src = String::from("li t0, 24\nli a1, 0x100000\nloop:\nld t1, 0(a1)\n");
@@ -400,7 +413,13 @@ fn speculation_slots_reach_the_last_mask_word_at_the_largest_rob() {
     let config = CoreConfig::default().with_rob_size(MAX_ROB_SIZE);
     let mut sim = Simulator::new(&p, config);
     sim.enable_reference_checking();
-    sim.run(&LevDelay).expect("runs");
+    let stats = sim.run(&LevDelay).expect("runs");
+    let ring = MAX_ROB_SIZE.next_power_of_two() as u64;
+    assert!(
+        stats.dispatched > 2 * ring,
+        "{} dispatches did not wrap the {ring}-slot ROB ring twice",
+        stats.dispatched
+    );
     let (watermark, capacity) = sim.spec_slot_watermark();
     assert_eq!(capacity, 2 * MAX_ROB_SIZE);
     assert!(capacity <= SPEC_MASK_BITS, "capacity {capacity} exceeds the mask's {SPEC_MASK_BITS}");
@@ -410,5 +429,7 @@ fn speculation_slots_reach_the_last_mask_word_at_the_largest_rob() {
         SPEC_MASK_BITS - 64
     );
     assert!(watermark <= capacity, "slot watermark {watermark} exceeded capacity {capacity}");
-    assert!(sim.reference_checks().sets > 0, "the oracle checked no speculation set");
+    let checks = sim.reference_checks();
+    assert!(checks.sets > 0, "the oracle checked no speculation set");
+    assert!(checks.ready_walks > 0, "the oracle checked no ready walk");
 }
